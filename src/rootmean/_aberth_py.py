@@ -1,24 +1,20 @@
-"""Pure-Python simultaneous root refinement (Ehrlich-Aberth iteration).
+"""Simultaneous root refinement (Ehrlich-Aberth iteration) and the package's
+one Horner evaluator.
 
-Fallback twin of the compiled kernel in ``_aberth.pyx``; same signature,
-same update scheme (in-place sweeps with the implicit-deflation correction),
-so either backend can serve ``rootmean.numeric.find_roots``.
+``rootmean.numeric.find_roots`` runs ``aberth_refine`` from its initial
+guesses and then polishes the result; everything that evaluates a
+polynomial in the numeric oracle goes through ``horner``.
 """
 
 from __future__ import annotations
 
-BACKEND = "python"
 
-
-def eval_poly_pair(coeffs, dcoeffs, z):
-    """Horner evaluation of p and p' at z; coeffs descending."""
+def horner(coeffs, z):
+    """Value at z of the polynomial with descending coefficients coeffs."""
     p = 0j
     for c in coeffs:
         p = p * z + c
-    dp = 0j
-    for c in dcoeffs:
-        dp = dp * z + c
-    return p, dp
+    return p
 
 
 def aberth_refine(coeffs, z0, max_iter=120, tol=1e-13):
@@ -39,7 +35,8 @@ def aberth_refine(coeffs, z0, max_iter=120, tol=1e-13):
         max_corr = 0.0
         for i in range(n):
             zi = z[i]
-            p, dp = eval_poly_pair(coeffs, dcoeffs, zi)
+            p = horner(coeffs, zi)
+            dp = horner(dcoeffs, zi)
             if p == 0:
                 continue
             if dp == 0:

@@ -56,11 +56,14 @@ def worker_map(fn, items, threads: int):
 
 def parse_rho_window(text: str):
     """'A..B' inclusive; also accepts a single integer."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            lo, hi = int(lo), int(hi)
+        else:
+            lo = hi = int(text)
+    except ValueError:
+        raise ConfigError(f"bad rho window {text!r}: expected 'A..B' or an integer") from None
     if lo > hi:
         raise ConfigError(f"empty rho window {text!r}")
     return range(lo, hi + 1)
@@ -376,8 +379,13 @@ def parse_relation_spec(text: str):
     """'alpha:rho,alpha:rho,...' e.g. '5:1,-6:2,1:3'."""
     mapping = {}
     for chunk in text.split(","):
-        a, r = chunk.split(":")
-        mapping[int(r)] = int(a)
+        try:
+            a, r = chunk.split(":")
+            mapping[int(r)] = int(a)
+        except ValueError:
+            raise ConfigError(
+                f"bad relation term {chunk!r} in {text!r}: expected 'alpha:rho'"
+            ) from None
     return mapping
 
 
@@ -385,6 +393,8 @@ def cmd_numeric(args) -> int:
     payload = {"seed": args.seed, "tol": args.tol, "reports": []}
     pretty = []
     ok = True
+    if args.samples < 0:
+        raise ConfigError("--samples must be >= 0")
     try:
         if args.conjecture == "relative-rates":
             rep = numeric.relative_rates_report(args.max_degree, args.samples, args.seed, args.tol)
@@ -401,10 +411,9 @@ def cmd_numeric(args) -> int:
                     PhiKey(args.D, args.delta, rho)
                 except ValueError as exc:
                     raise ConfigError(str(exc))
-            rep = numeric.check_relation_numeric(
-                (args.D, args.delta, mapping), args.samples, args.seed, args.tol
+            reports = numeric.check_relations_batch(
+                args.D, args.delta, [mapping], args.samples, args.seed, args.tol
             )
-            reports = [rep]
         elif args.auto:
             if args.D is None:
                 raise ConfigError("--auto needs --D")
@@ -436,6 +445,8 @@ def cmd_numeric(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    if args.k_max < 2:
+        raise ConfigError("--k-max must be >= 2: the sequences start at k=2")
     # t_k grows like degree 2(k-2) in D; the fit needs 2k-1 points from D=k up
     if args.d_sweep < 3 * args.k_max - 2:
         raise ConfigError(

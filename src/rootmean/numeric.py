@@ -5,9 +5,9 @@ it can cross-validate it: polynomials are plain complex coefficient lists,
 root families come from a simultaneous-iteration root finder, and means are
 computed by Horner evaluation and averaging.
 
-The root-refinement inner loop lives in a compiled extension when available
-(``rootmean._aberth``) with a pure-Python twin (``rootmean._aberth_py``)
-selected at import time.
+The root-refinement inner loop and the Horner evaluator live in
+``rootmean._aberth_py``; this module adds initial guesses, Newton polish,
+residual acceptance and clustering on top of it.
 """
 
 from __future__ import annotations
@@ -15,26 +15,15 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-try:  # compiled kernel is optional; the pure twin is always present
-    from . import _aberth as _kernel
+# perfbench/tracer.py wraps the kernel under the name ``_kernel.aberth_refine``
+from . import _aberth_py as _kernel
+from ._aberth_py import horner
 
-    KERNEL_BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _aberth_py as _kernel
-
-    KERNEL_BACKEND = "python"
-
-from ._aberth_py import eval_poly_pair
-
-
-def horner(coeffs, z):
-    p = 0j
-    for c in coeffs:
-        p = p * z + c
-    return p
-
+# recorded in benchmark provenance; perfbench/compare.py refuses to compare
+# results whose backends differ
+KERNEL_BACKEND = "python"
 
 ROOT_RESIDUAL_TOL = 1e-10
 RELATION_TOL = 1e-8
@@ -59,22 +48,15 @@ class NumPoly:
         if self.coeffs[0] != 1:
             raise ValueError("leading coefficient must be exactly 1")
 
-    @classmethod
-    def from_roots(cls, roots) -> "NumPoly":
-        return cls(tuple(poly_from_roots(roots)))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        p = 0j
-        for c in self.coeffs:
-            p = p * z + c
-        return p
+        return horner(self.coeffs, z)
 
 
-def poly_from_roots(roots) -> list:
+def monic_from_roots(roots) -> NumPoly:
     coeffs = [1 + 0j]
     for r in roots:
         nxt = [1 + 0j] * (len(coeffs) + 1)
@@ -83,11 +65,7 @@ def poly_from_roots(roots) -> list:
             nxt[i] = coeffs[i] - r * coeffs[i - 1]
         nxt[len(coeffs)] = -r * coeffs[-1]
         coeffs = nxt
-    return coeffs
-
-
-def monic_from_roots(roots) -> NumPoly:
-    return NumPoly(tuple(poly_from_roots(roots)))
+    return NumPoly(tuple(coeffs))
 
 
 def differentiate(coeffs, order=1) -> list:
@@ -191,7 +169,8 @@ def find_roots(
     dcoeffs = differentiate(coeffs)
     for _ in range(2):
         for i in range(deg):
-            pv, dv = eval_poly_pair(coeffs, dcoeffs, z[i])
+            pv = horner(coeffs, z[i])
+            dv = horner(dcoeffs, z[i])
             if dv != 0:
                 step = pv / dv
                 if abs(step) < 0.1 * (1 + abs(z[i])):
@@ -202,7 +181,7 @@ def find_roots(
     for zi in z:
         res = abs(p(zi)) / _residual_scale(coeffs, zi)
         worst = max(worst, res)
-        _, dv = eval_poly_pair(coeffs, dcoeffs, zi)
+        dv = horner(dcoeffs, zi)
         if abs(dv) > 0:
             cond = max(cond, _residual_scale(coeffs, zi) / (abs(dv) * max(abs(zi), 1.0)))
         else:
@@ -240,10 +219,7 @@ def mean_over_family(p: NumPoly, delta: int, fam: RootFamily, constants=()) -> c
     coeffs = derived_coeffs(p, delta, constants)
     total = 0j
     for r in fam.roots:
-        v = 0j
-        for c in coeffs:
-            v = v * r + c
-        total += v
+        total += horner(coeffs, r)
     return total / len(fam.roots)
 
 
@@ -298,7 +274,6 @@ class NumericReport:
     seed: int = 0
     tol: float = RELATION_TOL
     passed: bool = True
-    notes: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -312,55 +287,14 @@ class NumericReport:
         }
 
 
-def check_relation_numeric(
-    rel,
-    samples: int,
-    seed: int,
-    tol: float = RELATION_TOL,
-    real: bool = False,
-) -> NumericReport:
-    """Evaluate sum_rho alpha_rho * mean(f^(delta) over roots of f^(rho)) on
-    random monic polynomials and report the worst relative residual.
-
-    rel: anything with D, delta, support, alpha attributes (RelationVector),
-    or a (D, delta, {rho: alpha}) triple.
-    """
-    if isinstance(rel, tuple):
-        D, delta, mapping = rel
-        support = tuple(sorted(mapping))
-        alpha = tuple(mapping[r] for r in support)
+def _relation_terms(D: int, delta: int, rel):
+    """(label, support, alpha) of a RelationVector or a {rho: alpha} mapping."""
+    if isinstance(rel, dict):
+        support = tuple(sorted(rel))
+        alpha = tuple(rel[r] for r in support)
         label = f"D={D} delta={delta} " + " ".join(f"{a:+d}@{r}" for r, a in zip(support, alpha))
-    else:
-        D, delta, support, alpha = rel.D, rel.delta, rel.support, rel.alpha
-        label = str(rel)
-    report = NumericReport(label=label, samples=samples, seed=seed, tol=tol)
-    if samples == 0 or not support:
-        report.notes.append("vacuous: no samples requested" if samples == 0 else "empty support")
-        return report
-
-    deepest = max(0, -min(min(support), delta, 0))
-    for idx in range(samples):
-        rng = sample_rng(seed, D, delta, idx)
-        roots = sample_roots(rng, D, real=real)
-        f = monic_from_roots(roots)
-        constants = [complex(rng.uniform(-2, 2), 0 if real else rng.uniform(-2, 2)) for _ in range(deepest)]
-        try:
-            means = {}
-            for rho in support:
-                if rho == 0:
-                    fam = RootFamily(tuple(roots), (D, 0))
-                else:
-                    fam = find_roots(monicized(derived_coeffs(f, rho, constants)))
-                means[rho] = mean_over_family(f, delta, fam, constants)
-        except RootFindingError:
-            report.skipped += 1
-            continue
-        num = sum(a * means[r] for r, a in zip(support, alpha))
-        den = sum(abs(a * means[r]) for r, a in zip(support, alpha))
-        residual = abs(num) / den if den > 1e-12 else abs(num)
-        report.max_rel_residual = max(report.max_rel_residual, residual)
-    report.passed = report.max_rel_residual <= tol
-    return report
+        return label, support, alpha
+    return str(rel), rel.support, rel.alpha
 
 
 def check_relations_batch(
@@ -372,21 +306,28 @@ def check_relations_batch(
     tol: float = RELATION_TOL,
     real: bool = False,
 ) -> list:
-    """check_relation_numeric for several relations sharing (D, delta).
+    """Evaluate sum_rho alpha_rho * mean(f^(delta) over roots of f^(rho)) on
+    random monic degree-D polynomials f and report, per relation, the worst
+    relative residual.
 
+    rels: RelationVectors, or {rho: alpha} mappings, sharing (D, delta).
     Root families are found once per sample and reused across relations, so a
-    degree's whole relation set costs the same as its slowest single relation.
-    Sample streams match check_relation_numeric, so residuals agree with the
-    one-at-a-time path.
+    degree's whole relation set costs the same as its slowest single relation,
+    and each relation's residuals do not depend on which others share the
+    batch.  A sample whose root finding fails is skipped for every relation.
+    Zero samples pass vacuously; otherwise a report passes only if at least
+    one sample was evaluated.
     """
-    rels = list(rels)
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
+    terms = [_relation_terms(D, delta, rel) for rel in rels]
     reports = [
-        NumericReport(label=str(rel), samples=samples, seed=seed, tol=tol) for rel in rels
+        NumericReport(label=label, samples=samples, seed=seed, tol=tol) for label, _, _ in terms
     ]
-    if not rels or samples == 0:
+    if not terms:
         return reports
-    support_union = sorted({r for rel in rels for r in rel.support})
-    deepest = max(0, -min(min(support_union), delta, 0))
+    support_union = sorted({r for _, support, _ in terms for r in support})
+    deepest = max(0, -min([*support_union, delta]))
     for idx in range(samples):
         rng = sample_rng(seed, D, delta, idx)
         roots = sample_roots(rng, D, real=real)
@@ -396,28 +337,24 @@ def check_relations_batch(
             for _ in range(deepest)
         ]
         means = {}
-        failed = False
-        for rho in support_union:
-            try:
+        try:
+            for rho in support_union:
                 if rho == 0:
                     fam = RootFamily(tuple(roots), (D, 0))
                 else:
                     fam = find_roots(monicized(derived_coeffs(f, rho, constants)))
                 means[rho] = mean_over_family(f, delta, fam, constants)
-            except RootFindingError:
-                failed = True
-                break
-        if failed:
+        except RootFindingError:
             for rep in reports:
                 rep.skipped += 1
             continue
-        for rel, rep in zip(rels, reports):
-            num = sum(a * means[r] for r, a in zip(rel.support, rel.alpha))
-            den = sum(abs(a * means[r]) for r, a in zip(rel.support, rel.alpha))
+        for (_, support, alpha), rep in zip(terms, reports):
+            num = sum(a * means[r] for r, a in zip(support, alpha))
+            den = sum(abs(a * means[r]) for r, a in zip(support, alpha))
             residual = abs(num) / den if den > 1e-12 else abs(num)
             rep.max_rel_residual = max(rep.max_rel_residual, residual)
     for rep in reports:
-        rep.passed = rep.max_rel_residual <= tol
+        rep.passed = rep.max_rel_residual <= tol and (samples == 0 or rep.skipped < samples)
     return reports
 
 

@@ -33,7 +33,7 @@ def test_criterion_01_phi_table_reproduction():
     # every ledgered mismatch is justified by the numeric oracle: spot-run it
     for d in rep.discrepancies:
         assert d.known
-    oracle = numeric.check_relation_numeric((7, 0, {1: 37, 3: -150, 4: 200, 5: -135, 6: 48}), 50, 42)
+    [oracle] = numeric.check_relations_batch(7, 0, [{1: 37, 3: -150, 4: 200, 5: -135, 6: 48}], 50, 42)
     ok = ok and oracle.passed
     report("1 (phi tables phi.2-phi.7)", ok, t0, 10)
 

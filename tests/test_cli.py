@@ -143,6 +143,23 @@ def test_numeric_check_zero_samples_warns(capsys):
     assert "vacuously" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("numeric-check", "--relation", "5-1", "--D", "4"),
+        ("phi", "--D", "4", "--rho", "3..x"),
+        ("numeric-check", "--auto", "--D", "4", "--samples", "-5"),
+        ("mine", "--k-max", "1", "--d-sweep", "5"),
+    ],
+    ids=["relation-spec", "rho-window", "negative-samples", "k-max-below-2"],
+)
+def test_bad_input_is_a_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_numeric_check_needs_target(capsys):
     code, _, err = run(capsys, "numeric-check", "--samples", "5")
     assert code == EXIT_CONFIG

@@ -9,7 +9,6 @@ from rootmean.numeric import (
     NumPoly,
     RootFamily,
     RootFindingError,
-    check_relation_numeric,
     check_relations_batch,
     check_relative_rates,
     check_translation_invariance,
@@ -120,29 +119,29 @@ def test_cubic_mean_slope_is_three_halves_variance():
         assert abs(mean_slope - 1.5 * var) < 1e-9
 
 
-def test_check_relation_numeric_quartic():
-    rep = check_relation_numeric((4, 0, {1: 5, 2: -6, 3: 1}), samples=200, seed=42)
+def test_check_one_relation_quartic():
+    [rep] = check_relations_batch(4, 0, [{1: 5, 2: -6, 3: 1}], samples=200, seed=42)
     assert rep.passed and rep.max_rel_residual < 1e-10
     assert rep.skipped == 0
 
 
-def test_check_relation_numeric_septic():
-    rep = check_relation_numeric(
-        (7, 0, {1: 37, 3: -150, 4: 200, 5: -135, 6: 48}), samples=100, seed=42
+def test_check_one_relation_septic():
+    [rep] = check_relations_batch(
+        7, 0, [{1: 37, 3: -150, 4: 200, 5: -135, 6: 48}], samples=100, seed=42
     )
     assert rep.passed
 
 
-def test_check_relation_numeric_vacuous():
-    rep = check_relation_numeric((4, 0, {1: 5, 2: -6, 3: 1}), samples=0, seed=1)
+def test_check_one_relation_vacuous():
+    [rep] = check_relations_batch(4, 0, [{1: 5, 2: -6, 3: 1}], samples=0, seed=1)
     assert rep.passed and rep.max_rel_residual == 0.0
 
 
-def test_check_relation_numeric_antiderivative_orders():
+def test_check_one_relation_antiderivative_orders():
     # constants are drawn per sample; independence from them is part of the check
-    rep = check_relation_numeric((3, 0, {-1: 1, 1: 2}), samples=150, seed=11)
+    [rep] = check_relations_batch(3, 0, [{-1: 1, 1: 2}], samples=150, seed=11)
     assert rep.passed
-    rep = check_relation_numeric((3, -2, {0: 2, 1: -5, 2: 3}), samples=100, seed=11)
+    [rep] = check_relations_batch(3, -2, [{0: 2, 1: -5, 2: 3}], samples=100, seed=11)
     assert rep.passed
 
 
@@ -152,9 +151,24 @@ def test_batch_matches_single():
     rels = find_relations(5).all_relations()
     batch = check_relations_batch(5, 0, rels, samples=40, seed=42)
     for rel, rep in zip(rels, batch):
-        single = check_relation_numeric(rel, samples=40, seed=42)
+        [single] = check_relations_batch(5, 0, [rel], samples=40, seed=42)
         assert rep.passed == single.passed
         assert abs(rep.max_rel_residual - single.max_rel_residual) < 1e-12
+
+
+def test_all_samples_skipped_does_not_pass(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RootFindingError("forced")
+
+    monkeypatch.setattr(numeric, "find_roots", fail)
+    [rep] = check_relations_batch(4, 0, [{1: 5, 2: -6, 3: 1}], samples=10, seed=42)
+    assert rep.skipped == 10
+    assert not rep.passed
+
+
+def test_negative_samples_rejected():
+    with pytest.raises(ValueError):
+        check_relations_batch(4, 0, [{1: 5, 2: -6, 3: 1}], samples=-5, seed=42)
 
 
 def test_relative_rates_symmetric_quadratic():
@@ -306,26 +320,6 @@ def test_symbolic_numeric_agreement():
                     got = mean_over_family(p, delta, fam, constants)
                     scale = max(1.0, abs(complex(want)))
                     assert abs(complex(want) - got) <= 1e-8 * scale
-
-
-def test_backends_agree():
-    from rootmean import _aberth_py
-    from rootmean.numeric import _initial_guesses, poly_from_roots
-
-    try:
-        from rootmean import _aberth as compiled
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(77)
-    for _ in range(30):
-        deg = rng.randint(2, 9)
-        roots = sample_roots(rng, deg)
-        coeffs = poly_from_roots(roots)
-        z0 = _initial_guesses(coeffs)
-        zc, _, _ = compiled.aberth_refine(coeffs, list(z0), 200, 1e-13)
-        zp, _, _ = _aberth_py.aberth_refine(coeffs, list(z0), 200, 1e-13)
-        for a, b in zip(sorted_roots(zc), sorted_roots(zp)):
-            assert abs(a - b) < 1e-8
 
 
 def test_condition_estimate_present():

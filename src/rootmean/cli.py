@@ -33,18 +33,6 @@ class ConfigError(ValueError):
     pass
 
 
-def thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("ROOTMEAN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"bad ROOTMEAN_THREADS value {env!r}")
-    return os.cpu_count() or 1
-
-
 def worker_map(fn, items, threads: int):
     """Map preserving order; results do not depend on the thread count."""
     items = list(items)
@@ -212,20 +200,17 @@ def cmd_relations(args) -> int:
     payload = {"seed": args.seed, **report.to_json()}
 
     # cross-check the printed catalog for this (D, delta) inside the window
+    catalog = [
+        e for e in golden.catalog_relations()
+        if e["D"] == D and e["delta"] == args.delta and set(e["alpha"]) <= set(window)
+    ]
     failures = []
-    for entry in golden.catalog_relations():
-        if entry["D"] != D or entry["delta"] != args.delta:
-            continue
-        if not set(entry["alpha"]) <= set(window):
-            continue
+    for entry in catalog:
         try:
             relations.RelationVector.make(entry["D"], entry["delta"], entry["alpha"].items())
         except relations.RelationError:
             failures.append(entry)
-    payload["catalog_checked"] = sum(
-        1 for e in golden.catalog_relations()
-        if e["D"] == D and e["delta"] == args.delta and set(e["alpha"]) <= set(window)
-    )
+    payload["catalog_checked"] = len(catalog)
     payload["catalog_failures"] = [
         {"alpha": {str(k): v for k, v in e["alpha"].items()}, "label": e.get("label")}
         for e in failures
@@ -256,7 +241,7 @@ def cmd_relations(args) -> int:
 
 def _verify_dimension(args, payload, pretty):
     cap = args.max_degree
-    threads = thread_count(args)
+    threads = max(1, args.threads) if args.threads else os.cpu_count() or 1
     dims = worker_map(relations.relation_space_dim, range(2, cap + 1), threads)
     ok = True
     for D, dim in zip(range(2, cap + 1), dims):
@@ -508,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
         p.add_argument("--output", help="write to a file instead of stdout")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--threads", type=int, help="worker threads (or ROOTMEAN_THREADS)")
         p.add_argument("--unsafe-degree", action="store_true",
                        help=f"lift the degree cap of {HARD_DEGREE_CAP}")
 
@@ -531,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", help="window 'A..B' (default 1..D-1)")
     p.add_argument("--extended", action="store_true",
                    help="default window -(D+2)..D-1 instead of 1..D-1")
-    p.add_argument("--minimal-support", action="store_true", default=True)
     p.add_argument("--no-minimal-support", dest="minimal_support", action="store_false")
     common(p)
     p.set_defaults(fn=cmd_relations)
@@ -539,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="symbolic verification suites")
     p.add_argument("--conjecture", choices=sorted(VERIFIERS), required=True)
     p.add_argument("--max-degree", type=int, default=9)
+    p.add_argument("--threads", type=int, help="worker threads for the dimension sweep")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -102,14 +102,12 @@ def phi(key: PhiKey) -> PhiResult:
     # true derivative/antiderivative scaling of the monic original
     scale = Fraction(math.factorial(D), math.factorial(D - delta))
 
-    # sum_j coeff_j * mean(z^j) with coeff_j = (-1)^(deg_g - j) C(deg_g, j) * (order deg_g - j parameter)
-    pieces = []
-    for j in range(deg_g + 1):
-        i = deg_g - j
-        c = binomial(deg_g, j) * (-1) ** i
-        pj = materialize(j, n, syms)
-        pieces.append(pj.scale(c) if i == 0 else pj.mul_symbol(syms[i - 1], c))
-    return PhiResult(key, poly_sum(pieces).scale(scale), n, FLAG_OK)
+    # sum_j (-1)^(deg_g - j) C(deg_g, j) * (order deg_g - j parameter) * mean(z^j)
+    poly = poly_sum(
+        materialize(j, n, syms, scale * binomial(deg_g, j) * (-1) ** (deg_g - j), deg_g - j)
+        for j in range(deg_g + 1)
+    )
+    return PhiResult(key, poly, n, FLAG_OK)
 
 
 def phi_table(D: int, delta: int, rho_values) -> list:

@@ -85,10 +85,7 @@ class RationalPolynomial:
         return all(c.denominator == 1 for c in self.coeffs)
 
     def lcd(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            out = out * c.denominator // math.gcd(out, c.denominator)
-        return out
+        return math.lcm(*(c.denominator for c in self.coeffs))
 
     def scaled(self, s) -> "RationalPolynomial":
         return RationalPolynomial.make([c * Fraction(s) for c in self.coeffs])

@@ -226,18 +226,15 @@ def mean_over_family(p: NumPoly, delta: int, fam: RootFamily, constants=()) -> c
 # ---------------------------------------------------------------------------
 # sampling
 
-def sample_roots(rng: random.Random, degree: int, real: bool = False, radius: float = 2.0):
-    """Roots i.i.d. uniform on a disk (or interval) of the given radius,
-    resampled until pairwise separation exceeds MIN_ROOT_SEPARATION."""
+def sample_roots(rng: random.Random, degree: int):
+    """Roots i.i.d. uniform on the disk of radius 2, resampled until pairwise
+    separation exceeds MIN_ROOT_SEPARATION."""
     while True:
-        if real:
-            roots = [rng.uniform(-radius, radius) + 0j for _ in range(degree)]
-        else:
-            roots = []
-            for _ in range(degree):
-                r = radius * math.sqrt(rng.random())
-                th = rng.uniform(0.0, 2.0 * math.pi)
-                roots.append(r * cmath.exp(1j * th))
+        roots = []
+        for _ in range(degree):
+            r = 2.0 * math.sqrt(rng.random())
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            roots.append(r * cmath.exp(1j * th))
         ok = True
         for i in range(degree):
             for k in range(i + 1, degree):
@@ -304,7 +301,6 @@ def check_relations_batch(
     samples: int,
     seed: int,
     tol: float = RELATION_TOL,
-    real: bool = False,
 ) -> list:
     """Evaluate sum_rho alpha_rho * mean(f^(delta) over roots of f^(rho)) on
     random monic degree-D polynomials f and report, per relation, the worst
@@ -330,10 +326,10 @@ def check_relations_batch(
     deepest = max(0, -min([*support_union, delta]))
     for idx in range(samples):
         rng = sample_rng(seed, D, delta, idx)
-        roots = sample_roots(rng, D, real=real)
+        roots = sample_roots(rng, D)
         f = monic_from_roots(roots)
         constants = [
-            complex(rng.uniform(-2, 2), 0 if real else rng.uniform(-2, 2))
+            complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             for _ in range(deepest)
         ]
         means = {}
@@ -384,14 +380,14 @@ def check_relative_rates(p: NumPoly, k: int, roots=None) -> complex:
 
 
 def relative_rates_report(
-    max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL, real: bool = False
+    max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
     report = NumericReport(label=f"relative-rates degrees 2..{max_degree}", samples=samples, seed=seed, tol=tol)
     for D in range(2, max_degree + 1):
         ks = range(2, D) if D > 2 else (2,)
         for idx in range(samples):
             rng = sample_rng(seed, 7_001, D, idx)
-            roots = sample_roots(rng, D, real=real)
+            roots = sample_roots(rng, D)
             p = monic_from_roots(roots)
             for k in ks:
                 total = check_relative_rates(p, k, roots=roots)
@@ -405,7 +401,10 @@ def relative_rates_report(
 
 
 def check_translation_invariance(p: NumPoly, dh_list, tol: float = RELATION_TOL) -> NumericReport:
-    """Mean slope over the roots of p - dh compared with dh = 0, per dh."""
+    """Mean slope over the roots of p - dh compared with dh = 0, per dh.
+
+    With shifts requested, passes only if at least one shifted solve was evaluated.
+    """
     report = NumericReport(label=f"translation-invariance degree {p.degree}", samples=len(dh_list), tol=tol)
     base_fam = find_roots(p)
     base = mean_over_family(p, 1, base_fam)
@@ -421,7 +420,7 @@ def check_translation_invariance(p: NumPoly, dh_list, tol: float = RELATION_TOL)
         m = mean_over_family(p, 1, fam)
         residual = abs(m - base) / scale
         report.max_rel_residual = max(report.max_rel_residual, residual)
-    report.passed = report.max_rel_residual <= tol
+    report.passed = report.max_rel_residual <= tol and (not dh_list or report.skipped < len(dh_list))
     return report
 
 
@@ -429,6 +428,7 @@ def translation_invariance_report(
     max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
     report = NumericReport(label=f"translation-invariance degrees 2..{max_degree}", samples=samples, seed=seed, tol=tol)
+    shifts = 0
     for D in range(2, max_degree + 1):
         for idx in range(samples):
             rng = sample_rng(seed, 9_001, D, idx)
@@ -436,9 +436,10 @@ def translation_invariance_report(
             p = monic_from_roots(roots)
             dh = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
             sub = check_translation_invariance(p, dh, tol)
+            shifts += sub.samples
             report.skipped += sub.skipped
             report.max_rel_residual = max(report.max_rel_residual, sub.max_rel_residual)
-    report.passed = report.max_rel_residual <= tol
+    report.passed = report.max_rel_residual <= tol and (not shifts or report.skipped < shifts)
     return report
 
 

@@ -57,16 +57,25 @@ def _expansion(j: int, n: int) -> tuple:
     return tuple(out)
 
 
-def materialize(j: int, n: int, symbols) -> SymPoly:
-    """Expand mean(z^j) for an n-family whose order-i parameter is symbols[i-1]."""
+def materialize(j: int, n: int, symbols, coeff=1, times: int = 0) -> SymPoly:
+    """coeff * symbols[times-1] * mean(z^j) for an n-family whose order-i parameter is symbols[i-1].
+
+    ``times = 0`` leaves out the parameter factor.  Each monomial is built
+    once, from the partition's parts plus the part ``times``, so a mean value
+    assembles its terms without a second multiplication pass.
+    """
+    coeff = Fraction(coeff)
     if j == 0:
-        return SymPoly.constant(1)
+        return SymPoly.term(coeff, [(symbols[times - 1], 1)] if times else [])
     acc = {}
     for kappa, c in _expansion(j, n):
-        # partition items are stored by decreasing part; ascending part order
-        # matches the symbol sort order (roots by order, then constants)
-        powers = tuple((symbols[part - 1], mult) for part, mult in reversed(kappa.items))
-        acc[Monomial(powers)] = c
+        parts = dict(kappa.items)
+        if times:
+            parts[times] = parts.get(times, 0) + 1
+        # ascending part order matches the symbol sort order (roots by order,
+        # then constants)
+        powers = tuple((symbols[part - 1], mult) for part, mult in sorted(parts.items()))
+        acc[Monomial(powers)] = coeff * c
     return SymPoly(acc)
 
 

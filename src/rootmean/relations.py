@@ -110,14 +110,8 @@ def nullspace(rows, ncols: int | None = None) -> list:
 
 def primitive(vector) -> list:
     """Scale a rational vector to integers with gcd 1 and first nonzero > 0."""
-    vec = [Fraction(x) for x in vector]
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+    ints = _clear_row_denominators([Fraction(x) for x in vector])
+    g = math.gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     first = next((x for x in ints if x), 0)
@@ -343,17 +337,13 @@ def check_odd_binomial(D: int) -> bool:
     """True iff the alternating binomial combination vanishes identically (odd D)."""
     if D < 3 or D % 2 == 0:
         raise ValueError("check_odd_binomial needs odd D >= 3")
-    total = linear_combination(
-        ((-1) ** r * binomial(D, r), phi(PhiKey(D, 0, r)).poly) for r in range(1, D)
-    )
-    return total.is_zero()
+    return alternating_binomial_vector(D) is not None
 
 
 def check_inheritance(rel: RelationVector) -> bool:
     """True iff the shifted relation (D+1, delta+1, support+1) also annihilates."""
-    shifted_pairs = [(r + 1, a) for r, a in zip(rel.support, rel.alpha)]
     D1, d1 = rel.D + 1, rel.delta + 1
-    for r, _ in shifted_pairs:
+    support = tuple(r + 1 for r in rel.support)
+    for r in support:
         PhiKey(D1, d1, r)  # raises on invalid shifted keys
-    total = linear_combination((a, phi(PhiKey(D1, d1, r)).poly) for r, a in shifted_pairs)
-    return total.is_zero()
+    return RelationVector(D1, d1, support, rel.alpha).verify()

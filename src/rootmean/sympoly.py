@@ -120,24 +120,6 @@ class Monomial:
             acc[s] = acc.get(s, 0) + e
         return Monomial.from_pairs(acc.items())
 
-    def mul_symbol(self, s: Symbol) -> "Monomial":
-        """Multiply by one symbol (the common case when assembling mean values)."""
-        out = []
-        placed = False
-        for sym, e in self.powers:
-            if sym == s:
-                out.append((sym, e + 1))
-                placed = True
-            elif not placed and s._key < sym._key:
-                out.append((s, 1))
-                out.append((sym, e))
-                placed = True
-            else:
-                out.append((sym, e))
-        if not placed:
-            out.append((s, 1))
-        return Monomial(tuple(out))
-
     def sort_key(self):
         # graded, then lexicographic with larger exponents first: within one
         # weight this reproduces the usual table ordering r1^D, r1^(D-2) r2, ...
@@ -270,12 +252,6 @@ class SymPoly:
                     acc.pop(m, None)
         return SymPoly._raw(acc)
 
-    def mul_symbol(self, s: Symbol, coeff=1) -> "SymPoly":
-        coeff = Fraction(coeff)
-        if not coeff:
-            return SymPoly.zero()
-        return SymPoly._raw({m.mul_symbol(s): coeff * c for m, c in self._terms.items()})
-
     def __pow__(self, e: int) -> "SymPoly":
         if e < 0:
             raise ValueError("negative power")
@@ -306,18 +282,6 @@ class SymPoly:
                 piece = piece * (binding[s] ** e)
             _accumulate(out, piece._terms, None)
         return SymPoly._raw(out)
-
-    def rename(self, mapping: dict) -> "SymPoly":
-        """Cheap symbol-for-symbol renaming (symbols absent from mapping kept)."""
-        acc: dict = {}
-        for m, c in self._terms.items():
-            nm = Monomial.from_pairs((mapping.get(s, s), e) for s, e in m.powers)
-            v = acc.get(nm, ZERO) + c
-            if v:
-                acc[nm] = v
-            else:
-                acc.pop(nm, None)
-        return SymPoly._raw(acc)
 
     def evaluate(self, values: dict):
         """Evaluate at concrete values (Fractions stay exact, floats/complex work too)."""

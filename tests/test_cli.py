@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rootmean import means, relations
 from rootmean.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -98,6 +99,27 @@ def test_verify_dimension(capsys):
     assert code == EXIT_OK
     assert blob["pass"] is True
     assert blob["dims"] == [0, 1, 1, 2, 1, 2, 1]
+
+
+def test_verify_dimension_independent_of_threads(capsys):
+    outs = []
+    for threads in ("1", "2"):
+        # cold caches, so each thread count computes every degree itself
+        means.phi.cache_clear()
+        relations.relation_space_dim.cache_clear()
+        code, out, _ = run(
+            capsys, "verify", "--conjecture", "dimension", "--max-degree", "12",
+            "--threads", threads, "--format", "json",
+        )
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_threads_only_on_verify():
+    with pytest.raises(SystemExit) as exc:
+        main(["gw", "--n", "2", "--max-deg", "3", "--threads", "2"])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_verify_odd_binomial(capsys):

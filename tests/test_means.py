@@ -4,8 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from rootmean.means import FLAG_CONSTANT, FLAG_ZERO, PhiKey, phi, phi_table, statistical_moments
-from rootmean.powersums import mean_parameters
+from rootmean.exact import binomial
+from rootmean.means import (
+    FLAG_CONSTANT,
+    FLAG_ZERO,
+    PhiKey,
+    _master_symbols,
+    phi,
+    phi_table,
+    statistical_moments,
+)
+from rootmean.powersums import materialize, mean_parameters
 from rootmean.sympoly import Monomial, QuasiBinomialVector, SymPoly, root_param
 
 
@@ -173,3 +182,26 @@ def test_statistical_moments_requires_three():
 def test_monomial_coefficient_sanity():
     poly = phi(PhiKey(5, 0, -1)).poly
     assert poly.coefficient(Monomial.from_pairs([(root_param(1), 5)])) == 216
+
+
+def phi_by_ring(key):
+    """phi as a sum of ring products: scale * sum_j C(g,j)(-1)^(g-j) r_(g-j) mean(z^j)."""
+    D, delta = key.D, key.delta
+    n, deg_g = key.family_size, D - delta
+    syms = _master_symbols(D, max(deg_g, n))
+    total = SymPoly.zero()
+    for j in range(deg_g + 1):
+        i = deg_g - j
+        piece = materialize(j, n, syms).scale(binomial(deg_g, j) * (-1) ** i)
+        if i:
+            piece = SymPoly.symbol(syms[i - 1]) * piece
+        total = total + piece
+    return total.scale(Fraction(math.factorial(D), math.factorial(D - delta)))
+
+
+def test_phi_matches_ring_assembly():
+    for D in range(2, 9):
+        for delta in range(-2, D):
+            for rho in range(-2, D):
+                key = PhiKey(D, delta, rho)
+                assert phi(key).poly == phi_by_ring(key), key

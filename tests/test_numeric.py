@@ -227,6 +227,38 @@ def test_translation_invariance_random():
         assert rep.passed
 
 
+def fail_shifted_solves(monkeypatch):
+    """Let each base solve through and make every shifted solve raise.
+
+    A shift changes only the constant term, so a polynomial whose other
+    coefficients were already seen is a shifted one.
+    """
+    seen = set()
+    real_find_roots = numeric.find_roots
+
+    def find_roots_or_fail(p, *args, **kwargs):
+        if p.coeffs[:-1] in seen:
+            raise RootFindingError("forced")
+        seen.add(p.coeffs[:-1])
+        return real_find_roots(p, *args, **kwargs)
+
+    monkeypatch.setattr(numeric, "find_roots", find_roots_or_fail)
+
+
+def test_translation_invariance_all_shifts_skipped_does_not_pass(monkeypatch):
+    fail_shifted_solves(monkeypatch)
+    rep = check_translation_invariance(monic_from_roots([1, 2, 3]), [0.5, -1, 2])
+    assert rep.skipped == 3
+    assert not rep.passed
+
+
+def test_translation_report_all_shifts_skipped_does_not_pass(monkeypatch):
+    fail_shifted_solves(monkeypatch)
+    rep = numeric.translation_invariance_report(4, 5, 42)
+    assert rep.skipped == 45
+    assert not rep.passed
+
+
 def test_solve_quadratic_statistical():
     lo, hi = solve_quadratic_statistical(0, 1)
     assert abs(lo + 1) < 1e-14 and abs(hi - 1) < 1e-14

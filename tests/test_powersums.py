@@ -6,12 +6,13 @@ import pytest
 from rootmean.exact import PartitionVector
 from rootmean.powersums import (
     gw_coefficient,
+    materialize,
     mean_parameters,
     newton_residual,
     power_sum_mean,
     power_sums,
 )
-from rootmean.sympoly import Monomial, SymPoly, root_param
+from rootmean.sympoly import Monomial, SymPoly, integration_const, root_param
 
 
 def kappa(parts):
@@ -122,3 +123,21 @@ def test_coefficient_lookup():
     p = power_sum_mean(4, 3)
     m = Monomial.from_pairs([(root_param(2), 2)])
     assert p.coefficient(m) == 6
+
+
+def test_materialize_coeff_and_times_match_ring_product():
+    coeff = Fraction(-7, 3)
+    for n in range(1, 7):
+        # root parameters only, and a chain whose slots past 2 are constants
+        for syms in (
+            [root_param(i) for i in range(1, n + 1)],
+            [root_param(i) for i in range(1, min(n, 2) + 1)]
+            + [integration_const(m, 2 + m) for m in range(1, n - 1)],
+        ):
+            for j in range(9):
+                base = materialize(j, n, syms)
+                for times in range(n + 1):
+                    want = SymPoly.constant(coeff) * base
+                    if times:
+                        want = SymPoly.symbol(syms[times - 1]) * want
+                    assert materialize(j, n, syms, coeff, times) == want

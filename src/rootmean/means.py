@@ -10,7 +10,8 @@ The computation follows the direct route: write the averaged function in
 quasi-binomial form, replace each power x^j by the mean power sum of the
 averaging family, and use the fact that a derived function's parameters are
 the (truncated or extended) parameters of the original, so everything lands
-in one exact polynomial over the original parameters.
+in one exact polynomial over the original parameters.  ``phi_coefficient``
+reads a single coefficient from the same terms without expanding phi.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binomial
-from .powersums import materialize, power_sum_mean
+from .exact import ZERO, PartitionVector, binomial
+from .powersums import gw_coefficient, materialize, power_sum_mean
 from .sympoly import (
     QuasiBinomialVector,
     SymPoly,
@@ -84,6 +85,18 @@ def _master_symbols(D: int, length: int) -> tuple:
     return tuple(syms)
 
 
+def _term_weight(D: int, delta: int, j: int) -> Fraction:
+    """w_j = D!/(D-delta)! * C(deg_g, j) * (-1)^(deg_g - j), with deg_g = D - delta.
+
+    phi is sum_j w_j * (order deg_g - j parameter) * mean(z^j); the factorial
+    ratio is the true derivative/antiderivative scaling of the monic original.
+    """
+    deg_g = D - delta
+    return Fraction(
+        math.factorial(D) * binomial(deg_g, j) * (-1) ** (deg_g - j), math.factorial(deg_g)
+    )
+
+
 @lru_cache(maxsize=None)
 def phi(key: PhiKey) -> PhiResult:
     """Exact mean of the delta-th derived function over the rho-th root family."""
@@ -98,16 +111,43 @@ def phi(key: PhiKey) -> PhiResult:
     deg_g = D - delta  # degree of the averaged function
     length = max(deg_g, n)
     syms = _master_symbols(D, length)
-
-    # true derivative/antiderivative scaling of the monic original
-    scale = Fraction(math.factorial(D), math.factorial(D - delta))
-
-    # sum_j (-1)^(deg_g - j) C(deg_g, j) * (order deg_g - j parameter) * mean(z^j)
     poly = poly_sum(
-        materialize(j, n, syms, scale * binomial(deg_g, j) * (-1) ** (deg_g - j), deg_g - j)
+        materialize(j, n, syms, _term_weight(D, delta, j), deg_g - j)
         for j in range(deg_g + 1)
     )
     return PhiResult(key, poly, n, FLAG_OK)
+
+
+def phi_coefficient(key: PhiKey, m: PartitionVector) -> Fraction:
+    """Coefficient in phi(key).poly of the monomial m, without expanding phi.
+
+    m is written as a partition: part p stands for the symbol of weight p,
+    the root parameter r_p when p <= D and the integration constant c_(p-D)
+    beyond it, the slots ``_master_symbols`` assigns.  So r1^2 r3 is
+    Partition[3+1+1], at D = 4 the monomial c1 r2 is Partition[5+2], and the
+    empty partition is the constant monomial.
+
+    mean(z^j) holds each partition of j once, so m gets at most one term per
+    distinct part plus one: the j = deg_g term, where all of m comes from the
+    mean, and for each distinct part p the j = deg_g - p term, where p is the
+    parameter factor and m - {p} comes from the mean (the empty remainder
+    contributes the weight alone).  A monomial whose weight is not D - delta
+    gets 0.
+    """
+    D, delta = key.D, key.delta
+    if delta >= D:  # the constant D! (FLAG_CONSTANT) or zero (FLAG_ZERO)
+        return Fraction(math.factorial(D)) if delta == D and not m.items else ZERO
+    deg_g = D - delta
+    if m.j != deg_g:
+        return ZERO
+    n = key.family_size
+    total = _term_weight(D, delta, deg_g) * gw_coefficient(m, n)
+    parts = dict(m.items)
+    for p, mult in m.items:
+        rest = PartitionVector.from_parts({**parts, p: mult - 1})
+        w = _term_weight(D, delta, deg_g - p)
+        total += w * gw_coefficient(rest, n) if rest.items else w
+    return total
 
 
 def phi_table(D: int, delta: int, rho_values) -> list:

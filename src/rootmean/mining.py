@@ -1,6 +1,8 @@
 """Coefficient-sequence mining over the mean-value tables.
 
-Two coefficient extractors are provided for phi(D, 0, rho):
+Two coefficient extractors are provided for phi(D, 0, rho).  Each reads its
+one coefficient through ``means.phi_coefficient``, which sums the at most two
+Girard-Waring terms that reach that monomial; neither expands phi.
 
 * ``leading_phi_coefficient``: the coefficient of the first parameter raised
   to the D-th power (the leading printed term).  As a polynomial in the
@@ -26,20 +28,25 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .means import PhiKey, phi
-from .sympoly import Monomial, root_param
+from .exact import PartitionVector
+from .means import PhiKey, phi_coefficient
 
 
 def leading_phi_coefficient(D: int, rho: int) -> Fraction:
     """Coefficient of (order-1 parameter)^D in phi((D, 0, rho))."""
-    mono = Monomial.from_pairs([(root_param(1), D)])
-    return phi(PhiKey(D, 0, rho)).poly.coefficient(mono)
+    return phi_coefficient(PhiKey(D, 0, rho), PartitionVector.from_parts({1: D}))
 
 
 def top_parameter_coefficient(D: int, rho: int) -> Fraction:
     """Coefficient of the top-order parameter (weight D, exponent 1) in phi((D, 0, rho))."""
-    mono = Monomial.from_pairs([(root_param(D), 1)])
-    return phi(PhiKey(D, 0, rho)).poly.coefficient(mono)
+    return phi_coefficient(PhiKey(D, 0, rho), PartitionVector.from_parts({D: 1}))
+
+
+def _horner(coeffs, x, acc=0):
+    """Value at x of the polynomial with ascending coefficients coeffs."""
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -64,10 +71,7 @@ class RationalPolynomial:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x, Fraction(0))
 
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self.coeffs):
@@ -401,19 +405,19 @@ def is_irreducible_int(g: RationalPolynomial) -> bool | None:
     M = g.degree
     if M <= 1:
         return True
-    if g(0) == 0:
+    g_int = [int(c) for c in g.coeffs]
+    if g_int[0] == 0:
         return False
     for r in range(-64, 65):
-        if r and g(r) == 0:
+        if r and _horner(g_int, r) == 0:
             return False
-    g_int = [int(c) for c in g.coeffs]
     for p in _MODP_PRIMES:
         if _irreducible_mod_p(g_int, p):
             return True
-    if abs(int(g(0))) > _DIVISOR_CAP:
+    if abs(g_int[0]) > _DIVISOR_CAP:
         return None
-    for r in _divisors(int(g(0))):
-        if g(r) == 0:
+    for r in _divisors(g_int[0]):
+        if _horner(g_int, r) == 0:
             return False
     if M <= 7:
         try:

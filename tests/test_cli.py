@@ -7,6 +7,7 @@ from rootmean.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    HARD_DEGREE_CAP,
     main,
     parse_relation_spec,
     parse_rho_window,
@@ -200,6 +201,17 @@ def test_mine_small_sweep(capsys):
     assert code == EXIT_OK
     assert blob["sequences"]["lcd"]["values"] == ["1", "2", "24"]
     assert blob["structure"]["4"]["irreducible"] is True
+
+
+def test_mine_stable_at_degree_cap(capsys):
+    # the held-out rule: sweeping two degrees further changes no mined value
+    seqs = []
+    for d_sweep in (HARD_DEGREE_CAP - 2, HARD_DEGREE_CAP):
+        code, blob, _ = run_json(capsys, "mine", "--k-max", "10", "--d-sweep", str(d_sweep))
+        assert code == EXIT_OK
+        seqs.append({name: s["values"] for name, s in blob["sequences"].items()})
+    assert seqs[0] == seqs[1]
+    assert len(seqs[0]["lcd"]) == len(seqs[0]["leading"]) == 9
 
 
 def test_mine_bfile_comparison(tmp_path, capsys):

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from rootmean.exact import binomial
+from rootmean.exact import PartitionVector, binomial
 from rootmean.means import (
     FLAG_CONSTANT,
     FLAG_ZERO,
     PhiKey,
     _master_symbols,
     phi,
+    phi_coefficient,
     phi_table,
     statistical_moments,
 )
@@ -205,3 +206,39 @@ def test_phi_matches_ring_assembly():
             for rho in range(-2, D):
                 key = PhiKey(D, delta, rho)
                 assert phi(key).poly == phi_by_ring(key), key
+
+
+def as_partition(mono):
+    """The monomial as phi_coefficient writes it: each symbol is the part of its weight."""
+    return PartitionVector.from_parts({s.weight: e for s, e in mono.powers})
+
+
+def test_phi_coefficient_matches_expansion():
+    count = 0
+    for D in range(2, 11):
+        for delta in range(-2, D + 2):
+            for rho in range(-3, D):
+                key = PhiKey(D, delta, rho)
+                for mono, c in phi(key).poly.terms():
+                    assert phi_coefficient(key, as_partition(mono)) == c, (key, mono)
+                    count += 1
+    assert count == 7976
+
+
+def test_phi_coefficient_zero_where_phi_lacks_the_monomial():
+    def lacking(key, parts):
+        m = PartitionVector.from_parts(parts)
+        assert phi_coefficient(key, m) == 0
+        # every part p stands for the weight-p slot of the chain
+        syms = _master_symbols(key.D, max(key.D - key.delta, key.family_size, m.max_part))
+        mono = Monomial.from_pairs([(syms[p - 1], k) for p, k in m.items])
+        assert phi(key).poly.coefficient(mono) == 0
+
+    lacking(PhiKey(5, 0, 1), {5: 1, 1: 1})  # weight 6, phi is homogeneous of weight 5
+    lacking(PhiKey(5, 0, 1), {})
+    lacking(PhiKey(6, 0, 4), {3: 2})  # both parts exceed the 2-family
+    lacking(PhiKey(4, 5, 1), {1: 1})  # delta > D: phi vanishes
+    lacking(PhiKey(4, 5, 1), {})
+    lacking(PhiKey(4, 4, 1), {2: 2})  # delta = D: only the constant survives
+    assert phi_coefficient(PhiKey(4, 4, 1), PartitionVector.from_parts({})) == 24
+

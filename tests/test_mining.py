@@ -41,6 +41,15 @@ def test_leading_coefficient_closed_form():
             assert leading_phi_coefficient(D, rho) == Fraction(-rho) * n ** (D - 2)
 
 
+def test_closed_form_oracles_to_the_degree_cap():
+    # oracles for the extractors, which read the engine's own formula
+    for D in range(2, 31):
+        for n in range(1, D + 4):
+            rho = D - n
+            assert top_parameter_coefficient(D, rho) == (-1) ** D * (1 - math.comb(n - 1, D - 1))
+            assert leading_phi_coefficient(D, rho) == -rho * n ** (D - 2)
+
+
 def test_top_parameter_examples():
     # coefficient of the single top-order parameter
     assert top_parameter_coefficient(4, 3) == 1
@@ -170,6 +179,9 @@ def test_irreducibility_checks():
     prod = RationalPolynomial.make([1, 1, 1]).multiply(RationalPolynomial.make([2, 0, 1]))
     assert is_irreducible_int(prod) is False
     assert is_irreducible_int(RationalPolynomial.make([7, 1])) is True  # linear
+    # (x - 7)(x^2 + 10^13): only the small-root scan settles it, g(0) is past the divisor cap
+    big = RationalPolynomial.make([-7, 1]).multiply(RationalPolynomial.make([10**13, 0, 1]))
+    assert is_irreducible_int(big) is False
 
 
 def test_per_monomial_sequence_third_order_pair():

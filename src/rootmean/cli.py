@@ -58,11 +58,20 @@ def parse_rho_window(text: str):
 
 
 def check_degree(D: int, args) -> None:
+    """Cap D and D - delta, the degree of the averaged function (the weight of phi)."""
     if D < 2:
         raise ConfigError("degree must be >= 2")
-    if D > HARD_DEGREE_CAP and not getattr(args, "unsafe_degree", False):
+    if getattr(args, "unsafe_degree", False):
+        return
+    if D > HARD_DEGREE_CAP:
         raise ConfigError(
             f"degree {D} above the cap {HARD_DEGREE_CAP}; pass --unsafe-degree to override"
+        )
+    delta = getattr(args, "delta", 0)
+    if D - delta > HARD_DEGREE_CAP:
+        raise ConfigError(
+            f"value order {delta} averages a function of degree {D - delta}, above the cap "
+            f"{HARD_DEGREE_CAP}; pass --unsafe-degree to override"
         )
 
 
@@ -390,6 +399,7 @@ def cmd_numeric(args) -> int:
         elif args.relation:
             if args.D is None:
                 raise ConfigError("--relation needs --D")
+            check_degree(args.D, args)
             mapping = parse_relation_spec(args.relation)
             for rho in mapping:
                 try:

@@ -43,40 +43,29 @@ class PhiMatrix:
         return (len(self.monomials), len(self.keys))
 
 
-def _clear_row_denominators(row):
+def _clear_row_denominators(row) -> list:
+    """Integer multiple of a row of ints or Fractions; an integral row is read as is."""
     lcm = 1
     for x in row:
         lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return [int(x * lcm) for x in row]
+    if lcm == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (lcm // x.denominator) for x in row]
 
 
-def nullspace(rows, ncols: int | None = None) -> list:
-    """Exact right-nullspace basis of a matrix of Fractions.
+def _echelon(int_rows, ncols: int) -> list:
+    """Nonzero rows of a fraction-free (Bareiss) forward elimination.
 
-    Fraction-free (Bareiss) forward elimination on the denominator-cleared
-    integer matrix, then rational back-substitution giving the reduced echelon
-    parametrization: one basis vector per free column, with a 1 in that free
-    column and 0 in the other free columns.  Deterministic.  ``ncols`` is only
-    needed when the matrix has no rows at all.
+    Reduces ``int_rows`` (lists of ints, modified in place) to row echelon
+    form with the same row space; at most ``ncols`` rows remain.
     """
-    mat = [_clear_row_denominators([Fraction(x) for x in row]) for row in rows]
-    mat = [r for r in mat if any(r)]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not mat:
-        # zero matrix: every unit vector
-        basis = []
-        for f in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            basis.append(v)
-        return basis
-
+    mat = [r for r in int_rows if any(r)]
     nrows = len(mat)
-    pivot_cols = []
     prev_piv = 1
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pr = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
         if pr is None:
             continue
@@ -90,11 +79,25 @@ def nullspace(rows, ncols: int | None = None) -> list:
             for jc in range(c, ncols):
                 mat[i][jc] = (mat[i][jc] * piv - fi * mat[r][jc]) // prev_piv
         prev_piv = piv
-        pivot_cols.append(c)
         r += 1
-        if r == nrows:
-            break
+    return mat[:r]
 
+
+def nullspace(rows, ncols: int | None = None) -> list:
+    """Exact right-nullspace basis of a matrix of ints or Fractions.
+
+    Denominators are cleared row by row, the integer matrix is reduced by
+    ``_echelon``, and rational back-substitution gives the reduced echelon
+    parametrization: one basis vector per free column, with a 1 in that free
+    column and 0 in the other free columns.  The result depends only on the
+    row space, so any matrix with the same row space (its echelon rows, say)
+    gives the same basis.  Deterministic.  ``ncols`` is only needed when the
+    matrix has no rows at all.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    mat = _echelon([_clear_row_denominators(row) for row in rows], ncols)
+    pivot_cols = [next(c for c, x in enumerate(row) if x) for row in mat]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for f in free_cols:
@@ -102,7 +105,7 @@ def nullspace(rows, ncols: int | None = None) -> list:
         v[f] = Fraction(1)
         for i in range(len(pivot_cols) - 1, -1, -1):
             c = pivot_cols[i]
-            s = sum((Fraction(mat[i][jc]) * v[jc] for jc in range(c + 1, ncols)), Fraction(0))
+            s = sum((mat[i][jc] * v[jc] for jc in range(c + 1, ncols)), Fraction(0))
             v[c] = -s / mat[i][c]
         basis.append(v)
     return basis
@@ -175,27 +178,6 @@ def _dense(rel: RelationVector, rho_list) -> tuple:
     return tuple(m.get(r, 0) for r in rho_list)
 
 
-def _rank(vectors) -> int:
-    if not vectors:
-        return 0
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pr = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        piv = rows[rank][c]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / piv
-                for jc in range(c, ncols):
-                    rows[i][jc] -= f * rows[rank][jc]
-        rank += 1
-    return rank
-
-
 @dataclass
 class RelationReport:
     D: int
@@ -224,7 +206,8 @@ class RelationReport:
         return all(r.alpha_sum() == 0 for r in self.basis)
 
     def rank(self) -> int:
-        return _rank([_dense(r, self.rho_set) for r in self.all_relations()])
+        dense = [list(_dense(r, self.rho_set)) for r in self.all_relations()]
+        return len(_echelon(dense, len(self.rho_set)))
 
     def to_json(self) -> dict:
         return {
@@ -263,6 +246,12 @@ def find_relations(
     Minimal-support mining enumerates subsets of the nonzero columns whose
     mean values are linearly dependent while every proper subset is
     independent; each such subset carries a unique primitive vector.
+
+    The matrix is reduced once by ``_echelon``; the basis and every subset
+    nullspace are computed on (column slices of) those at most ``len(rho_set)``
+    echelon rows.  They have the row space of the full matrix, so a column
+    subset has the same nullspace there, and ``RelationVector.make`` still
+    re-verifies each relation symbolically.
     """
     if rho_set is None:
         rho_set = range(1, D)
@@ -271,10 +260,11 @@ def find_relations(
         PhiKey(D, delta, r)  # validates
 
     matrix = PhiMatrix.build(D, delta, rho_set)
-    columns = {r: [row[i] for row in matrix.rows] for i, r in enumerate(rho_set)}
-    zero_phis = tuple(r for r in rho_set if not any(columns[r]))
+    ncols = len(rho_set)
+    echelon = _echelon([_clear_row_denominators(row) for row in matrix.rows], ncols)
+    zero_phis = tuple(r for i, r in enumerate(rho_set) if not any(row[i] for row in echelon))
 
-    basis_vecs = nullspace(list(matrix.rows), ncols=len(rho_set))
+    basis_vecs = nullspace(echelon, ncols=ncols)
     basis = []
     for v in basis_vecs:
         ints = primitive(v)
@@ -284,7 +274,7 @@ def find_relations(
     report = RelationReport(D, delta, rho_set, basis=basis, zero_phis=zero_phis)
 
     if minimal_support:
-        live = [r for r in rho_set if r not in zero_phis]
+        live = [i for i, r in enumerate(rho_set) if r not in zero_phis]
         cap = max_support if max_support is not None else MINIMAL_SUPPORT_CAP
         if len(live) > cap:
             # subset enumeration is 2^|live|; report honestly instead of mining
@@ -296,15 +286,16 @@ def find_relations(
             for subset in combinations(live, size):
                 if any(set(s) <= set(subset) for s in found_supports):
                     continue
-                sub_rows = [[columns[r][i] for r in subset] for i in range(len(matrix.monomials))]
-                null = nullspace(sub_rows)
+                null = nullspace([[row[i] for i in subset] for row in echelon], ncols=size)
                 if not null:
                     continue
                 # minimal dependent subset => one-dimensional, full support
                 vec = primitive(null[0])
                 if all(vec):
                     found_supports.append(subset)
-                    found.append(RelationVector.make(D, delta, zip(subset, vec)))
+                    found.append(
+                        RelationVector.make(D, delta, zip((rho_set[i] for i in subset), vec))
+                    )
         found.sort(key=lambda rel: (len(rel.support), rel.support, rel.alpha))
         report.minimal_support = found
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -8,6 +9,8 @@ from rootmean.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAIL,
     HARD_DEGREE_CAP,
+    ConfigError,
+    check_degree,
     main,
     parse_relation_spec,
     parse_rho_window,
@@ -236,6 +239,32 @@ def test_degree_cap(capsys):
     code, _, err = run(capsys, "phi", "--D", "31")
     assert code == EXIT_CONFIG
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--D", "5", "--rho", "1"),
+        ("relations", "--D", "5"),
+        ("numeric-check", "--auto", "--D", "5"),
+        ("numeric-check", "--relation", "1:1,-1:2", "--D", "5"),
+    ],
+    ids=["phi", "relations", "numeric-auto", "numeric-relation"],
+)
+def test_value_order_degree_cap(capsys, argv):
+    # D - delta is the degree of every phi monomial; delta=-50 used to run unbounded
+    code, out, err = run(capsys, *argv, "--delta", "-50")
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "55" in err and "cap" in err
+    assert out == ""
+
+
+def test_value_order_cap_boundary_and_override():
+    assert check_degree(5, argparse.Namespace(delta=5 - HARD_DEGREE_CAP)) is None
+    with pytest.raises(ConfigError):
+        check_degree(5, argparse.Namespace(delta=4 - HARD_DEGREE_CAP))
+    assert check_degree(5, argparse.Namespace(delta=-50, unsafe_degree=True)) is None
 
 
 def test_output_files_and_determinism(tmp_path, capsys):

@@ -1,19 +1,47 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootmean.relations import (
+    MINIMAL_SUPPORT_CAP,
     PhiMatrix,
     RelationError,
     RelationVector,
     alternating_binomial_vector,
     check_inheritance,
     check_odd_binomial,
+    _clear_row_denominators,
+    _echelon,
     find_relations,
     nullspace,
     primitive,
     relation_space_dim,
 )
+
+
+def plain_rank(vectors) -> int:
+    """Rank by plain rational Gaussian elimination, independent of ``_echelon``."""
+    if not vectors:
+        return 0
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    ncols = len(rows[0])
+    rank = 0
+    for c in range(ncols):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        piv = rows[rank][c]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / piv
+                for jc in range(c, ncols):
+                    rows[i][jc] -= f * rows[rank][jc]
+        rank += 1
+    return rank
 
 
 def as_set(rels):
@@ -134,12 +162,10 @@ def test_nullspace_dimension_against_plain_rank():
     # division step), dim = columns - rank
     import random
 
-    from rootmean.relations import _rank
-
     for D in range(2, 13):
         m = PhiMatrix.build(D, 0, range(1, D))
         dim = len(nullspace(list(m.rows), ncols=len(m.keys)))
-        rank = _rank([list(col) for col in zip(*m.rows)]) if m.rows else 0
+        rank = plain_rank([list(col) for col in zip(*m.rows)]) if m.rows else 0
         assert dim == len(m.keys) - rank
 
     rng = random.Random(14)
@@ -147,7 +173,7 @@ def test_nullspace_dimension_against_plain_rank():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(ncols)] for _ in range(nrows)]
         dim = len(nullspace(rows, ncols=ncols))
-        rank = _rank([list(col) for col in zip(*rows)])
+        rank = plain_rank([list(col) for col in zip(*rows)])
         assert dim == ncols - rank
         # every basis vector actually annihilates
         for v in nullspace(rows, ncols=ncols):
@@ -164,13 +190,12 @@ def test_dependency_structure_d5_d7():
         for rel in rels:
             m = rel.as_mapping()
             vectors.append([Fraction(m.get(r, 0)) for r in rep.rho_set])
-        from rootmean.relations import _rank
 
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
-                assert _rank([vectors[i], vectors[j]]) == 2
+                assert plain_rank([vectors[i], vectors[j]]) == 2
                 for k in range(j + 1, len(vectors)):
-                    assert _rank([vectors[i], vectors[j], vectors[k]]) == 2
+                    assert plain_rank([vectors[i], vectors[j], vectors[k]]) == 2
 
 
 def test_odd_binomial():
@@ -248,3 +273,94 @@ def test_report_json_schema():
     assert blob["zero_sum_ok"] is True
     assert len(blob["minimal_support"]) == 6
     assert blob["distinguished"]["alpha"] == [1, -3, 5, -5, 3, -1]
+
+
+def relations_on_full_columns(D, delta, rho_set):
+    """Basis and minimal-support relations from nullspaces of the full PhiMatrix.
+
+    The reference for ``find_relations``, which searches column slices of the
+    echelon rows instead; ``None`` in place of the minimal set above the cap.
+    """
+    m = PhiMatrix.build(D, delta, rho_set)
+    basis = []
+    for v in nullspace(list(m.rows), ncols=len(rho_set)):
+        ints = primitive(v)
+        basis.append(
+            (tuple(r for r, a in zip(rho_set, ints) if a), tuple(a for a in ints if a))
+        )
+    live = [i for i in range(len(rho_set)) if any(row[i] for row in m.rows)]
+    if len(live) > MINIMAL_SUPPORT_CAP:
+        return basis, None
+    supports, minimal = [], []
+    for size in range(2, len(live) + 1):
+        for subset in combinations(live, size):
+            if any(set(s) <= set(subset) for s in supports):
+                continue
+            null = nullspace([[row[i] for i in subset] for row in m.rows], ncols=size)
+            if null and all(primitive(null[0])):
+                supports.append(subset)
+                minimal.append(
+                    (tuple(rho_set[i] for i in subset), tuple(primitive(null[0])))
+                )
+    return basis, sorted(minimal, key=lambda rel: (len(rel[0]), rel))
+
+
+@pytest.mark.parametrize(
+    "D, delta, rho_set",
+    [(D, 0, range(1, D)) for D in range(3, 11)]
+    + [(D, 0, range(-(D + 2), D)) for D in range(4, 8)]
+    + [(5, 2, range(0, 5))],
+)
+def test_echelon_search_matches_full_columns(D, delta, rho_set):
+    rep = find_relations(D, delta, rho_set)
+    basis, minimal = relations_on_full_columns(D, delta, tuple(rho_set))
+    assert [(r.support, r.alpha) for r in rep.basis] == basis
+    assert rep.minimal_support_skipped == (minimal is None)
+    assert [(r.support, r.alpha) for r in rep.minimal_support] == (minimal or [])
+
+
+@st.composite
+def small_matrices(draw):
+    """Small integer matrices with zero rows, duplicate columns and dependent rows."""
+    ncols = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    if rows and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        rows = [row + [row[j]] for row in rows]  # duplicate column
+        ncols += 1
+    if len(rows) >= 2 and draw(st.booleans()):
+        rows.append([a - 2 * b for a, b in zip(rows[0], rows[1])])  # rank deficient
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.data())
+def test_nullspace_of_echelon_rows_property(matrix, data):
+    rows, ncols = matrix
+    dens = data.draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    scaled = [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]
+    assert nullspace(rows, ncols=ncols) == nullspace(scaled, ncols=ncols)
+
+    for mat in (rows, scaled):
+        echelon = _echelon([_clear_row_denominators(row) for row in mat], ncols)
+        assert len(echelon) == plain_rank(mat) == plain_rank(echelon) <= ncols
+        for size in range(1, ncols + 1):
+            for subset in combinations(range(ncols), size):
+                full = nullspace([[row[i] for i in subset] for row in mat], ncols=size)
+                reduced = nullspace([[row[i] for i in subset] for row in echelon], ncols=size)
+                assert reduced == full
+
+
+def test_minimal_support_at_the_subset_cap():
+    # D=13 has 12 live columns, the most the subset search enumerates
+    for D, dim, count in ((12, 1, 1), (13, 2, 12)):
+        rep = find_relations(D)
+        assert len(rep.rho_set) - len(rep.zero_phis) <= MINIMAL_SUPPORT_CAP
+        assert not rep.minimal_support_skipped
+        assert rep.dim == dim
+        assert len(rep.minimal_support) == count
+        assert all(rel.alpha_sum() == 0 for rel in rep.all_relations())
+    assert len(rep.rho_set) == MINIMAL_SUPPORT_CAP

@@ -272,6 +272,8 @@ def _verify_odd_binomial(args, payload, pretty):
         results[D] = good
         ok = ok and good
         pretty.append(f"  D={D}: {'ok' if good else 'FAIL'}")
+    if not results:
+        raise ConfigError(f"odd-binomial needs --max-degree >= 3, got {args.max_degree}")
     payload["odd_binomial"] = {str(k): v for k, v in results.items()}
     return ok
 
@@ -320,16 +322,16 @@ def _verify_prop5(args, payload, pretty):
     ok = True
     checked = 0
     for D in range(2, args.max_degree + 1):
-        for delta in range(1, D):
+        for delta in range(1, D - 1):  # D - delta >= 2
             lhs = phi(PhiKey(D, delta, 0)).poly
             scale = math.factorial(D) // math.factorial(D - delta)
-            rhs = phi(PhiKey(D - delta, 0, -delta)).poly.scale(scale) if D - delta >= 2 else None
-            if rhs is None:
-                continue
+            rhs = phi(PhiKey(D - delta, 0, -delta)).poly.scale(scale)
             checked += 1
             if lhs != rhs:
                 ok = False
                 pretty.append(f"  FAIL at D={D} delta={delta}")
+    if not checked:
+        raise ConfigError(f"prop5 needs --max-degree >= 3, got {args.max_degree}")
     pretty.append(f"  factorial-scaling identity checked on {checked} pairs: {'ok' if ok else 'FAIL'}")
     payload["prop5_checked"] = checked
     return ok
@@ -389,41 +391,37 @@ def cmd_numeric(args) -> int:
     ok = True
     if args.samples < 0:
         raise ConfigError("--samples must be >= 0")
-    try:
-        if args.conjecture == "relative-rates":
-            rep = numeric.relative_rates_report(args.max_degree, args.samples, args.seed, args.tol)
-            reports = [rep]
-        elif args.conjecture == "translation":
-            rep = numeric.translation_invariance_report(args.max_degree, args.samples, args.seed, args.tol)
-            reports = [rep]
-        elif args.relation:
-            if args.D is None:
-                raise ConfigError("--relation needs --D")
-            check_degree(args.D, args)
-            mapping = parse_relation_spec(args.relation)
-            for rho in mapping:
-                try:
-                    PhiKey(args.D, args.delta, rho)
-                except ValueError as exc:
-                    raise ConfigError(str(exc))
-            reports = numeric.check_relations_batch(
-                args.D, args.delta, [mapping], args.samples, args.seed, args.tol
-            )
-        elif args.auto:
-            if args.D is None:
-                raise ConfigError("--auto needs --D")
-            check_degree(args.D, args)
-            found = relations.find_relations(args.D, args.delta, minimal_support=False)
-            reports = numeric.check_relations_batch(
-                args.D, args.delta, found.all_relations(), args.samples, args.seed, args.tol
-            )
-        elif args.samples == 0:
-            reports = []  # nothing requested, nothing sampled: vacuous
-        else:
-            raise ConfigError("nothing to check: pass --relation, --auto, or --conjecture")
-    except numeric.RootFindingError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    if args.conjecture == "relative-rates":
+        check_degree(args.max_degree, args)
+        reports = [numeric.relative_rates_report(args.max_degree, args.samples, args.seed, args.tol)]
+    elif args.conjecture == "translation":
+        check_degree(args.max_degree, args)
+        reports = [numeric.translation_invariance_report(args.max_degree, args.samples, args.seed, args.tol)]
+    elif args.relation:
+        if args.D is None:
+            raise ConfigError("--relation needs --D")
+        check_degree(args.D, args)
+        mapping = parse_relation_spec(args.relation)
+        for rho in mapping:
+            try:
+                PhiKey(args.D, args.delta, rho)
+            except ValueError as exc:
+                raise ConfigError(str(exc))
+        reports = numeric.check_relations_batch(
+            args.D, args.delta, [mapping], args.samples, args.seed, args.tol
+        )
+    elif args.auto:
+        if args.D is None:
+            raise ConfigError("--auto needs --D")
+        check_degree(args.D, args)
+        found = relations.find_relations(args.D, args.delta, minimal_support=False)
+        reports = numeric.check_relations_batch(
+            args.D, args.delta, found.all_relations(), args.samples, args.seed, args.tol
+        )
+    elif args.samples == 0:
+        reports = []  # nothing requested, nothing sampled: vacuous
+    else:
+        raise ConfigError("nothing to check: pass --relation, --auto, or --conjecture")
 
     if args.samples == 0:
         pretty.append("warning: 0 samples requested; checks pass vacuously")

@@ -31,6 +31,9 @@ from fractions import Fraction
 from .exact import PartitionVector
 from .means import PhiKey, phi_coefficient
 
+HOLDOUT = 2  # held-out points every fit must reproduce
+MAX_BFILE_OFFSET = 6  # largest index shift tried against a b-file
+
 
 def leading_phi_coefficient(D: int, rho: int) -> Fraction:
     """Coefficient of (order-1 parameter)^D in phi((D, 0, rho))."""
@@ -167,7 +170,7 @@ def interpolate(points) -> RationalPolynomial:
     return poly
 
 
-def fit_polynomial(points, holdout: int = 2) -> RationalPolynomial:
+def fit_polynomial(points, holdout: int = HOLDOUT) -> RationalPolynomial:
     """Interpolate through all but the last ``holdout`` points, then verify those.
 
     Exact arithmetic means the interpolant *is* the underlying polynomial
@@ -184,20 +187,20 @@ def fit_polynomial(points, holdout: int = 2) -> RationalPolynomial:
     return poly
 
 
-def fit_h(D: int, n_points=None, extractor=top_parameter_coefficient, holdout: int = 2):
+def fit_h(D: int, n_points=None, extractor=top_parameter_coefficient):
     """Interpolate the coefficient-in-n polynomial h_D through (n, extractor(D, D-n)).
 
-    Default points n = 1..D+1 plus ``holdout`` verification points.  Returns
+    Default points n = 1..D+1 plus ``HOLDOUT`` verification points.  Returns
     (polynomial, deviations) where deviations lists any requested points the
     polynomial fails to reproduce (with the defaults there are none).
     """
     if n_points is None:
-        n_points = list(range(1, D + 2 + holdout))
+        n_points = list(range(1, D + 2 + HOLDOUT))
     n_points = list(n_points)
     if len(n_points) < D:
         raise FitError(f"need at least {D} points for degree {D}")
     data = [(Fraction(n), extractor(D, D - n)) for n in n_points]
-    poly = fit_polynomial(data, holdout=holdout)
+    poly = fit_polynomial(data)
     deviations = [(int(x), y, poly(x)) for x, y in data if poly(x) != y]
     return poly, deviations
 
@@ -438,9 +441,9 @@ class StructureSweep:
     h_polys: dict = field(default_factory=dict)
 
     @classmethod
-    def run(cls, d_max: int, d_min: int = 2) -> "StructureSweep":
+    def run(cls, d_max: int) -> "StructureSweep":
         sweep = cls()
-        for D in range(d_min, d_max + 1):
+        for D in range(2, d_max + 1):
             h, deviations = fit_h(D)
             if deviations:
                 raise StructuralFormError(f"h fit deviates at D={D}: {deviations}")
@@ -448,16 +451,14 @@ class StructureSweep:
             sweep.extractions[D] = extract_g(D, h)
         return sweep
 
-    def t_data(self, k: int, d_min: int | None = None, d_max: int | None = None):
+    def t_data(self, k: int, d_min: int | None = None):
         ds = sorted(self.extractions)
         if d_min is not None:
             ds = [d for d in ds if d >= d_min]
-        if d_max is not None:
-            ds = [d for d in ds if d <= d_max]
         return [(Fraction(D), self.extractions[D].t_coefficient(k)) for D in ds]
 
 
-def t_series(k: int, sweep: StructureSweep, holdout: int = 2) -> RationalPolynomial:
+def t_series(k: int, sweep: StructureSweep) -> RationalPolynomial:
     """Interpolated coefficient polynomial t_k(D) with held-out verification.
 
     Only degrees D >= k contribute meaningful data (below that the exponent
@@ -471,9 +472,9 @@ def t_series(k: int, sweep: StructureSweep, holdout: int = 2) -> RationalPolynom
             if D <= k and val != 0:
                 raise StructuralFormError(f"expected t_{k}({D}) = 0, got {val}")
     pts = sweep.t_data(k, d_min=k)
-    if len(pts) < holdout + 2:
+    if len(pts) < HOLDOUT + 2:
         raise FitError(f"sweep too short to fit t_{k}")
-    return fit_polynomial(pts, holdout=holdout)
+    return fit_polynomial(pts)
 
 
 @dataclass(frozen=True)
@@ -556,16 +557,16 @@ class BfileComparison:
         }
 
 
-def compare_with_bfile(seq: MinedSequence, bfile: dict, max_offset: int = 6) -> BfileComparison:
+def compare_with_bfile(seq: MinedSequence, bfile: dict) -> BfileComparison:
     """Best-offset alignment of a mined prefix against a b-file.
 
     The index correspondence is unknown a priori, so every shift in
-    [-max_offset, max_offset] is tried, first with signed values and then with
-    absolute values; the best (mode, offset) wins.
+    [-MAX_BFILE_OFFSET, MAX_BFILE_OFFSET] is tried, first with signed values
+    and then with absolute values; the best (mode, offset) wins.
     """
     best = BfileComparison(None, -1, len(seq.values), False, [])
     for use_abs in (False, True):
-        for off in range(-max_offset, max_offset + 1):
+        for off in range(-MAX_BFILE_OFFSET, MAX_BFILE_OFFSET + 1):
             matched = 0
             mismatches = []
             for i, v in enumerate(seq.values):

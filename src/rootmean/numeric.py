@@ -26,6 +26,7 @@ from ._aberth_py import horner
 KERNEL_BACKEND = "python"
 
 ROOT_RESIDUAL_TOL = 1e-10
+CLUSTER_TOL = 1e-4
 RELATION_TOL = 1e-8
 MIN_ROOT_SEPARATION = 1e-6
 
@@ -143,19 +144,14 @@ def _residual_scale(coeffs, z) -> float:
     return max(scale, 1e-300)
 
 
-def find_roots(
-    p: NumPoly,
-    tol: float = ROOT_RESIDUAL_TOL,
-    max_iter: int = 160,
-    cluster_tol: float = 1e-4,
-) -> RootFamily:
+def find_roots(p: NumPoly, max_iter: int = 160) -> RootFamily:
     """All complex roots of p by simultaneous (Aberth-style) refinement.
 
-    Accepts the result when every residual satisfies |p(r)| <= tol * scale(r)
-    with scale(r) = sum_k |a_k| |r|^(deg-k); otherwise raises
-    RootFindingError carrying the best residual reached.  Near-coincident
-    roots (within cluster_tol relative) are averaged into a cluster center,
-    one entry per member, which handles multiple roots.
+    Accepts the result when every residual satisfies
+    |p(r)| <= ROOT_RESIDUAL_TOL * scale(r) with scale(r) = sum_k |a_k| |r|^(deg-k);
+    otherwise raises RootFindingError carrying the best residual reached.
+    Near-coincident roots (within CLUSTER_TOL relative) are averaged into a
+    cluster center, one entry per member, which handles multiple roots.
     """
     coeffs = list(p.coeffs)
     deg = p.degree
@@ -186,9 +182,10 @@ def find_roots(
             cond = max(cond, _residual_scale(coeffs, zi) / (abs(dv) * max(abs(zi), 1.0)))
         else:
             cond = math.inf
-    if worst > tol:
+    if worst > ROOT_RESIDUAL_TOL:
         raise RootFindingError(
-            f"root refinement did not reach residual tolerance {tol}", best_residual=worst
+            f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}",
+            best_residual=worst,
         )
 
     # cluster near-coincident approximations and replace by their mean
@@ -200,7 +197,7 @@ def find_roots(
         group = [i]
         used[i] = True
         for k in range(i + 1, deg):
-            if not used[k] and abs(z[i] - z[k]) <= cluster_tol * (1.0 + abs(z[i])):
+            if not used[k] and abs(z[i] - z[k]) <= CLUSTER_TOL * (1.0 + abs(z[i])):
                 used[k] = True
                 group.append(k)
         center = sum(z[g] for g in group) / len(group)

@@ -3,8 +3,9 @@
 Writing each mean value as an exact coefficient vector over the monomial
 basis, every identity sum_rho alpha_rho * phi(D, delta, rho) = 0 is a right
 nullspace vector of the resulting matrix, so discovery reduces to exact
-row reduction.  Vectors are normalized to primitive integer form (entry gcd
-1, first nonzero entry positive).
+row reduction; the minimal-support relations are the circuits of its columns,
+read off the nullspace basis.  Vectors are normalized to primitive integer
+form (entry gcd 1, first nonzero entry positive).
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ class PhiMatrix:
     def build(cls, D: int, delta: int, rho_set) -> "PhiMatrix":
         keys = tuple(PhiKey(D, delta, r) for r in rho_set)
         polys = [phi(k).poly for k in keys]
-        monos = sorted({m for p in polys for m, _ in p.terms()}, key=lambda m: m.sort_key())
-        rows = tuple(
-            tuple(p.coefficient(m) for p in polys) for m in monos
-        )
-        return cls(keys, tuple(monos), rows)
+        # row order cannot change a nullspace basis, so monomials stay unsorted
+        monos = tuple(dict.fromkeys(m for p in polys for m in p.monomials()))
+        rows = tuple(tuple(p.coefficient(m) for p in polys) for m in monos)
+        return cls(keys, monos, rows)
 
     @property
     def shape(self):
@@ -121,6 +121,29 @@ def primitive(vector) -> list:
     if first < 0:
         ints = [-x for x in ints]
     return ints
+
+
+def _circuits(vecs) -> list:
+    """Minimal-support vectors of the span of independent integer ``vecs``, one per support.
+
+    With ``k = len(vecs)``, a set ``T`` of ``k - 1`` coordinates on which
+    ``vecs`` have a one-dimensional kernel fixes the line of the span that
+    vanishes on ``T``, and it is a circuit: a smaller support also vanishes on
+    ``T``.  Every circuit vanishes on some such ``T``, so this finds them all.
+    """
+    k = len(vecs)
+    if not k:
+        return []
+    ncols = len(vecs[0])
+    found = {}
+    for T in combinations(range(ncols), k - 1):
+        null = nullspace([[vec[t] for vec in vecs] for t in T], ncols=k)
+        if len(null) != 1:
+            continue
+        lam = primitive(null[0])
+        vec = [sum(c * v[j] for c, v in zip(lam, vecs)) for j in range(ncols)]
+        found.setdefault(tuple(j for j, a in enumerate(vec) if a), vec)
+    return list(found.values())
 
 
 class RelationError(ValueError):
@@ -230,7 +253,7 @@ class RelationReport:
         }
 
 
-MINIMAL_SUPPORT_CAP = 12  # subset enumeration is 2^len; keep the window bounded
+MINIMAL_SUPPORT_CAP = 12  # bounds the circuits to certify: 1,263 at D=6 --extended
 
 
 def find_relations(
@@ -238,66 +261,39 @@ def find_relations(
     delta: int = 0,
     rho_set=None,
     minimal_support: bool = True,
-    max_support: int | None = None,
 ) -> RelationReport:
     """Primitive basis of the relation space plus the minimal-support relations.
 
-    The basis is the reduced-echelon nullspace basis, denominator-cleared.
-    Minimal-support mining enumerates subsets of the nonzero columns whose
-    mean values are linearly dependent while every proper subset is
-    independent; each such subset carries a unique primitive vector.
+    The basis is the reduced-echelon nullspace basis, denominator-cleared,
+    computed once from the ``_echelon`` rows of the ``PhiMatrix``.
 
-    The matrix is reduced once by ``_echelon``; the basis and every subset
-    nullspace are computed on (column slices of) those at most ``len(rho_set)``
-    echelon rows.  They have the row space of the full matrix, so a column
-    subset has the same nullspace there, and ``RelationVector.make`` still
-    re-verifies each relation symbolically.
+    The minimal-support relations are the circuits of the column matroid: the
+    minimal-support vectors of the relation space restricted to the live
+    (nonzero) columns, read off the basis by ``_circuits``.
+    ``RelationVector.make`` re-verifies each one symbolically.
     """
     if rho_set is None:
         rho_set = range(1, D)
     rho_set = tuple(sorted(set(int(r) for r in rho_set)))
-    for r in rho_set:
-        PhiKey(D, delta, r)  # validates
-
     matrix = PhiMatrix.build(D, delta, rho_set)
     ncols = len(rho_set)
     echelon = _echelon([_clear_row_denominators(row) for row in matrix.rows], ncols)
     zero_phis = tuple(r for i, r in enumerate(rho_set) if not any(row[i] for row in echelon))
 
     basis_vecs = nullspace(echelon, ncols=ncols)
-    basis = []
-    for v in basis_vecs:
-        ints = primitive(v)
-        pairs = [(r, a) for r, a in zip(rho_set, ints) if a]
-        if pairs:
-            basis.append(RelationVector.make(D, delta, pairs))
+    basis = [RelationVector.make(D, delta, zip(rho_set, primitive(v))) for v in basis_vecs]
     report = RelationReport(D, delta, rho_set, basis=basis, zero_phis=zero_phis)
 
     if minimal_support:
         live = [i for i, r in enumerate(rho_set) if r not in zero_phis]
-        cap = max_support if max_support is not None else MINIMAL_SUPPORT_CAP
-        if len(live) > cap:
-            # subset enumeration is 2^|live|; report honestly instead of mining
+        if len(live) > MINIMAL_SUPPORT_CAP:
             report.minimal_support_skipped = True
             live = []
-        found: list = []
-        found_supports: list = []
-        for size in range(2, len(live) + 1):
-            for subset in combinations(live, size):
-                if any(set(s) <= set(subset) for s in found_supports):
-                    continue
-                null = nullspace([[row[i] for i in subset] for row in echelon], ncols=size)
-                if not null:
-                    continue
-                # minimal dependent subset => one-dimensional, full support
-                vec = primitive(null[0])
-                if all(vec):
-                    found_supports.append(subset)
-                    found.append(
-                        RelationVector.make(D, delta, zip((rho_set[i] for i in subset), vec))
-                    )
-        found.sort(key=lambda rel: (len(rel.support), rel.support, rel.alpha))
-        report.minimal_support = found
+        # a zero column's free vector is its unit vector, which vanishes on live
+        vecs = [primitive([v[i] for i in live]) for v in basis_vecs if any(v[i] for i in live)]
+        rhos = [rho_set[i] for i in live]
+        found = [RelationVector.make(D, delta, zip(rhos, vec)) for vec in _circuits(vecs)]
+        report.minimal_support = sorted(found, key=lambda rel: (len(rel.support), rel.support, rel.alpha))
 
     if delta == 0 and D % 2 == 1 and rho_set == tuple(range(1, D)):
         alt = alternating_binomial_vector(D)

@@ -202,6 +202,10 @@ class SymPoly:
     def coefficient(self, monomial: Monomial) -> Fraction:
         return self._terms.get(monomial, ZERO)
 
+    def monomials(self):
+        """The monomials with a nonzero coefficient, in no particular order."""
+        return self._terms.keys()
+
     def symbols(self) -> set:
         out = set()
         for m in self._terms:

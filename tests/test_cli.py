@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from rootmean import means, relations
+from rootmean import means, numeric, relations
 from rootmean.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
     HARD_DEGREE_CAP,
@@ -176,13 +177,36 @@ def test_numeric_check_zero_samples_warns(capsys):
         ("phi", "--D", "4", "--rho", "3..x"),
         ("numeric-check", "--auto", "--D", "4", "--samples", "-5"),
         ("mine", "--k-max", "1", "--d-sweep", "5"),
+        ("numeric-check", "--conjecture", "relative-rates", "--max-degree", "1"),
+        ("numeric-check", "--conjecture", "relative-rates", "--max-degree", "0"),
+        ("numeric-check", "--conjecture", "translation", "--max-degree", "1"),
+        ("numeric-check", "--conjecture", "translation", "--max-degree", "31", "--samples", "1"),
+        ("verify", "--conjecture", "odd-binomial", "--max-degree", "2"),
+        ("verify", "--conjecture", "prop5", "--max-degree", "2"),
     ],
-    ids=["relation-spec", "rho-window", "negative-samples", "k-max-below-2"],
+    ids=[
+        "relation-spec", "rho-window", "negative-samples", "k-max-below-2",
+        "relative-rates-degree-1", "relative-rates-degree-0", "translation-degree-1",
+        "translation-above-cap", "odd-binomial-nothing-to-check", "prop5-nothing-to-check",
+    ],
 )
 def test_bad_input_is_a_config_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_numeric_failure_exit_code(monkeypatch, capsys):
+    def fail(*args):
+        raise numeric.RootFindingError("forced")
+
+    monkeypatch.setattr(numeric, "relative_rates_report", fail)
+    code, out, err = run(
+        capsys, "numeric-check", "--conjecture", "relative-rates", "--max-degree", "3"
+    )
+    assert code == EXIT_NUMERIC
+    assert err == "numeric failure: forced\n"
     assert out == ""
 
 

@@ -13,6 +13,7 @@ from rootmean.relations import (
     alternating_binomial_vector,
     check_inheritance,
     check_odd_binomial,
+    _circuits,
     _clear_row_denominators,
     _echelon,
     find_relations,
@@ -278,8 +279,9 @@ def test_report_json_schema():
 def relations_on_full_columns(D, delta, rho_set):
     """Basis and minimal-support relations from nullspaces of the full PhiMatrix.
 
-    The reference for ``find_relations``, which searches column slices of the
-    echelon rows instead; ``None`` in place of the minimal set above the cap.
+    The reference for ``find_relations``, which reads the circuits off the
+    nullspace basis instead of searching column subsets; ``None`` in place of
+    the minimal set above the cap.
     """
     m = PhiMatrix.build(D, delta, rho_set)
     basis = []
@@ -309,7 +311,7 @@ def relations_on_full_columns(D, delta, rho_set):
     "D, delta, rho_set",
     [(D, 0, range(1, D)) for D in range(3, 11)]
     + [(D, 0, range(-(D + 2), D)) for D in range(4, 8)]
-    + [(5, 2, range(0, 5))],
+    + [(5, 2, range(0, 5)), (8, 0, range(-3, 8)), (7, 2, range(-3, 7)), (6, -1, range(-2, 6))],
 )
 def test_echelon_search_matches_full_columns(D, delta, rho_set):
     rep = find_relations(D, delta, rho_set)
@@ -354,8 +356,31 @@ def test_nullspace_of_echelon_rows_property(matrix, data):
                 assert reduced == full
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.booleans())
+def test_circuits_match_subset_search_property(matrix, mix):
+    # oracle: the column subsets, smallest first, with a one-line full-support
+    # nullspace and no smaller such subset inside
+    rows, ncols = matrix
+    oracle = set()
+    for size in range(1, ncols + 1):
+        for subset in combinations(range(ncols), size):
+            if any(set(s) <= set(subset) for s, _ in oracle):
+                continue
+            null = nullspace([[row[i] for i in subset] for row in rows], ncols=size)
+            if null and all(primitive(null[0])):
+                full = dict(zip(subset, primitive(null[0])))
+                oracle.add((subset, tuple(full.get(i, 0) for i in range(ncols))))
+    vecs = [primitive(v) for v in nullspace(rows, ncols=ncols)]
+    if mix:  # any basis of the span, not only the reduced-echelon one
+        vecs = [[sum(col) for col in zip(*vecs[i:])] for i in range(len(vecs))]
+    found = [(tuple(i for i, a in enumerate(v) if a), tuple(primitive(v))) for v in _circuits(vecs)]
+    assert len(found) == len(oracle)
+    assert set(found) == oracle
+
+
 def test_minimal_support_at_the_subset_cap():
-    # D=13 has 12 live columns, the most the subset search enumerates
+    # D=13 has 12 live columns, the most MINIMAL_SUPPORT_CAP lets through
     for D, dim, count in ((12, 1, 1), (13, 2, 12)):
         rep = find_relations(D)
         assert len(rep.rho_set) - len(rep.zero_phis) <= MINIMAL_SUPPORT_CAP

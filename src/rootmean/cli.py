@@ -57,8 +57,12 @@ def parse_rho_window(text: str):
     return range(lo, hi + 1)
 
 
-def check_degree(D: int, args) -> None:
-    """Cap D and D - delta, the degree of the averaged function (the weight of phi)."""
+def check_degree(D: int, args, delta: int | None = None) -> None:
+    """Cap D and D - delta, the degree of the averaged function (the weight of phi).
+
+    ``delta`` defaults to ``args.delta`` (0 when absent); a caller that
+    ignores ``--delta`` passes 0.
+    """
     if D < 2:
         raise ConfigError("degree must be >= 2")
     if getattr(args, "unsafe_degree", False):
@@ -67,7 +71,8 @@ def check_degree(D: int, args) -> None:
         raise ConfigError(
             f"degree {D} above the cap {HARD_DEGREE_CAP}; pass --unsafe-degree to override"
         )
-    delta = getattr(args, "delta", 0)
+    if delta is None:
+        delta = getattr(args, "delta", 0)
     if D - delta > HARD_DEGREE_CAP:
         raise ConfigError(
             f"value order {delta} averages a function of degree {D - delta}, above the cap "
@@ -392,10 +397,10 @@ def cmd_numeric(args) -> int:
     if args.samples < 0:
         raise ConfigError("--samples must be >= 0")
     if args.conjecture == "relative-rates":
-        check_degree(args.max_degree, args)
+        check_degree(args.max_degree, args, delta=0)
         reports = [numeric.relative_rates_report(args.max_degree, args.samples, args.seed, args.tol)]
     elif args.conjecture == "translation":
-        check_degree(args.max_degree, args)
+        check_degree(args.max_degree, args, delta=0)
         reports = [numeric.translation_invariance_report(args.max_degree, args.samples, args.seed, args.tol)]
     elif args.relation:
         if args.D is None:
@@ -557,9 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: in-process callers of main (the tests, the benchmark)
+# would otherwise pay argparse's set-up, 2-5 ms, on every call.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -567,6 +576,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (mining.FitError, mining.StructuralFormError) as exc:
         print(f"structural-form failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    except relations.RelationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     except numeric.RootFindingError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -21,27 +21,36 @@ from .exact import PartitionVector, binomial, multinomial, partitions
 from .sympoly import Monomial, SymPoly, root_param
 
 
+@lru_cache(maxsize=None)
+def gw_factor(kappa: PartitionVector) -> Fraction:
+    """The family-size-free factor (j(-1)^j) ((-1)^|kappa| / |kappa|) multinomial(|kappa|; kappa).
+
+    ``gw_coefficient(kappa, n)`` is this times prod_i C(n,i)^(k_i) / n, with
+    j = ||kappa||; kappa must be nonempty.
+    """
+    j = kappa.j
+    card = kappa.card
+    sign = 1 if (j + card) % 2 == 0 else -1
+    return Fraction(sign * j * multinomial(card, kappa.multiplicities()), card)
+
+
 def gw_coefficient(kappa: PartitionVector, n: int) -> Fraction:
     """Normalized Girard-Waring coefficient of the partition kappa for an n-family.
 
-    Equals (j(-1)^j / n) * ((-1)^|kappa| / |kappa|) * multinomial(|kappa|; kappa)
-    * prod_i C(n,i)^(k_i), with j = ||kappa||.  Zero exactly when some part
-    exceeds n.
+    Equals gw_factor(kappa) * prod_i C(n,i)^(k_i) / n.  Zero exactly when
+    some part exceeds n.
     """
     if n < 1:
         raise ValueError("family size must be >= 1")
     if not kappa.items:
         raise ValueError("gw_coefficient needs a nonempty partition")
-    j = kappa.j
-    card = kappa.card
     prod = 1
     for part, mult in kappa.items:
         b = binomial(n, part)
         if b == 0:
             return Fraction(0)
         prod *= b**mult
-    sign = 1 if (j + card) % 2 == 0 else -1
-    return Fraction(sign * j * multinomial(card, kappa.multiplicities()) * prod, n * card)
+    return gw_factor(kappa) * Fraction(prod, n)
 
 
 @lru_cache(maxsize=None)

@@ -6,18 +6,29 @@ nullspace vector of the resulting matrix, so discovery reduces to exact
 row reduction; the minimal-support relations are the circuits of its columns,
 read off the nullspace basis.  Vectors are normalized to primitive integer
 form (entry gcd 1, first nonzero entry positive).
+
+The dimension of the fundamental relation space (delta = 0, rho = 1..D-1) is
+certified without expanding any mean value, by two exact bounds that must
+meet.  The upper bound: phi evaluated exactly at D+1 integer points (Newton's
+identities, ``_phi_values``) gives a matrix whose kernel contains every
+relation, so its nullity bounds the dimension from above.  The lower bound:
+each kernel basis vector is proved to be a relation by a coefficient-sum
+certificate over the Girard-Waring formula (``certify_relations``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exact import binomial
-from .means import PhiKey, phi
+from .exact import PartitionVector, binomial
+from .means import PhiKey, _term_weight, phi
+from .powersums import gw_factor
 from .sympoly import SymPoly, linear_combination
 
 
@@ -302,13 +313,112 @@ def find_relations(
     return report
 
 
+def _phi_values(D: int, point) -> list:
+    """phi(D, 0, rho) for rho = 1..D-1, exactly, at the parameter values r_i = point[i].
+
+    ``point[0]`` is 1 (r_0).  The rho-th derived function keeps r_1..r_n,
+    n = D - rho, so its roots have e_i = C(n, i) r_i, and Newton's identities
+    give their power sums without division:
+    p_k = sum_(i=1..min(k-1,n)) (-1)^(i-1) e_i p_(k-i) + [k <= n] (-1)^(k-1) k e_k,
+    p_0 = n.  The mean value is (1/n) sum_j C(D,j) (-1)^(D-j) r_(D-j) p_j.
+    """
+    f = [math.comb(D, j) * (-1) ** (D - j) * point[D - j] for j in range(D + 1)]
+    out = []
+    for rho in range(1, D):
+        n = D - rho
+        signed_e = [0] + [(-1) ** (i - 1) * math.comb(n, i) * point[i] for i in range(1, n + 1)]
+        p = [n]
+        for k in range(1, D + 1):
+            m = min(k - 1, n)
+            s = sum(map(operator.mul, signed_e[1:m + 1], reversed(p[k - m:k])))
+            p.append(s + k * signed_e[k] if k <= n else s)
+        out.append(Fraction(sum(map(operator.mul, f, p)), n))
+    return out
+
+
+def certify_relations(D: int, alphas) -> bool:
+    """True iff each alpha (over rho = 1..D-1) gives sum_rho alpha_rho phi(D,0,rho) = 0 exactly.
+
+    By ``means.phi_coefficient``, the coefficient of the monomial m (a
+    partition of D) in phi(D,0,rho) is w_D gw(m, n) plus, for each distinct
+    part p of m, w_(D-p) gw(m - {p}, n), with n = D - rho and w_(D-p) alone
+    for an empty remainder.  The weights w_j do not depend on rho, and
+    gw(kappa, n) = c(kappa) prod_i C(n,i)^(k_i) / n with c = ``gw_factor``,
+    so times L = lcm(1..D-1) the rho-sum is
+    w_D U(m) + sum_p w_(D-p) U(m - {p}), where
+    U(kappa) = c(kappa) sum_rho alpha_rho (L/n) prod_i C(n,i)^(k_i)
+    and U of the empty partition is L sum(alpha).  One depth-first walk over
+    the partitions of every j <= D computes each U once, carrying the per-rho
+    products.  Everything is also scaled by K = lcm(1..D), which clears the
+    denominator |kappa| of every c(kappa), so the arithmetic stays integral.
+    """
+    alphas = [primitive(alpha) for alpha in alphas]
+    ns = range(D - 1, 0, -1)  # n = D - rho for rho = 1..D-1
+    L = math.lcm(*ns)
+    K = math.lcm(L, D)
+    scaled = [[a * (L // n) for a, n in zip(alpha, ns)] for alpha in alphas]
+    # C(n, part) over the n >= part, a prefix of ns: parts only shrink along a
+    # walk, so the first part fixes which rho stay live
+    cols = [[math.comb(n, part) for n in ns if n >= part] for part in range(D + 1)]
+    U = {(): [K * L * sum(alpha) for alpha in alphas]}  # keyed by PartitionVector items
+    full = []  # the partitions of D
+
+    def walk(items, j, top, prods):
+        for part in range(min(D - j, top), 0, -1):
+            nxt = list(map(operator.mul, prods, cols[part]))
+            if items and items[-1][0] == part:
+                child = items[:-1] + ((part, items[-1][1] + 1),)
+            else:
+                child = items + ((part, 1),)
+            c = (gw_factor(PartitionVector(child)) * K).numerator
+            U[child] = [c * sum(map(operator.mul, nxt, a)) for a in scaled]
+            if j + part == D:
+                full.append(child)
+            else:
+                walk(child, j + part, part, nxt)
+
+    walk((), 0, D, [1] * len(ns))
+    w = [_term_weight(D, 0, j).numerator for j in range(D + 1)]  # integers at delta = 0
+    for v in range(len(alphas)):
+        for m in full:
+            total = w[D] * U[m][v]
+            for i, (p, mult) in enumerate(m):
+                rest = m[:i] + ((p, mult - 1),) + m[i + 1:] if mult > 1 else m[:i] + m[i + 1:]
+                total += w[D - p] * U[rest][v]
+            if total:
+                return False
+    return True
+
+
+EVALUATION_RANGE = 10  # the parameters of each evaluation point lie in -10..10
+
+
 @lru_cache(maxsize=None)
 def relation_space_dim(D: int) -> int:
-    """Nullspace dimension of the fundamental family (delta=0, rho=1..D-1)."""
+    """Certified dimension of the relation space of the fundamental family (delta=0, rho=1..D-1).
+
+    The upper bound is the nullity of the exact evaluation matrix at D + 1
+    integer points drawn from ``random.Random(D)``: it is the coefficient
+    matrix times an evaluation map, so its kernel contains every relation.
+    The lower bound certifies each kernel basis vector with
+    ``certify_relations``.  If a vector fails, the bound is loose, and D + 1
+    more points are drawn once; if the bounds still do not meet, RelationError.
+    """
     if D < 2:
         raise ValueError("D must be >= 2")
-    matrix = PhiMatrix.build(D, 0, range(1, D))
-    return len(nullspace(list(matrix.rows), ncols=len(matrix.keys)))
+    rng = random.Random(D)
+    rows = []
+    for npoints in (D + 1, 2 * (D + 1)):
+        while len(rows) < npoints:
+            point = [1] + [rng.randint(-EVALUATION_RANGE, EVALUATION_RANGE) for _ in range(D)]
+            rows.append(_phi_values(D, point))
+        basis = nullspace(rows, ncols=D - 1)
+        if certify_relations(D, basis):
+            return len(basis)
+    raise RelationError(
+        f"relation dimension at D={D} not certified: the {len(basis)} kernel vectors "
+        f"of {len(rows)} exact evaluations are not all relations"
+    )
 
 
 def alternating_binomial_vector(D: int) -> RelationVector | None:

@@ -1,5 +1,6 @@
 import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -121,6 +122,23 @@ def test_verify_dimension_independent_of_threads(capsys):
     assert outs[0] == outs[1]
 
 
+def test_uncertified_dimension_exits_one(monkeypatch, capsys):
+    # bounds that cannot meet are a verification failure, never a reported dim
+    monkeypatch.setattr(relations, "_phi_values", lambda D, point: [Fraction(0)] * (D - 1))
+    for threads in ("1", "2"):
+        relations.relation_space_dim.cache_clear()
+        code, out, err = run(
+            capsys, "verify", "--conjecture", "dimension", "--max-degree", "6", "--threads", threads
+        )
+        assert code == EXIT_VERIFY_FAIL
+        assert out == ""
+        assert err.startswith("verification failure: ") and err.count("\n") == 1
+        assert "not certified" in err
+    with pytest.raises(relations.RelationError):
+        relations.relation_space_dim(6)
+    relations.relation_space_dim.cache_clear()
+
+
 def test_threads_only_on_verify():
     with pytest.raises(SystemExit) as exc:
         main(["gw", "--n", "2", "--max-deg", "3", "--threads", "2"])
@@ -213,6 +231,17 @@ def test_numeric_failure_exit_code(monkeypatch, capsys):
 def test_numeric_check_needs_target(capsys):
     code, _, err = run(capsys, "numeric-check", "--samples", "5")
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("conjecture", ["relative-rates", "translation"])
+def test_conjectures_cap_only_the_max_degree(capsys, conjecture):
+    # the conjectures ignore --delta, so it cannot push them over the cap
+    code, blob, err = run_json(
+        capsys, "numeric-check", "--conjecture", conjecture,
+        "--max-degree", "5", "--delta", "-30", "--samples", "3",
+    )
+    assert code == EXIT_OK, err
+    assert blob["pass"] is True
 
 
 def test_numeric_check_relative_rates(capsys):

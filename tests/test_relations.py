@@ -5,22 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootmean import relations
+from rootmean.means import PhiKey, phi
 from rootmean.relations import (
     MINIMAL_SUPPORT_CAP,
     PhiMatrix,
     RelationError,
     RelationVector,
     alternating_binomial_vector,
+    certify_relations,
     check_inheritance,
     check_odd_binomial,
     _circuits,
     _clear_row_denominators,
     _echelon,
+    _phi_values,
     find_relations,
     nullspace,
     primitive,
     relation_space_dim,
 )
+from rootmean.sympoly import root_param
 
 
 def plain_rank(vectors) -> int:
@@ -156,6 +161,86 @@ def test_dimension_examples():
     assert relation_space_dim(2) == 0
     assert relation_space_dim(6) == 1
     assert relation_space_dim(7) == 2
+
+
+def relation_space_dim_by_expansion(D) -> int:
+    """Nullity of the expanded PhiMatrix: the reference ``relation_space_dim`` must meet."""
+    m = PhiMatrix.build(D, 0, range(1, D))
+    return len(nullspace(list(m.rows), ncols=len(m.keys)))
+
+
+def test_relation_space_dim_matches_expansion():
+    relation_space_dim.cache_clear()
+    for D in range(2, 15):
+        assert relation_space_dim(D) == relation_space_dim_by_expansion(D), D
+
+
+def test_relation_space_dim_expands_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("relation_space_dim expanded a mean value")
+
+    monkeypatch.setattr(relations, "phi", forbidden)
+    monkeypatch.setattr(relations.PhiMatrix, "build", classmethod(forbidden))
+    monkeypatch.setattr("rootmean.means.materialize", forbidden)
+    relation_space_dim.cache_clear()
+    assert [relation_space_dim(D) for D in range(2, 12)] == [0, 1, 1, 2, 1, 2, 1, 2, 1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluator_matches_expanded_phi(data):
+    # the upper bound is sound only if the Newton-identity evaluator is phi
+    D = data.draw(st.integers(2, 10))
+    point = [1] + data.draw(st.lists(st.integers(-30, 30), min_size=D, max_size=D))
+    values = {root_param(i): Fraction(point[i]) for i in range(1, D + 1)}
+    want = [phi(PhiKey(D, 0, rho)).poly.evaluate(values) for rho in range(1, D)]
+    assert _phi_values(D, point) == want
+
+
+PRINTED_RELATIONS = [
+    (4, [5, -6, 1]),
+    (7, [85, -144, 90, -40, 9, 0]),
+    (7, [82, -135, 75, -25, 0, 3]),
+    (8, [669, -1260, 1050, -700, 315, -84, 10]),
+    (12, [55991, -138600, 207900, -277200, 291060, -232848, 138600, -59400, 17325, -3080, 252]),
+]
+
+
+@pytest.mark.parametrize("D, alpha", PRINTED_RELATIONS)
+def test_certificate_accepts_relations_and_rejects_perturbations(D, alpha):
+    assert certify_relations(D, [alpha])
+    assert certify_relations(D, [[Fraction(a, 7) for a in alpha]])  # scale-free
+    for i in range(len(alpha)):
+        for step in (1, -1):
+            moved = list(alpha)
+            moved[i] += step
+            assert not certify_relations(D, [moved]), (i, step)
+            assert not certify_relations(D, [alpha, moved]), (i, step)
+
+
+def test_uncertified_degree_raises(monkeypatch):
+    # a wrong evaluator loosens the upper bound past what the certificate proves
+    monkeypatch.setattr(relations, "_phi_values", lambda D, point: [Fraction(0)] * (D - 1))
+    relation_space_dim.cache_clear()
+    for D in (2, 6, 7):
+        with pytest.raises(RelationError, match=f"D={D}"):
+            relation_space_dim(D)
+
+
+def test_loose_bound_retries_with_more_points(monkeypatch):
+    calls = []
+
+    def first_points_lost(D, point):
+        calls.append(point)
+        if len(calls) <= D + 1:
+            return [Fraction(0)] * (D - 1)
+        return _phi_values(D, point)
+
+    monkeypatch.setattr(relations, "_phi_values", first_points_lost)
+    relation_space_dim.cache_clear()
+    assert relation_space_dim(9) == 2
+    assert len(calls) == 2 * (9 + 1)
+    relation_space_dim.cache_clear()
 
 
 def test_nullspace_dimension_against_plain_rank():

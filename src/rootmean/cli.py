@@ -104,29 +104,26 @@ def pretty_poly(p) -> str:
 
 
 def emit(args, payload: dict, pretty_lines, csv_rows=None, csv_header=None) -> None:
-    out = sys.stdout
-    close = False
-    if getattr(args, "output", None):
-        out = open(args.output, "w", encoding="utf-8")
-        close = True
+    if args.format == "json":
+        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        if csv_header:
+            writer.writerow(csv_header)
+        for row in csv_rows or []:
+            writer.writerow(row)
+        text = buf.getvalue()
+    else:
+        text = "".join(line + "\n" for line in pretty_lines)
+    if not getattr(args, "output", None):
+        sys.stdout.write(text)
+        return
     try:
-        if args.format == "json":
-            json.dump(payload, out, indent=1, sort_keys=True)
-            out.write("\n")
-        elif args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            if csv_header:
-                writer.writerow(csv_header)
-            for row in csv_rows or []:
-                writer.writerow(row)
-            out.write(buf.getvalue())
-        else:
-            for line in pretty_lines:
-                out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +384,8 @@ def parse_relation_spec(text: str):
             raise ConfigError(
                 f"bad relation term {chunk!r} in {text!r}: expected 'alpha:rho'"
             ) from None
+    if not any(mapping.values()):
+        raise ConfigError(f"relation {text!r} has no nonzero coefficient")
     return mapping
 
 
@@ -445,13 +444,21 @@ def cmd_numeric(args) -> int:
 def cmd_mine(args) -> int:
     if args.k_max < 2:
         raise ConfigError("--k-max must be >= 2: the sequences start at k=2")
-    # t_k grows like degree 2(k-2) in D; the fit needs 2k-1 points from D=k up
-    if args.d_sweep < 3 * args.k_max - 2:
+    # t_k grows like degree 2(k-2) in D; the fit needs 2k-1 points from D=k up,
+    # and never fewer than HOLDOUT + 2
+    need = max(3 * args.k_max - 2, args.k_max + mining.HOLDOUT + 1)
+    if args.d_sweep < need:
         raise ConfigError(
             f"--d-sweep {args.d_sweep} too small for --k-max {args.k_max}; "
-            f"need at least {3 * args.k_max - 2}"
+            f"need at least {need}"
         )
     check_degree(args.d_sweep, args)
+    bfile = None
+    if args.oeis_bfile:
+        try:
+            bfile = mining.read_bfile(args.oeis_bfile)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read --oeis-bfile {args.oeis_bfile!r}: {exc}") from None
     sweep = mining.StructureSweep.run(args.d_sweep)
     q_seq, lead_seq = mining.mine_Q_and_norlund(args.k_max, args.d_sweep, sweep)
     payload = {
@@ -476,10 +483,9 @@ def cmd_mine(args) -> int:
     csv_rows += [("leading", k, v) for k, v in zip(range(2, args.k_max + 1), lead_seq.values)]
 
     ok = True
-    if args.oeis_bfile:
+    if bfile is not None:
         for name, seq in (("lcd", q_seq), ("leading", lead_seq)):
             if args.oeis_bfile_for in (name, "both"):
-                bfile = mining.read_bfile(args.oeis_bfile)
                 cmp_res = mining.compare_with_bfile(seq, bfile)
                 payload.setdefault("bfile", {})[name] = cmp_res.to_json()
                 pretty.append(
@@ -525,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relations", help="discover linear relations among mean values")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--delta", type=int, default=0)
-    p.add_argument("--rho", help="window 'A..B' (default 1..D-1)")
+    p.add_argument("--rho", help="window 'A..B', e.g. --rho=-3..3 (default 1..D-1)")
     p.add_argument("--extended", action="store_true",
                    help="default window -(D+2)..D-1 instead of 1..D-1")
     p.add_argument("--no-minimal-support", dest="minimal_support", action="store_false")

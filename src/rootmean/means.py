@@ -54,10 +54,6 @@ class PhiKey:
     def family_size(self) -> int:
         return self.D - self.rho
 
-    def shifted(self) -> "PhiKey":
-        """Derivative-inheritance image (D+1, delta+1, rho+1)."""
-        return PhiKey(self.D + 1, self.delta + 1, self.rho + 1)
-
 
 @dataclass(frozen=True)
 class PhiResult:

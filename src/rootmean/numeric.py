@@ -351,7 +351,24 @@ def check_relations_batch(
     return reports
 
 
-def check_relative_rates(p: NumPoly, k: int, roots=None) -> complex:
+def _relative_rates(p: NumPoly, k: int, roots) -> tuple:
+    """(sum, terms) of f^(k)(r) / f'(r) over the roots r of p, in root order; needs simple roots."""
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            if abs(roots[i] - roots[j]) < MIN_ROOT_SEPARATION:
+                raise RootFindingError("repeated roots: resample")
+    if k > p.degree:
+        return 0j, []
+    dk = differentiate(p.coeffs, k)
+    d1 = differentiate(p.coeffs, 1)
+    terms = [horner(dk, r) / horner(d1, r) for r in roots]
+    total = 0j
+    for t in terms:
+        total += t
+    return total, terms
+
+
+def check_relative_rates(p: NumPoly, k: int, roots) -> complex:
     """sum over the roots r of p of f^(k)(r) / f'(r); needs simple roots.
 
     Verification treats the value as zero when |sum| <= tol * sum of term
@@ -359,21 +376,7 @@ def check_relative_rates(p: NumPoly, k: int, roots=None) -> complex:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if roots is None:
-        roots = find_roots(p).roots
-    roots = list(roots)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < MIN_ROOT_SEPARATION:
-                raise RootFindingError("repeated roots: resample")
-    if k > p.degree:
-        return 0j
-    dk = differentiate(p.coeffs, k)
-    d1 = differentiate(p.coeffs, 1)
-    total = 0j
-    for r in roots:
-        total += horner(dk, r) / horner(d1, r)
-    return total
+    return _relative_rates(p, k, list(roots))[0]
 
 
 def relative_rates_report(
@@ -387,10 +390,8 @@ def relative_rates_report(
             roots = sample_roots(rng, D)
             p = monic_from_roots(roots)
             for k in ks:
-                total = check_relative_rates(p, k, roots=roots)
-                dk = differentiate(p.coeffs, k)
-                d1 = differentiate(p.coeffs, 1)
-                mag = sum(abs(horner(dk, r) / horner(d1, r)) for r in roots)
+                total, terms = _relative_rates(p, k, roots)
+                mag = sum(abs(t) for t in terms)
                 residual = abs(total) / mag if mag > 1e-12 else abs(total)
                 report.max_rel_residual = max(report.max_rel_residual, residual)
     report.passed = report.max_rel_residual <= tol

@@ -26,7 +26,7 @@ def gw_factor(kappa: PartitionVector) -> Fraction:
     """The family-size-free factor (j(-1)^j) ((-1)^|kappa| / |kappa|) multinomial(|kappa|; kappa).
 
     ``gw_coefficient(kappa, n)`` is this times prod_i C(n,i)^(k_i) / n, with
-    j = ||kappa||; kappa must be nonempty.
+    j = ||kappa||; kappa must be nonempty.  Always an integer.
     """
     j = kappa.j
     card = kappa.card

@@ -7,13 +7,12 @@ row reduction; the minimal-support relations are the circuits of its columns,
 read off the nullspace basis.  Vectors are normalized to primitive integer
 form (entry gcd 1, first nonzero entry positive).
 
-The dimension of the fundamental relation space (delta = 0, rho = 1..D-1) is
-certified without expanding any mean value, by two exact bounds that must
-meet.  The upper bound: phi evaluated exactly at D+1 integer points (Newton's
-identities, ``_phi_values``) gives a matrix whose kernel contains every
-relation, so its nullity bounds the dimension from above.  The lower bound:
-each kernel basis vector is proved to be a relation by a coefficient-sum
-certificate over the Girard-Waring formula (``certify_relations``).
+Every relation, found or given, is proved by one exact check that expands
+no mean value, the coefficient-sum certificate ``certify_relations``.  The
+dimension of the fundamental relation space (delta = 0, rho = 1..D-1) is
+certified by two exact bounds that must meet: phi evaluated at D+1 integer
+points (Newton's identities, ``_phi_values``) gives a matrix whose nullity
+bounds it from above, and the certificate proves each kernel vector.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from itertools import combinations
 from .exact import PartitionVector, binomial
 from .means import PhiKey, _term_weight, phi
 from .powersums import gw_factor
-from .sympoly import SymPoly, linear_combination
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,7 @@ class RelationError(ValueError):
 class RelationVector:
     """A primitive integer vector alpha with sum_rho alpha_rho phi(D,delta,rho) = 0.
 
-    The defining identity is re-verified symbolically on construction.
+    The defining identity is proved on construction by ``certify_relations``.
     """
 
     D: int
@@ -176,6 +174,8 @@ class RelationVector:
     @classmethod
     def make(cls, D: int, delta: int, pairs) -> "RelationVector":
         items = sorted((int(r), a) for r, a in pairs if a)
+        if not items:
+            raise RelationError(f"no nonzero coefficient at D={D}, delta={delta}")
         support = tuple(r for r, _ in items)
         alpha = tuple(primitive([a for _, a in items]))
         rel = cls(D, delta, support, alpha)
@@ -185,14 +185,8 @@ class RelationVector:
             )
         return rel
 
-    def combination(self) -> SymPoly:
-        return linear_combination(
-            (a, phi(PhiKey(self.D, self.delta, r)).poly)
-            for r, a in zip(self.support, self.alpha)
-        )
-
     def verify(self) -> bool:
-        return self.combination().is_zero()
+        return certify_relations(self.D, [self.alpha], self.delta, self.support)
 
     def as_mapping(self) -> dict:
         return dict(zip(self.support, self.alpha))
@@ -281,7 +275,7 @@ def find_relations(
     The minimal-support relations are the circuits of the column matroid: the
     minimal-support vectors of the relation space restricted to the live
     (nonzero) columns, read off the basis by ``_circuits``.
-    ``RelationVector.make`` re-verifies each one symbolically.
+    ``RelationVector.make`` proves each one with ``certify_relations``.
     """
     if rho_set is None:
         rho_set = range(1, D)
@@ -336,55 +330,68 @@ def _phi_values(D: int, point) -> list:
     return out
 
 
-def certify_relations(D: int, alphas) -> bool:
-    """True iff each alpha (over rho = 1..D-1) gives sum_rho alpha_rho phi(D,0,rho) = 0 exactly.
+def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
+    """True iff each alpha gives sum_rho alpha_rho phi(D, delta, rho) = 0 exactly.
 
-    By ``means.phi_coefficient``, the coefficient of the monomial m (a
-    partition of D) in phi(D,0,rho) is w_D gw(m, n) plus, for each distinct
-    part p of m, w_(D-p) gw(m - {p}, n), with n = D - rho and w_(D-p) alone
-    for an empty remainder.  The weights w_j do not depend on rho, and
+    Each alpha is aligned with ``rho_set``, strictly ascending (default
+    1..D-1); an invalid key raises ValueError (``PhiKey``).  With
+    deg_g = D - delta and n = D - rho, ``means.phi_coefficient`` gives the
+    coefficient of the monomial m (a partition of deg_g; a part p > D stands
+    for the integration constant c_(p-D)) as w_(deg_g) gw(m, n) plus, per
+    distinct part p of m, w_(deg_g-p) gw(m - {p}, n), with w_(deg_g-p) alone
+    for an empty remainder.  The w_j do not depend on rho, and
     gw(kappa, n) = c(kappa) prod_i C(n,i)^(k_i) / n with c = ``gw_factor``,
-    so times L = lcm(1..D-1) the rho-sum is
-    w_D U(m) + sum_p w_(D-p) U(m - {p}), where
+    so times L = lcm of the n the rho-sum is
+    w_(deg_g) U(m) + sum_p w_(deg_g-p) U(m - {p}), where
     U(kappa) = c(kappa) sum_rho alpha_rho (L/n) prod_i C(n,i)^(k_i)
     and U of the empty partition is L sum(alpha).  One depth-first walk over
-    the partitions of every j <= D computes each U once, carrying the per-rho
-    products.  Everything is also scaled by K = lcm(1..D), which clears the
-    denominator |kappa| of every c(kappa), so the arithmetic stays integral.
+    the partitions of every j <= deg_g computes each U once, carrying the
+    per-rho products.  c(kappa) is an integer (j (|kappa|-1)!/prod_i k_i! is
+    a sum of multinomials), so scaling the weights by their common
+    denominator keeps the arithmetic integral.  For delta >= D, phi is the
+    constant D! (delta = D) or zero.
     """
+    if rho_set is None:
+        rho_set = range(1, D)
+    ns = [PhiKey(D, delta, rho).family_size for rho in rho_set]
+    if any(a <= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"rho_set {tuple(rho_set)} is not strictly ascending")
     alphas = [primitive(alpha) for alpha in alphas]
-    ns = range(D - 1, 0, -1)  # n = D - rho for rho = 1..D-1
+    if any(len(alpha) != len(ns) for alpha in alphas):
+        raise ValueError(f"every alpha needs {len(ns)} entries, one per rho")
+    if delta >= D:
+        return delta > D or not any(sum(alpha) for alpha in alphas)
+    deg_g = D - delta
     L = math.lcm(*ns)
-    K = math.lcm(L, D)
     scaled = [[a * (L // n) for a, n in zip(alpha, ns)] for alpha in alphas]
-    # C(n, part) over the n >= part, a prefix of ns: parts only shrink along a
-    # walk, so the first part fixes which rho stay live
-    cols = [[math.comb(n, part) for n in ns if n >= part] for part in range(D + 1)]
-    U = {(): [K * L * sum(alpha) for alpha in alphas]}  # keyed by PartitionVector items
-    full = []  # the partitions of D
+    # C(n, part) over the n >= part, a prefix of the descending ns: parts only
+    # shrink along a walk, so the first part fixes which rho stay live
+    cols = [[math.comb(n, part) for n in ns if n >= part] for part in range(deg_g + 1)]
+    U = {(): [L * sum(alpha) for alpha in alphas]}  # keyed by PartitionVector items
+    full = []  # the partitions of deg_g
 
     def walk(items, j, top, prods):
-        for part in range(min(D - j, top), 0, -1):
+        for part in range(min(deg_g - j, top), 0, -1):
             nxt = list(map(operator.mul, prods, cols[part]))
             if items and items[-1][0] == part:
                 child = items[:-1] + ((part, items[-1][1] + 1),)
             else:
                 child = items + ((part, 1),)
-            c = (gw_factor(PartitionVector(child)) * K).numerator
+            c = gw_factor(PartitionVector(child)).numerator
             U[child] = [c * sum(map(operator.mul, nxt, a)) for a in scaled]
-            if j + part == D:
+            if j + part == deg_g:
                 full.append(child)
             else:
                 walk(child, j + part, part, nxt)
 
-    walk((), 0, D, [1] * len(ns))
-    w = [_term_weight(D, 0, j).numerator for j in range(D + 1)]  # integers at delta = 0
+    walk((), 0, deg_g, [1] * len(ns))
+    w = _clear_row_denominators([_term_weight(D, delta, j) for j in range(deg_g + 1)])
     for v in range(len(alphas)):
         for m in full:
-            total = w[D] * U[m][v]
+            total = w[deg_g] * U[m][v]
             for i, (p, mult) in enumerate(m):
                 rest = m[:i] + ((p, mult - 1),) + m[i + 1:] if mult > 1 else m[:i] + m[i + 1:]
-                total += w[D - p] * U[rest][v]
+                total += w[deg_g - p] * U[rest][v]
             if total:
                 return False
     return True
@@ -439,8 +446,5 @@ def check_odd_binomial(D: int) -> bool:
 
 def check_inheritance(rel: RelationVector) -> bool:
     """True iff the shifted relation (D+1, delta+1, support+1) also annihilates."""
-    D1, d1 = rel.D + 1, rel.delta + 1
     support = tuple(r + 1 for r in rel.support)
-    for r in support:
-        PhiKey(D1, d1, r)  # raises on invalid shifted keys
-    return RelationVector(D1, d1, support, rel.alpha).verify()
+    return RelationVector(rel.D + 1, rel.delta + 1, support, rel.alpha).verify()

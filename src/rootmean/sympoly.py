@@ -355,16 +355,6 @@ def poly_sum(polys) -> SymPoly:
     return SymPoly._raw(acc)
 
 
-def linear_combination(pairs) -> SymPoly:
-    """sum of coeff * poly over (coeff, poly) pairs, single accumulation pass."""
-    acc: dict = {}
-    for coeff, p in pairs:
-        coeff = Fraction(coeff)
-        if coeff:
-            _accumulate(acc, p._terms, coeff)
-    return SymPoly._raw(acc)
-
-
 @dataclass(frozen=True)
 class QuasiBinomialVector:
     """The ordered parameter family of a monic polynomial, one entry per order.

@@ -201,11 +201,17 @@ def test_numeric_check_zero_samples_warns(capsys):
         ("numeric-check", "--conjecture", "translation", "--max-degree", "31", "--samples", "1"),
         ("verify", "--conjecture", "odd-binomial", "--max-degree", "2"),
         ("verify", "--conjecture", "prop5", "--max-degree", "2"),
+        ("numeric-check", "--D", "4", "--relation", "0:1,0:2", "--samples", "10"),
+        ("verify", "--conjecture", "dimension", "--max-degree", "5",
+         "--output", "/nonexistent/x.json"),
+        ("mine", "--k-max", "2", "--d-sweep", "8", "--oeis-bfile", "/nonexistent"),
+        ("mine", "--k-max", "2", "--d-sweep", "4"),
     ],
     ids=[
         "relation-spec", "rho-window", "negative-samples", "k-max-below-2",
         "relative-rates-degree-1", "relative-rates-degree-0", "translation-degree-1",
         "translation-above-cap", "odd-binomial-nothing-to-check", "prop5-nothing-to-check",
+        "all-zero-relation", "output-path-missing", "bfile-missing", "sweep-too-short-to-fit",
     ],
 )
 def test_bad_input_is_a_config_error(capsys, argv):
@@ -363,3 +369,12 @@ def test_exit_code_on_failing_bfile(tmp_path, capsys):
         "--oeis-bfile", str(path), "--oeis-bfile-for", "lcd", "--format", "json",
     )
     assert code == EXIT_VERIFY_FAIL
+
+
+def test_malformed_bfile_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    path.write_text("1 2\nfoo bar\n", encoding="utf-8")
+    code, out, err = run(capsys, "mine", "--k-max", "2", "--d-sweep", "8", "--oeis-bfile", str(path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert out == ""

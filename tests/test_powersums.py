@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from rootmean.exact import PartitionVector
+from rootmean.exact import PartitionVector, partitions
 from rootmean.powersums import (
     gw_coefficient,
+    gw_factor,
     materialize,
     mean_parameters,
     newton_residual,
@@ -17,6 +18,13 @@ from rootmean.sympoly import Monomial, SymPoly, integration_const, root_param
 
 def kappa(parts):
     return PartitionVector.from_parts(parts)
+
+
+def test_gw_factor_is_an_integer():
+    # relations.certify_relations reads gw_factor as an integer
+    for j in range(1, 21):
+        for k in partitions(j):
+            assert gw_factor(k).denominator == 1, k
 
 
 def test_gw_coefficient_examples():

@@ -25,7 +25,7 @@ from rootmean.relations import (
     primitive,
     relation_space_dim,
 )
-from rootmean.sympoly import root_param
+from rootmean.sympoly import SymPoly, root_param
 
 
 def plain_rank(vectors) -> int:
@@ -90,6 +90,8 @@ def test_relation_vector_verifies_on_construction():
     assert rel.alpha == (5, -6, 1)
     with pytest.raises(RelationError):
         RelationVector.make(4, 0, {1: 1, 2: 1, 3: 1}.items())
+    with pytest.raises(RelationError):
+        RelationVector.make(4, 0, {1: 0, 2: 0}.items())  # the empty relation proves nothing
 
 
 def test_relation_vector_normalizes():
@@ -216,6 +218,55 @@ def test_certificate_accepts_relations_and_rejects_perturbations(D, alpha):
             moved[i] += step
             assert not certify_relations(D, [moved]), (i, step)
             assert not certify_relations(D, [alpha, moved]), (i, step)
+
+
+def symbolic_relation(D, delta, rho_set, alpha) -> bool:
+    """sum_rho alpha_rho phi(D, delta, rho) == 0 by expanding every phi: the certificate's oracle."""
+    total = SymPoly.zero()
+    for rho, a in zip(rho_set, alpha):
+        total = total + phi(PhiKey(D, delta, rho)).poly.scale(a)
+    return total.is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_certificate_matches_symbolic_oracle_property(data):
+    D = data.draw(st.integers(2, 9), label="D")
+    delta = data.draw(st.integers(-3, D + 1), label="delta")
+    lo = data.draw(st.integers(-(D + 2), D - 1), label="lo")
+    hi = data.draw(st.integers(lo, min(D - 1, lo + 8)), label="hi")
+    rho_set = tuple(range(lo, hi + 1))
+    coeff = st.integers(-3, 3)
+    basis = nullspace(list(PhiMatrix.build(D, delta, rho_set).rows), ncols=len(rho_set))
+    if basis and data.draw(st.booleans(), label="found"):
+        lam = data.draw(st.lists(coeff, min_size=len(basis), max_size=len(basis)), label="lam")
+        alpha = primitive([sum(c * v[i] for c, v in zip(lam, basis)) for i in range(len(rho_set))])
+    else:
+        alpha = data.draw(st.lists(coeff, min_size=len(rho_set), max_size=len(rho_set)), label="alpha")
+    if data.draw(st.booleans(), label="perturb"):
+        alpha[data.draw(st.integers(0, len(alpha) - 1))] += data.draw(st.sampled_from((1, -1)))
+    want = symbolic_relation(D, delta, rho_set, alpha)
+    assert certify_relations(D, [alpha], delta, rho_set) == want
+    if any(alpha):
+        pairs = zip(rho_set, alpha)
+        if want:
+            assert RelationVector.make(D, delta, pairs).verify()
+        else:
+            with pytest.raises(RelationError):
+                RelationVector.make(D, delta, pairs)
+
+
+def test_certificate_rejects_invalid_keys():
+    with pytest.raises(ValueError, match="empty root family"):
+        certify_relations(4, [[1, 1]], 0, (3, 4))
+    with pytest.raises(ValueError, match="degree must be >= 2"):
+        certify_relations(1, [[1]], 0, (0,))
+    with pytest.raises(ValueError, match="empty root family"):
+        RelationVector.make(4, 0, {1: 1, 4: 1}.items())
+    with pytest.raises(ValueError, match="ascending"):
+        certify_relations(4, [[1, -6, 5]], 0, (3, 2, 1))
+    with pytest.raises(ValueError, match="entries"):
+        certify_relations(4, [[5, -6]])
 
 
 def test_uncertified_degree_raises(monkeypatch):

@@ -2,11 +2,14 @@
 one Horner evaluator.
 
 ``rootmean.numeric.find_roots`` runs ``aberth_refine`` from its initial
-guesses and then polishes the result; everything that evaluates a
-polynomial in the numeric oracle goes through ``horner``.
+guesses and accepts the result only if every root passes its residual test;
+everything that evaluates a polynomial in the numeric oracle goes through
+``horner``.
 """
 
 from __future__ import annotations
+
+CORRECTION_TOL = 1e-13
 
 
 def horner(coeffs, z):
@@ -17,13 +20,13 @@ def horner(coeffs, z):
     return p
 
 
-def aberth_refine(coeffs, z0, max_iter=120, tol=1e-13):
+def aberth_refine(coeffs, z0, max_iter):
     """Refine all roots of the monic polynomial simultaneously.
 
     coeffs: descending complex coefficients, coeffs[0] == 1.
     z0: initial guesses, one per root.
     Returns (roots list, iterations used, converged flag); converged means the
-    largest relative correction in the final sweep fell below tol.
+    largest relative correction in the final sweep fell below CORRECTION_TOL.
     """
     n = len(z0)
     z = list(z0)
@@ -57,6 +60,6 @@ def aberth_refine(coeffs, z0, max_iter=120, tol=1e-13):
             rel = abs(w) / (1.0 + abs(z[i]))
             if rel > max_corr:
                 max_corr = rel
-        if max_corr < tol:
+        if max_corr < CORRECTION_TOL:
             return z, iterations, True
     return z, iterations, False

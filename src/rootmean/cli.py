@@ -379,11 +379,14 @@ def parse_relation_spec(text: str):
     for chunk in text.split(","):
         try:
             a, r = chunk.split(":")
-            mapping[int(r)] = int(a)
+            a, r = int(a), int(r)
         except ValueError:
             raise ConfigError(
                 f"bad relation term {chunk!r} in {text!r}: expected 'alpha:rho'"
             ) from None
+        if r in mapping:
+            raise ConfigError(f"rho={r} appears twice in relation {text!r}")
+        mapping[r] = a
     if not any(mapping.values()):
         raise ConfigError(f"relation {text!r} has no nonzero coefficient")
     return mapping
@@ -395,6 +398,9 @@ def cmd_numeric(args) -> int:
     ok = True
     if args.samples < 0:
         raise ConfigError("--samples must be >= 0")
+    # relation residuals never exceed 1, so a tol of 1 or more passes a false relation
+    if not 0 < args.tol < 1:
+        raise ConfigError(f"--tol must lie strictly between 0 and 1, got {args.tol}")
     if args.conjecture == "relative-rates":
         check_degree(args.max_degree, args, delta=0)
         reports = [numeric.relative_rates_report(args.max_degree, args.samples, args.seed, args.tol)]
@@ -418,9 +424,11 @@ def cmd_numeric(args) -> int:
         if args.D is None:
             raise ConfigError("--auto needs --D")
         check_degree(args.D, args)
-        found = relations.find_relations(args.D, args.delta, minimal_support=False)
+        found = relations.find_relations(args.D, args.delta, minimal_support=False).all_relations()
+        if not found:
+            raise ConfigError(f"nothing to check: no relation at D={args.D}, delta={args.delta}")
         reports = numeric.check_relations_batch(
-            args.D, args.delta, found.all_relations(), args.samples, args.seed, args.tol
+            args.D, args.delta, found, args.samples, args.seed, args.tol
         )
     elif args.samples == 0:
         reports = []  # nothing requested, nothing sampled: vacuous

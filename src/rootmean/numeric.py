@@ -6,8 +6,8 @@ root families come from a simultaneous-iteration root finder, and means are
 computed by Horner evaluation and averaging.
 
 The root-refinement inner loop and the Horner evaluator live in
-``rootmean._aberth_py``; this module adds initial guesses, Newton polish,
-residual acceptance and clustering on top of it.
+``rootmean._aberth_py``; this module adds the initial guesses and the
+residual test that accepts or rejects the kernel's roots.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from ._aberth_py import horner
 KERNEL_BACKEND = "python"
 
 ROOT_RESIDUAL_TOL = 1e-10
-CLUSTER_TOL = 1e-4
 RELATION_TOL = 1e-8
 MIN_ROOT_SEPARATION = 1e-6
 
@@ -105,16 +104,6 @@ def monicized(coeffs) -> NumPoly:
     return NumPoly((1 + 0j,) + tuple(c / lead for c in coeffs[1:]))
 
 
-@dataclass(frozen=True)
-class RootFamily:
-    roots: tuple
-    source: tuple  # (degree, rho)
-    condition_estimate: float = 0.0
-
-    def __len__(self):
-        return len(self.roots)
-
-
 def _fujiwara_radius(coeffs) -> float:
     # upper bound on root moduli for a monic polynomial
     deg = len(coeffs) - 1
@@ -144,80 +133,42 @@ def _residual_scale(coeffs, z) -> float:
     return max(scale, 1e-300)
 
 
-def find_roots(p: NumPoly, max_iter: int = 160) -> RootFamily:
-    """All complex roots of p by simultaneous (Aberth-style) refinement.
+def find_roots(p: NumPoly, max_iter: int = 160) -> tuple:
+    """All complex roots of p, repeated by multiplicity, by Aberth's
+    simultaneous iteration.
 
-    Accepts the result when every residual satisfies
+    Returns the kernel's approximations when every residual satisfies
     |p(r)| <= ROOT_RESIDUAL_TOL * scale(r) with scale(r) = sum_k |a_k| |r|^(deg-k);
-    otherwise raises RootFindingError carrying the best residual reached.
-    Near-coincident roots (within CLUSTER_TOL relative) are averaged into a
-    cluster center, one entry per member, which handles multiple roots.
+    otherwise raises RootFindingError carrying the worst residual.  A multiple
+    root comes back as that many separate approximations, and close distinct
+    roots stay apart.
     """
     coeffs = list(p.coeffs)
-    deg = p.degree
-    if deg == 1:
-        return RootFamily((-coeffs[1],), (deg, None), 1.0)
-
-    z0 = _initial_guesses(coeffs)
-    z, _, _ = _kernel.aberth_refine(coeffs, z0, max_iter, 1e-13)
-
-    # two polishing Newton sweeps sharpen simple roots to machine precision
-    dcoeffs = differentiate(coeffs)
-    for _ in range(2):
-        for i in range(deg):
-            pv = horner(coeffs, z[i])
-            dv = horner(dcoeffs, z[i])
-            if dv != 0:
-                step = pv / dv
-                if abs(step) < 0.1 * (1 + abs(z[i])):
-                    z[i] = z[i] - step
-
-    worst = 0.0
-    cond = 0.0
-    for zi in z:
-        res = abs(p(zi)) / _residual_scale(coeffs, zi)
-        worst = max(worst, res)
-        dv = horner(dcoeffs, zi)
-        if abs(dv) > 0:
-            cond = max(cond, _residual_scale(coeffs, zi) / (abs(dv) * max(abs(zi), 1.0)))
-        else:
-            cond = math.inf
+    if p.degree == 1:
+        return (-coeffs[1],)
+    z, _, _ = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), max_iter)
+    worst = max(abs(p(zi)) / _residual_scale(coeffs, zi) for zi in z)
     if worst > ROOT_RESIDUAL_TOL:
         raise RootFindingError(
             f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}",
             best_residual=worst,
         )
-
-    # cluster near-coincident approximations and replace by their mean
-    used = [False] * deg
-    out = []
-    for i in range(deg):
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        for k in range(i + 1, deg):
-            if not used[k] and abs(z[i] - z[k]) <= CLUSTER_TOL * (1.0 + abs(z[i])):
-                used[k] = True
-                group.append(k)
-        center = sum(z[g] for g in group) / len(group)
-        out.extend([center] * len(group))
-    return RootFamily(tuple(out), (deg, None), cond)
+    return tuple(z)
 
 
-def mean_over_family(p: NumPoly, delta: int, fam: RootFamily, constants=()) -> complex:
-    """(1/n) sum of the delta-th derived function of p over the family's roots.
+def mean_over_family(p: NumPoly, delta: int, roots, constants=()) -> complex:
+    """(1/n) sum of the delta-th derived function of p over the n given roots.
 
     For delta < 0 the antiderivative's additive constants default to zero;
     pass the sample's constants to keep a whole derived chain consistent.
     """
-    if not fam.roots:
+    if not roots:
         raise ValueError("empty family")
     coeffs = derived_coeffs(p, delta, constants)
     total = 0j
-    for r in fam.roots:
+    for r in roots:
         total += horner(coeffs, r)
-    return total / len(fam.roots)
+    return total / len(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +284,7 @@ def check_relations_batch(
         try:
             for rho in support_union:
                 if rho == 0:
-                    fam = RootFamily(tuple(roots), (D, 0))
+                    fam = roots
                 else:
                     fam = find_roots(monicized(derived_coeffs(f, rho, constants)))
                 means[rho] = mean_over_family(f, delta, fam, constants)

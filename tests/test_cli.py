@@ -206,12 +206,18 @@ def test_numeric_check_zero_samples_warns(capsys):
          "--output", "/nonexistent/x.json"),
         ("mine", "--k-max", "2", "--d-sweep", "8", "--oeis-bfile", "/nonexistent"),
         ("mine", "--k-max", "2", "--d-sweep", "4"),
+        ("numeric-check", "--auto", "--D", "2", "--samples", "10"),
+        ("numeric-check", "--D", "4", "--relation", "1:1,1:2", "--samples", "20", "--tol", "inf"),
+        ("numeric-check", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5", "--tol", "nan"),
+        ("numeric-check", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5", "--tol", "-1"),
+        ("numeric-check", "--D", "4", "--relation", "5:1,-6:1,1:3", "--samples", "5"),
     ],
     ids=[
         "relation-spec", "rho-window", "negative-samples", "k-max-below-2",
         "relative-rates-degree-1", "relative-rates-degree-0", "translation-degree-1",
         "translation-above-cap", "odd-binomial-nothing-to-check", "prop5-nothing-to-check",
         "all-zero-relation", "output-path-missing", "bfile-missing", "sweep-too-short-to-fit",
+        "auto-no-relation", "tol-inf", "tol-nan", "tol-negative", "repeated-rho",
     ],
 )
 def test_bad_input_is_a_config_error(capsys, argv):

@@ -7,7 +7,6 @@ import pytest
 from rootmean import numeric
 from rootmean.numeric import (
     NumPoly,
-    RootFamily,
     RootFindingError,
     check_relations_batch,
     check_relative_rates,
@@ -40,18 +39,22 @@ def test_numpoly_requires_monic():
 
 
 def test_find_roots_quadratic():
-    fam = find_roots(NumPoly((1, 0, -1)))
-    r = sorted_roots(fam.roots)
+    r = sorted_roots(find_roots(NumPoly((1, 0, -1))))
     assert abs(r[0] + 1) < 1e-12 and abs(r[1] - 1) < 1e-12
 
 
-def test_find_roots_triple_root_clusters():
-    fam = find_roots(NumPoly((1, -3, 3, -1)))  # (x-1)^3
-    assert len(fam.roots) == 3
-    for z in fam.roots:
+def test_find_roots_triple_root():
+    roots = find_roots(NumPoly((1, -3, 3, -1)))  # (x-1)^3
+    assert len(roots) == 3
+    for z in roots:
         assert abs(z - 1) < 1e-3
-    # clustering collapses the approximations to a single center
-    assert len({z for z in fam.roots}) == 1
+
+
+def test_find_roots_keeps_close_roots_apart():
+    for planted in ([1, 1 + 5e-5, -2], [0.5, 0.5 + 2e-5j, 3, -1 + 1j]):
+        got = sorted_roots(find_roots(monic_from_roots(planted)))
+        for a, b in zip(got, sorted_roots(planted)):
+            assert abs(a - b) < 1e-9
 
 
 def test_find_roots_plant_and_recover():
@@ -59,8 +62,7 @@ def test_find_roots_plant_and_recover():
     for _ in range(20):
         deg = rng.randint(2, 8)
         planted = sample_roots(rng, deg)
-        fam = find_roots(monic_from_roots(planted))
-        got = sorted_roots(fam.roots)
+        got = sorted_roots(find_roots(monic_from_roots(planted)))
         want = sorted_roots(planted)
         for a, b in zip(got, want):
             assert abs(a - b) < 1e-9
@@ -68,8 +70,7 @@ def test_find_roots_plant_and_recover():
 
 def test_find_roots_rational_roots_degree8():
     planted = [complex(k) / 2 for k in range(-4, 4)]
-    fam = find_roots(monic_from_roots(planted))
-    got = sorted_roots(fam.roots)
+    got = sorted_roots(find_roots(monic_from_roots(planted)))
     for a, b in zip(got, sorted_roots(planted)):
         assert abs(a - b) < 1e-9
 
@@ -95,16 +96,15 @@ def test_mean_over_own_roots_is_zero():
     for _ in range(10):
         roots = sample_roots(rng, rng.randint(2, 7))
         p = monic_from_roots(roots)
-        fam = RootFamily(tuple(roots), (p.degree, 0))
-        assert abs(mean_over_family(p, 0, fam)) < 1e-9 * (1 + max(abs(r) for r in roots))
+        assert abs(mean_over_family(p, 0, roots)) < 1e-9 * (1 + max(abs(r) for r in roots))
 
 
 def test_quartic_relation_direct():
     p = monic_from_roots([1, 2, 3, 4])
     means = {}
     for rho in (1, 2, 3):
-        fam = find_roots(monicized(differentiate(p.coeffs, rho)))
-        means[rho] = mean_over_family(p, 0, fam)
+        roots = find_roots(monicized(differentiate(p.coeffs, rho)))
+        means[rho] = mean_over_family(p, 0, roots)
     assert abs(5 * means[1] - 6 * means[2] + means[3]) < 1e-10
 
 
@@ -113,8 +113,7 @@ def test_cubic_mean_slope_is_three_halves_variance():
     for _ in range(10):
         roots = sample_roots(rng, 3)
         p = monic_from_roots(roots)
-        fam = RootFamily(tuple(roots), (3, 0))
-        mean_slope = mean_over_family(p, 1, fam)
+        mean_slope = mean_over_family(p, 1, roots)
         _, var, _ = sample_moments(roots)
         assert abs(mean_slope - 1.5 * var) < 1e-9
 
@@ -346,14 +345,9 @@ def test_symbolic_numeric_agreement():
                         continue  # delta < 0 only; not in this window
                     want = res.poly.evaluate(values)
                     if rho == 0:
-                        fam = RootFamily(tuple(roots), (D, 0))
+                        family = roots
                     else:
-                        fam = find_roots(monicized(derived_coeffs(p, rho, constants)))
-                    got = mean_over_family(p, delta, fam, constants)
+                        family = find_roots(monicized(derived_coeffs(p, rho, constants)))
+                    got = mean_over_family(p, delta, family, constants)
                     scale = max(1.0, abs(complex(want)))
                     assert abs(complex(want) - got) <= 1e-8 * scale
-
-
-def test_condition_estimate_present():
-    fam = find_roots(monic_from_roots([1, 2, 3]))
-    assert fam.condition_estimate >= 0

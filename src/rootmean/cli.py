@@ -430,8 +430,6 @@ def cmd_numeric(args) -> int:
         reports = numeric.check_relations_batch(
             args.D, args.delta, found, args.samples, args.seed, args.tol
         )
-    elif args.samples == 0:
-        reports = []  # nothing requested, nothing sampled: vacuous
     else:
         raise ConfigError("nothing to check: pass --relation, --auto, or --conjecture")
 

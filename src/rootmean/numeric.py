@@ -6,8 +6,10 @@ root families come from a simultaneous-iteration root finder, and means are
 computed by Horner evaluation and averaging.
 
 The root-refinement inner loop and the Horner evaluator live in
-``rootmean._aberth_py``; this module adds the initial guesses and the
-residual test that accepts or rejects the kernel's roots.
+``rootmean._aberth_py``; this module adds the initial guesses, a circle
+around the root centroid whose radius is the geometric-mean distance to the
+roots, and the residual test that accepts or rejects the kernel's roots.  The
+kernel stops each root on its own once it has converged.
 """
 
 from __future__ import annotations
@@ -87,13 +89,27 @@ def integrate(coeffs, constants) -> list:
     return out
 
 
+def _derived_chain(coeffs, lowest: int, highest: int, constants) -> dict:
+    """{order: coefficients of the order-th derived function} for every order
+    in lowest..highest, each one step from its neighbour towards order 0.
+
+    Negative orders integrate with constants[k - 1] at the k-th step down.
+    Stepping gives the same floats as ``differentiate`` or ``integrate``
+    applied from order 0.
+    """
+    chain = {0: list(coeffs)}
+    for k in range(1, highest + 1):
+        chain[k] = differentiate(chain[k - 1])
+    for k in range(1, 1 - lowest):
+        chain[-k] = integrate(chain[1 - k], [constants[k - 1]])
+    return chain
+
+
 def derived_coeffs(p: NumPoly, delta: int, constants=()) -> list:
     """Coefficients of the delta-th derived function (negative = antiderivative)."""
-    if delta >= 0:
-        return differentiate(p.coeffs, delta)
-    need = -delta
-    consts = list(constants) + [0j] * (need - len(list(constants)))
-    return integrate(p.coeffs, consts[:need])
+    consts = list(constants)
+    consts += [0j] * (-delta - len(consts))
+    return _derived_chain(p.coeffs, min(delta, 0), max(delta, 0), consts)[delta]
 
 
 def monicized(coeffs) -> NumPoly:
@@ -116,11 +132,20 @@ def _fujiwara_radius(coeffs) -> float:
 
 
 def _initial_guesses(coeffs) -> list:
+    """Aberth starting points on a circle around the root centroid.
+
+    The centre is c = -a_1 / deg and the radius |p(c)|^(1/deg), the geometric
+    mean of the distances |c - r| to the roots, so the circle passes through
+    the middle of the root cloud.  When p(c) == 0 that mean says nothing
+    (c is itself a root), and the Fujiwara bound on the root moduli is used.
+    """
     deg = len(coeffs) - 1
-    radius = _fujiwara_radius(coeffs)
+    centre = -coeffs[1] / deg
+    value = abs(horner(coeffs, centre))
+    radius = value ** (1.0 / deg) if value else _fujiwara_radius(coeffs)
     # shift angles off the axes so real-coefficient symmetry cannot stall
     return [
-        radius * cmath.exp(2j * math.pi * (k + 0.25) / deg + 0.45j)
+        centre + radius * cmath.exp(2j * math.pi * (k + 0.25) / deg + 0.45j)
         for k in range(deg)
     ]
 
@@ -137,23 +162,42 @@ def find_roots(p: NumPoly, max_iter: int = 160) -> tuple:
     """All complex roots of p, repeated by multiplicity, by Aberth's
     simultaneous iteration.
 
-    Returns the kernel's approximations when every residual satisfies
-    |p(r)| <= ROOT_RESIDUAL_TOL * scale(r) with scale(r) = sum_k |a_k| |r|^(deg-k);
-    otherwise raises RootFindingError carrying the worst residual.  A multiple
-    root comes back as that many separate approximations, and close distinct
-    roots stay apart.
+    Exact trailing zero coefficients are exact roots 0: they are stripped and
+    returned as 0j after the other roots, because the residual scale below
+    vanishes with |r| when a_deg == 0.  The rest is solved by the kernel
+    from the circle of ``_initial_guesses``; each root stops on its own once
+    converged.  The kernel's approximations are returned when every residual
+    satisfies |p(r)| <= ROOT_RESIDUAL_TOL * scale(r) with
+    scale(r) = sum_k |a_k| |r|^(deg-k); otherwise RootFindingError carries the
+    worst residual.  A multiple root comes back as that many separate
+    approximations, and close distinct roots stay apart.
     """
     coeffs = list(p.coeffs)
-    if p.degree == 1:
-        return (-coeffs[1],)
-    z, _, _ = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), max_iter)
-    worst = max(abs(p(zi)) / _residual_scale(coeffs, zi) for zi in z)
-    if worst > ROOT_RESIDUAL_TOL:
-        raise RootFindingError(
-            f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}",
-            best_residual=worst,
-        )
-    return tuple(z)
+    zeros = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zeros += 1
+    deg = len(coeffs) - 1
+    if deg == 0:
+        z = []
+    elif deg == 1:
+        z = [-coeffs[1]]
+    else:
+        z, _, _ = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), max_iter)
+        worst = max(abs(horner(coeffs, zi)) / _residual_scale(coeffs, zi) for zi in z)
+        if worst > ROOT_RESIDUAL_TOL:
+            raise RootFindingError(
+                f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}",
+                best_residual=worst,
+            )
+    return tuple(z) + (0j,) * zeros
+
+
+def _mean_value(coeffs, roots) -> complex:
+    total = 0j
+    for r in roots:
+        total += horner(coeffs, r)
+    return total / len(roots)
 
 
 def mean_over_family(p: NumPoly, delta: int, roots, constants=()) -> complex:
@@ -164,11 +208,7 @@ def mean_over_family(p: NumPoly, delta: int, roots, constants=()) -> complex:
     """
     if not roots:
         raise ValueError("empty family")
-    coeffs = derived_coeffs(p, delta, constants)
-    total = 0j
-    for r in roots:
-        total += horner(coeffs, r)
-    return total / len(roots)
+    return _mean_value(derived_coeffs(p, delta, constants), roots)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +311,9 @@ def check_relations_batch(
     if not terms:
         return reports
     support_union = sorted({r for _, support, _ in terms for r in support})
-    deepest = max(0, -min([*support_union, delta]))
+    lowest = min([*support_union, delta])
+    highest = max([*support_union, delta])
+    deepest = max(0, -lowest)
     for idx in range(samples):
         rng = sample_rng(seed, D, delta, idx)
         roots = sample_roots(rng, D)
@@ -280,14 +322,13 @@ def check_relations_batch(
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             for _ in range(deepest)
         ]
+        chain = _derived_chain(f.coeffs, lowest, highest, constants)
+        values = chain[delta]
         means = {}
         try:
             for rho in support_union:
-                if rho == 0:
-                    fam = roots
-                else:
-                    fam = find_roots(monicized(derived_coeffs(f, rho, constants)))
-                means[rho] = mean_over_family(f, delta, fam, constants)
+                fam = roots if rho == 0 else find_roots(monicized(chain[rho]))
+                means[rho] = _mean_value(values, fam)
         except RootFindingError:
             for rep in reports:
                 rep.skipped += 1
@@ -302,21 +343,31 @@ def check_relations_batch(
     return reports
 
 
-def _relative_rates(p: NumPoly, k: int, roots) -> tuple:
-    """(sum, terms) of f^(k)(r) / f'(r) over the roots r of p, in root order; needs simple roots."""
+def _relative_rates(p: NumPoly, ks, roots) -> list:
+    """[(sum, terms)] of f^(k)(r) / f'(r) over the roots r of p, in root order,
+    for each k of the ascending ks; needs simple roots.
+
+    f' at the roots and the derivative chain are built once for all ks.
+    """
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) < MIN_ROOT_SEPARATION:
                 raise RootFindingError("repeated roots: resample")
-    if k > p.degree:
-        return 0j, []
-    dk = differentiate(p.coeffs, k)
     d1 = differentiate(p.coeffs, 1)
-    terms = [horner(dk, r) / horner(d1, r) for r in roots]
-    total = 0j
-    for t in terms:
-        total += t
-    return total, terms
+    slopes = [horner(d1, r) for r in roots]
+    dk, order = d1, 1
+    out = []
+    for k in ks:
+        if k > p.degree:
+            out.append((0j, []))
+            continue
+        dk, order = differentiate(dk, k - order), k
+        terms = [horner(dk, r) / s for r, s in zip(roots, slopes)]
+        total = 0j
+        for t in terms:
+            total += t
+        out.append((total, terms))
+    return out
 
 
 def check_relative_rates(p: NumPoly, k: int, roots) -> complex:
@@ -327,7 +378,7 @@ def check_relative_rates(p: NumPoly, k: int, roots) -> complex:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    return _relative_rates(p, k, list(roots))[0]
+    return _relative_rates(p, (k,), list(roots))[0][0]
 
 
 def relative_rates_report(
@@ -340,8 +391,7 @@ def relative_rates_report(
             rng = sample_rng(seed, 7_001, D, idx)
             roots = sample_roots(rng, D)
             p = monic_from_roots(roots)
-            for k in ks:
-                total, terms = _relative_rates(p, k, roots)
+            for total, terms in _relative_rates(p, ks, roots):
                 mag = sum(abs(t) for t in terms)
                 residual = abs(total) / mag if mag > 1e-12 else abs(total)
                 report.max_rel_residual = max(report.max_rel_residual, residual)

@@ -211,6 +211,7 @@ def test_numeric_check_zero_samples_warns(capsys):
         ("numeric-check", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5", "--tol", "nan"),
         ("numeric-check", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5", "--tol", "-1"),
         ("numeric-check", "--D", "4", "--relation", "5:1,-6:1,1:3", "--samples", "5"),
+        ("numeric-check", "--samples", "0"),
     ],
     ids=[
         "relation-spec", "rho-window", "negative-samples", "k-max-below-2",
@@ -218,6 +219,7 @@ def test_numeric_check_zero_samples_warns(capsys):
         "translation-above-cap", "odd-binomial-nothing-to-check", "prop5-nothing-to-check",
         "all-zero-relation", "output-path-missing", "bfile-missing", "sweep-too-short-to-fit",
         "auto-no-relation", "tol-inf", "tol-nan", "tol-negative", "repeated-rho",
+        "zero-samples-nothing-requested",
     ],
 )
 def test_bad_input_is_a_config_error(capsys, argv):

@@ -14,6 +14,7 @@ from rootmean.numeric import (
     derived_coeffs,
     differentiate,
     find_roots,
+    horner,
     integrate,
     mean_over_family,
     monic_from_roots,
@@ -57,6 +58,48 @@ def test_find_roots_keeps_close_roots_apart():
             assert abs(a - b) < 1e-9
 
 
+def test_find_roots_exact_zero_roots():
+    # a_deg == 0 shrinks the residual scale to 0 with |r|, so the zeros are
+    # split off exactly rather than approximated
+    for planted in ([-1, 0, 1], [0, 0, 1], [0, 2j, -1 + 1j, 0]):
+        got = sorted_roots(find_roots(monic_from_roots(planted)))
+        for a, b in zip(got, sorted_roots(planted)):
+            assert abs(a - b) < 1e-9
+    for k in range(1, 13):
+        assert find_roots(NumPoly((1,) + (0,) * k)) == (0j,) * k
+
+
+def kernel_solve(p):
+    coeffs = list(p.coeffs)
+    return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs), 160)
+
+
+def test_kernel_stops_early_on_multiple_and_close_roots():
+    # started on the centroid circle and stopped per root, the kernel settles
+    # clusters at the rounding level instead of running out of sweeps
+    cases = [[1] * k for k in range(2, 7)]
+    cases += [list(range(1, 11)), [1, 1 + 5e-5, -2]]
+    for planted in cases:
+        _, sweeps, converged = kernel_solve(monic_from_roots(planted))
+        assert converged and sweeps <= 30, (planted, sweeps)
+
+
+def test_kernel_sweeps_on_sampled_families():
+    # mean sweeps over every derivative family of sampled degree-2..8
+    # polynomials: 5.6 from the centroid circle with per-root stopping, 7.6
+    # from the origin-centred Fujiwara circle with whole-sweep stopping
+    sweeps = []
+    for D in range(2, 9):
+        rng = random.Random(D)
+        for _ in range(20):
+            f = monic_from_roots(sample_roots(rng, D))
+            for rho in range(D - 1):
+                _, n, converged = kernel_solve(monicized(differentiate(f.coeffs, rho)))
+                assert converged
+                sweeps.append(n)
+    assert sum(sweeps) / len(sweeps) < 6.5
+
+
 def test_find_roots_plant_and_recover():
     rng = random.Random(6)
     for _ in range(20):
@@ -89,6 +132,29 @@ def test_derivative_and_integral_coefficients():
     assert anti == [0.25, -2 / 3, 1.5, -4, 5.0]
     assert derived_coeffs(p, -1, [5.0]) == anti
     assert derived_coeffs(p, 0) == list(p.coeffs)
+
+
+def test_derived_chain_is_bit_identical():
+    # the relation check and the relative-rates check build each derivative
+    # one step from the last; that must be the same floats as from scratch
+    rng = random.Random(14)
+    for _ in range(20):
+        D = rng.randint(2, 8)
+        roots = sample_roots(rng, D)
+        p = monic_from_roots(roots)
+        constants = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
+        chain = numeric._derived_chain(p.coeffs, -3, D + 1, constants)
+        for order in range(D + 2):
+            assert chain[order] == differentiate(p.coeffs, order)
+        for depth in range(1, 4):
+            assert chain[-depth] == integrate(p.coeffs, constants[:depth])
+        d1 = differentiate(p.coeffs)
+        ks = range(2, D + 2)
+        for k, (total, terms) in zip(ks, numeric._relative_rates(p, ks, roots)):
+            dk = differentiate(p.coeffs, k)
+            want = [horner(dk, r) / horner(d1, r) for r in roots] if k <= D else []
+            assert terms == want
+            assert total == check_relative_rates(p, k, roots)
 
 
 def test_mean_over_own_roots_is_zero():
@@ -182,8 +248,6 @@ def test_relative_rates_above_degree_is_exact_zero():
 
 
 def test_relative_rates_random():
-    from rootmean.numeric import horner
-
     rng = random.Random(4)
     for _ in range(25):
         deg = rng.randint(2, 10)

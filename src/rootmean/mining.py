@@ -229,8 +229,9 @@ def extract_g(D: int, h: RationalPolynomial) -> GExtraction:
     """Divide out ((-1)^D D / D!) * (D - n) * n^chi and validate the quotient.
 
     The quotient must be an exact polynomial, monic with integer coefficients,
-    of degree M = D - (2 + chi).  Irreducibility over the integers is checked
-    by trial factor search up to degree 6 and left unchecked beyond.
+    of degree M = D - (2 + chi).  Irreducibility over the integers is decided
+    by ``is_irreducible_int``, which leaves it None (unchecked) when none of
+    its tests settles it.
     """
     x = chi(D)
     const = Fraction((-1) ** D * D, math.factorial(D))
@@ -400,10 +401,13 @@ _MODP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 def is_irreducible_int(g: RationalPolynomial) -> bool | None:
     """Irreducibility of a monic integer polynomial over the integers.
 
-    Irreducibility modulo a small prime is a proof when it holds and is tried
-    first; otherwise a rational-root test and a Kronecker-style trial search
-    for quadratic/cubic factors run with capped divisor enumeration.  Returns
-    None when no route settles the question.
+    The first test that settles it answers, in this order: an integer root
+    in -64..64 (or g(0) = 0) means reducible; Rabin's test finding g
+    irreducible modulo one of the 17 ``_MODP_PRIMES`` means irreducible;
+    |g(0)| above ``_DIVISOR_CAP`` gives None; a root among the divisors of
+    g(0) means reducible; for M <= 7, the Kronecker search for a monic
+    quadratic or cubic factor decides (None if g(0), g(1) or g(-1) is above
+    the cap).  Otherwise None: D = 15 and 17 in the default ``mine`` sweep.
     """
     M = g.degree
     if M <= 1:

@@ -292,7 +292,13 @@ def check_relations_batch(
 ) -> list:
     """Evaluate sum_rho alpha_rho * mean(f^(delta) over roots of f^(rho)) on
     random monic degree-D polynomials f and report, per relation, the worst
-    relative residual.
+    relative residual |num| / den, den = sum_rho |alpha_rho mean_rho|.  An
+    exactly-zero mean leaves only rounding, which grows with the averaged
+    function's coefficients c_k, so when den <= tol * S the residual is
+    |num| / S, S = sum_rho |alpha_rho| mean_r sum_k |c_k| |r|^(deg-k).  As
+    den <= S, that only lowers a residual, so S is computed only for a
+    sample that would otherwise raise the worst one, and only when den is at
+    most tol times S's bound at the largest |r|.
 
     rels: RelationVectors, or {rho: alpha} mappings, sharing (D, delta).
     Root families are found once per sample and reused across relations, so a
@@ -324,11 +330,12 @@ def check_relations_batch(
         ]
         chain = _derived_chain(f.coeffs, lowest, highest, constants)
         values = chain[delta]
+        fams = {}
         means = {}
         try:
             for rho in support_union:
-                fam = roots if rho == 0 else find_roots(monicized(chain[rho]))
-                means[rho] = _mean_value(values, fam)
+                fams[rho] = roots if rho == 0 else find_roots(monicized(chain[rho]))
+                means[rho] = _mean_value(values, fams[rho])
         except RootFindingError:
             for rep in reports:
                 rep.skipped += 1
@@ -336,7 +343,14 @@ def check_relations_batch(
         for (_, support, alpha), rep in zip(terms, reports):
             num = sum(a * means[r] for r, a in zip(support, alpha))
             den = sum(abs(a * means[r]) for r, a in zip(support, alpha))
-            residual = abs(num) / den if den > 1e-12 else abs(num)
+            residual = abs(num) / den if den else 0.0
+            if residual > rep.max_rel_residual:
+                radius = max(max(map(abs, fams[r])) for r in support)
+                if den <= tol * sum(map(abs, alpha)) * _residual_scale(values, radius):
+                    scale = sum(abs(a) * sum(_residual_scale(values, z) for z in fams[r]) / len(fams[r])
+                                for r, a in zip(support, alpha))
+                    if den <= tol * scale:
+                        residual = abs(num) / scale
             rep.max_rel_residual = max(rep.max_rel_residual, residual)
     for rep in reports:
         rep.passed = rep.max_rel_residual <= tol and (samples == 0 or rep.skipped < samples)

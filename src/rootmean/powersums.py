@@ -14,6 +14,7 @@ Parts larger than n carry C(n,i) = 0 and are pruned.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,7 +22,6 @@ from .exact import PartitionVector, binomial, multinomial, partitions
 from .sympoly import Monomial, SymPoly, root_param
 
 
-@lru_cache(maxsize=None)
 def gw_factor(kappa: PartitionVector) -> Fraction:
     """The family-size-free factor (j(-1)^j) ((-1)^|kappa| / |kappa|) multinomial(|kappa|; kappa).
 
@@ -44,26 +44,17 @@ def gw_coefficient(kappa: PartitionVector, n: int) -> Fraction:
         raise ValueError("family size must be >= 1")
     if not kappa.items:
         raise ValueError("gw_coefficient needs a nonempty partition")
-    prod = 1
-    for part, mult in kappa.items:
-        b = binomial(n, part)
-        if b == 0:
-            return Fraction(0)
-        prod *= b**mult
+    prod = math.prod(binomial(n, part) ** mult for part, mult in kappa.items)
     return gw_factor(kappa) * Fraction(prod, n)
 
 
 @lru_cache(maxsize=None)
 def _expansion(j: int, n: int) -> tuple:
-    """Nonzero (kappa, coefficient) pairs of the degree-j mean power sum."""
-    out = []
-    for kappa in partitions(j):
-        if kappa.max_part > n:
-            continue
-        c = gw_coefficient(kappa, n)
-        if c:
-            out.append((kappa, c))
-    return tuple(out)
+    """Nonzero (kappa, coefficient) pairs of the degree-j mean power sum.
+
+    A coefficient is zero exactly when some part exceeds n.
+    """
+    return tuple((kappa, gw_coefficient(kappa, n)) for kappa in partitions(j) if kappa.max_part <= n)
 
 
 def materialize(j: int, n: int, symbols, coeff=1, times: int = 0) -> SymPoly:

@@ -25,9 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exact import PartitionVector, binomial
+from .exact import binomial
 from .means import PhiKey, _term_weight, phi
-from .powersums import gw_factor
 
 
 @dataclass(frozen=True)
@@ -335,19 +334,19 @@ def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
 
     Each alpha is aligned with ``rho_set``, strictly ascending (default
     1..D-1); an invalid key raises ValueError (``PhiKey``).  With
-    deg_g = D - delta and n = D - rho, ``means.phi_coefficient`` gives the
-    coefficient of the monomial m (a partition of deg_g; a part p > D stands
-    for the integration constant c_(p-D)) as w_(deg_g) gw(m, n) plus, per
-    distinct part p of m, w_(deg_g-p) gw(m - {p}, n), with w_(deg_g-p) alone
-    for an empty remainder.  The w_j do not depend on rho, and
-    gw(kappa, n) = c(kappa) prod_i C(n,i)^(k_i) / n with c = ``gw_factor``,
-    so times L = lcm of the n the rho-sum is
-    w_(deg_g) U(m) + sum_p w_(deg_g-p) U(m - {p}), where
-    U(kappa) = c(kappa) sum_rho alpha_rho (L/n) prod_i C(n,i)^(k_i)
-    and U of the empty partition is L sum(alpha).  One depth-first walk over
-    the partitions of every j <= deg_g computes each U once, carrying the
-    per-rho products.  c(kappa) is an integer (j (|kappa|-1)!/prod_i k_i! is
-    a sum of multinomials), so scaling the weights by their common
+    deg_g = D - delta and n = D - rho, phi is sum_j w_j (order deg_g - j
+    parameter) mean(z^j), and a partition kappa of j contributes
+    c(kappa) prod_i C(n,i)^(k_i) / n to mean(z^j) (Girard-Waring), with
+    c(kappa) = (-1)^(j+|kappa|) j multinomial(|kappa|; k) / |kappa|.  So,
+    times L = lcm of the n, each kappa adds
+    w_j c(kappa) sum_rho alpha_rho (L/n) prod_i C(n,i)^(k_i)
+    to the coefficient of exactly one monomial, kappa + {deg_g - j} (a part
+    p > D stands for the integration constant c_(p-D), a part 0 for none),
+    and the empty partition adds w_0 L sum(alpha) to {deg_g}.  One
+    depth-first walk over the partitions adds each term straight into its
+    total, carrying the per-rho products, |kappa| and the multinomial; every
+    total must end at 0.  c(kappa) is an integer (j (|kappa|-1)!/prod_i k_i!
+    is a sum of multinomials), so scaling the weights by their common
     denominator keeps the arithmetic integral.  For delta >= D, phi is the
     constant D! (delta = D) or zero.
     """
@@ -367,34 +366,30 @@ def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
     # C(n, part) over the n >= part, a prefix of the descending ns: parts only
     # shrink along a walk, so the first part fixes which rho stay live
     cols = [[math.comb(n, part) for n in ns if n >= part] for part in range(deg_g + 1)]
-    U = {(): [L * sum(alpha) for alpha in alphas]}  # keyed by PartitionVector items
-    full = []  # the partitions of deg_g
-
-    def walk(items, j, top, prods):
-        for part in range(min(deg_g - j, top), 0, -1):
-            nxt = list(map(operator.mul, prods, cols[part]))
-            if items and items[-1][0] == part:
-                child = items[:-1] + ((part, items[-1][1] + 1),)
-            else:
-                child = items + ((part, 1),)
-            c = gw_factor(PartitionVector(child)).numerator
-            U[child] = [c * sum(map(operator.mul, nxt, a)) for a in scaled]
-            if j + part == deg_g:
-                full.append(child)
-            else:
-                walk(child, j + part, part, nxt)
-
-    walk((), 0, deg_g, [1] * len(ns))
     w = _clear_row_denominators([_term_weight(D, delta, j) for j in range(deg_g + 1)])
-    for v in range(len(alphas)):
-        for m in full:
-            total = w[deg_g] * U[m][v]
-            for i, (p, mult) in enumerate(m):
-                rest = m[:i] + ((p, mult - 1),) + m[i + 1:] if mult > 1 else m[:i] + m[i + 1:]
-                total += w[deg_g - p] * U[rest][v]
-            if total:
-                return False
-    return True
+    # a multiset of parts is keyed by the sum of B^part, B = deg_g + 1 > any
+    # multiplicity; part 0 adds nothing
+    power = [0] + [(deg_g + 1) ** part for part in range(1, deg_g + 1)]
+    totals = {power[deg_g]: [w[0] * L * sum(alpha) for alpha in alphas]}
+
+    def walk(j, top, mult, card, multinomial, prods, key):
+        # kappa, a partition of j keyed by key, has card parts, the smallest
+        # top with multiplicity mult, and multinomial(card; k) = multinomial
+        for part in range(min(deg_g - j, top), 0, -1):
+            # the child kappa + {part}, where part has multiplicity k
+            k = mult + 1 if part == top else 1
+            child_multinomial = multinomial * (card + 1) // k
+            child_prods = list(map(operator.mul, prods, cols[part]))
+            c = (-1) ** (j + part + card + 1) * (j + part) * child_multinomial // (card + 1)
+            term = [c * w[j + part] * sum(map(operator.mul, child_prods, a)) for a in scaled]
+            m = key + power[part] + power[deg_g - j - part]
+            total = totals.get(m)
+            totals[m] = term if total is None else list(map(operator.add, total, term))
+            if j + part < deg_g:
+                walk(j + part, part, k, card + 1, child_multinomial, child_prods, key + power[part])
+
+    walk(0, deg_g, 0, 0, 1, [1] * len(ns), 0)
+    return not any(any(total) for total in totals.values())
 
 
 EVALUATION_RANGE = 10  # the parameters of each evaluation point lie in -10..10

@@ -180,6 +180,35 @@ def test_numeric_check_explicit_relation(capsys):
     assert code == EXIT_OK and blob["pass"] is True
 
 
+def test_numeric_check_passes_exact_zero_means(capsys):
+    # phi(D, delta, delta), phi(D, 1, 1) and phi(D, D-1, rho) are 0 exactly, and their
+    # rounding grows like D!/(D-delta)!: it is read against the rounding scale, not as 1
+    for D in range(2, 13):
+        for delta in range(1, D + 1):
+            code, out, err = run(
+                capsys, "numeric-check", "--auto", "--D", str(D), "--delta", str(delta),
+                "--samples", "20",
+            )
+            assert code == EXIT_OK or "no relation" in err, (D, delta, out)
+    code, blob, _ = run_json(capsys, "numeric-check", "--auto", "--D", "7", "--delta", "6")
+    assert code == EXIT_OK and blob["pass"]
+    for argv in (
+        ("--relation", "1:1", "--D", "8", "--delta", "7"),
+        ("--auto", "--D", "30", "--delta", "29", "--unsafe-degree", "--samples", "20"),
+    ):
+        code, blob, _ = run_json(capsys, "numeric-check", *argv)
+        assert code == EXIT_OK and blob["pass"], argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--relation", "1:1,-1:2", "--D", "9", "--delta", "1"), ("--relation", "1:2", "--D", "20", "--delta", "1")],
+)
+def test_numeric_check_still_fails_false_relations(capsys, argv):
+    code, blob, _ = run_json(capsys, "numeric-check", *argv, "--samples", "20")
+    assert code == EXIT_VERIFY_FAIL and not blob["pass"]
+
+
 def test_numeric_check_zero_samples_warns(capsys):
     code, out, _ = run(
         capsys, "numeric-check", "--relation", "5:1,-6:2,1:3", "--D", "4", "--samples", "0"

@@ -21,7 +21,8 @@ def kappa(parts):
 
 
 def test_gw_factor_is_an_integer():
-    # relations.certify_relations reads gw_factor as an integer
+    # relations.certify_relations divides j * multinomial by |kappa| exactly,
+    # which relies on this same integrality
     for j in range(1, 21):
         for k in partitions(j):
             assert gw_factor(k).denominator == 1, k

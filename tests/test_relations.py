@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootmean import relations
+from rootmean.cli import HARD_DEGREE_CAP
 from rootmean.means import PhiKey, phi
 from rootmean.relations import (
     MINIMAL_SUPPORT_CAP,
@@ -186,6 +187,29 @@ def test_relation_space_dim_expands_nothing(monkeypatch):
     monkeypatch.setattr("rootmean.means.materialize", forbidden)
     relation_space_dim.cache_clear()
     assert [relation_space_dim(D) for D in range(2, 12)] == [0, 1, 1, 2, 1, 2, 1, 2, 1, 2]
+
+
+def test_certificate_needs_no_gw_factor_or_partition_vector(monkeypatch):
+    # the walk carries the multinomial and keys partitions by integers
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificate built a gw_factor or a PartitionVector")
+
+    monkeypatch.setattr("rootmean.powersums.gw_factor", forbidden)
+    monkeypatch.setattr("rootmean.exact.PartitionVector", forbidden)
+    monkeypatch.setattr(relations, "gw_factor", forbidden, raising=False)
+    monkeypatch.setattr(relations, "PartitionVector", forbidden, raising=False)
+    relation_space_dim.cache_clear()
+    try:
+        assert certify_relations(12, [PRINTED_RELATIONS[-1][1]])
+        assert relation_space_dim(16) == 1
+    finally:
+        relation_space_dim.cache_clear()
+
+
+def test_dimension_pattern_to_the_degree_cap():
+    # criterion 4 stops at D=21; the CLI takes degrees up to HARD_DEGREE_CAP
+    degrees = range(22, HARD_DEGREE_CAP + 1)
+    assert [relation_space_dim(D) for D in degrees] == [1 + D % 2 for D in degrees]
 
 
 @settings(max_examples=60, deadline=None)

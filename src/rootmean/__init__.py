@@ -19,16 +19,7 @@ from .relations import (
     nullspace,
     relation_space_dim,
 )
-from .sympoly import (
-    Monomial,
-    QuasiBinomialVector,
-    SymPoly,
-    Symbol,
-    extend_params,
-    quasi_binomial_coeffs,
-    root_param,
-    truncate_params,
-)
+from .sympoly import Monomial, SymPoly, Symbol, root_param
 
 __version__ = "0.1.0"
 
@@ -38,14 +29,12 @@ __all__ = [
     "PartitionVector",
     "PhiKey",
     "PhiResult",
-    "QuasiBinomialVector",
     "RelationVector",
     "SymPoly",
     "Symbol",
     "binomial",
     "check_inheritance",
     "check_odd_binomial",
-    "extend_params",
     "find_relations",
     "gw_coefficient",
     "multinomial",
@@ -55,9 +44,7 @@ __all__ = [
     "phi",
     "phi_table",
     "power_sum_mean",
-    "quasi_binomial_coeffs",
     "relation_space_dim",
     "root_param",
     "statistical_moments",
-    "truncate_params",
 ]

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -252,7 +251,7 @@ def cmd_relations(args) -> int:
 
 def _verify_dimension(args, payload, pretty):
     cap = args.max_degree
-    threads = max(1, args.threads) if args.threads else os.cpu_count() or 1
+    threads = max(1, args.threads or 1)
     dims = worker_map(relations.relation_space_dim, range(2, cap + 1), threads)
     ok = True
     for D, dim in zip(range(2, cap + 1), dims):
@@ -547,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="symbolic verification suites")
     p.add_argument("--conjecture", choices=sorted(VERIFIERS), required=True)
     p.add_argument("--max-degree", type=int, default=9)
-    p.add_argument("--threads", type=int, help="worker threads for the dimension sweep")
+    p.add_argument("--threads", type=int, help="worker threads for the dimension sweep (default 1)")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

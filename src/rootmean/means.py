@@ -9,9 +9,12 @@ parameter family with integration-constant symbols of weights D+1, D+2, ...
 The computation follows the direct route: write the averaged function in
 quasi-binomial form, replace each power x^j by the mean power sum of the
 averaging family, and use the fact that a derived function's parameters are
-the (truncated or extended) parameters of the original, so everything lands
-in one exact polynomial over the original parameters.  ``phi_coefficient``
-reads a single coefficient from the same terms without expanding phi.
+the parameters of the original, truncated for a derivative and extended by
+integration constants for an antiderivative, so everything lands in one
+exact polynomial over the original parameters.  ``_master_symbols`` is that
+one chain: the parameters of every derived function of a degree-D
+polynomial are a prefix of it.  ``phi_coefficient`` reads a single
+coefficient from the same terms without expanding phi.
 """
 
 from __future__ import annotations
@@ -23,13 +26,7 @@ from functools import lru_cache
 
 from .exact import ZERO, PartitionVector, binomial
 from .powersums import gw_coefficient, materialize, power_sum_mean
-from .sympoly import (
-    QuasiBinomialVector,
-    SymPoly,
-    integration_const,
-    poly_sum,
-    root_param,
-)
+from .sympoly import SymPoly, integration_const, poly_sum, root_param
 
 FLAG_OK = "ok"
 FLAG_CONSTANT = "constant"  # delta == D: the derived function is the constant D!
@@ -151,22 +148,16 @@ def phi_table(D: int, delta: int, rho_values) -> list:
     return [phi(PhiKey(D, delta, r)) for r in rho_values]
 
 
-def statistical_moments(R: QuasiBinomialVector):
-    """(mean, variance, third central moment) of the family R parametrizes.
+def statistical_moments(n: int):
+    """(mean, variance, third central moment) of an n-element root family.
 
-    The family size is R.degree; preconditions: >= 1 for the mean, >= 2 for
-    the variance, >= 3 for the third central moment.  For a 3-family these are
-    r1, 2(r1^2 - r2), and 2 r1^3 - 3 r1 r2 + r3.
+    Each is a polynomial in the family's own parameters r1..rn, built from the
+    mean power sums; n >= 3, so that all three are defined.  For a 3-family
+    these are r1, 2(r1^2 - r2), and 2 r1^3 - 3 r1 r2 + r3.
     """
-    n = R.degree
     if n < 3:
         raise ValueError("third central moment needs a family of size >= 3")
-    binding = {root_param(i): R.entry(i) for i in range(1, n + 1)}
-
-    def psm(j):
-        return power_sum_mean(j, n).substitute(binding)
-
-    E = psm(1)
-    V = psm(2) - E * E
-    W = psm(3) - (psm(2) * E).scale(3) + (E * E * E).scale(2)
+    E, M2, M3 = (power_sum_mean(j, n) for j in (1, 2, 3))
+    V = M2 - E * E
+    W = M3 - (M2 * E).scale(3) + (E * E * E).scale(2)
     return (E, V, W)

@@ -525,7 +525,10 @@ def mine_Q_and_norlund(k_max: int = 8, d_sweep: int = 24, sweep: StructureSweep 
 # OEIS b-file comparison
 
 def read_bfile(path) -> dict:
-    """Parse the OEIS b-file format: one "index value" pair per line, # comments."""
+    """Parse the OEIS b-file format: one "index value" pair per line, # comments.
+
+    A file without a single pair is malformed (ValueError).
+    """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -536,6 +539,8 @@ def read_bfile(path) -> dict:
             if len(parts) < 2:
                 continue
             out[int(parts[0])] = int(parts[1])
+    if not out:
+        raise ValueError("no 'index value' line")
     return out
 
 
@@ -566,9 +571,11 @@ def compare_with_bfile(seq: MinedSequence, bfile: dict) -> BfileComparison:
 
     The index correspondence is unknown a priori, so every shift in
     [-MAX_BFILE_OFFSET, MAX_BFILE_OFFSET] is tried, first with signed values
-    and then with absolute values; the best (mode, offset) wins.
+    and then with absolute values; the best (mode, offset) wins.  When no
+    shift matches a single value there is no offset to report: the result
+    has offset None, nothing matched and no mismatches.
     """
-    best = BfileComparison(None, -1, len(seq.values), False, [])
+    best = BfileComparison(None, 0, len(seq.values), False, [])
     for use_abs in (False, True):
         for off in range(-MAX_BFILE_OFFSET, MAX_BFILE_OFFSET + 1):
             matched = 0

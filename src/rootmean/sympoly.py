@@ -5,7 +5,10 @@ A degree-D monic polynomial is written with coefficient of x^j equal to
 parameter is the mean of all C(D,i) products of i roots.  Parameters are
 graded: the order-i root parameter has weight i; integration constants
 (introduced when antiderivatives extend the parameter family) are assigned
-their own weights at creation.
+their own weights at creation.  Which symbols a derived function's
+parameters are, truncated for derivatives and extended for antiderivatives,
+is decided in one place, ``means._master_symbols``; this module supplies
+only the symbols, the monomials and the ring.
 
 Everything here is immutable and safe to share across threads.  Symbols and
 monomials cache their hashes; degree-20+ sweeps hammer these paths.
@@ -13,15 +16,14 @@ monomials cache their hashes; degree-20+ sweeps hammer these paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ZERO, binomial
+from .exact import ZERO
 
 
 class UnboundSymbolError(KeyError):
-    """Raised by substitute()/evaluate() when a symbol has no binding."""
+    """Raised by evaluate() when a symbol has no value."""
 
     def __init__(self, symbol):
         self.symbol = symbol
@@ -256,37 +258,13 @@ class SymPoly:
                     acc.pop(m, None)
         return SymPoly._raw(acc)
 
-    def __pow__(self, e: int) -> "SymPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        out = SymPoly.constant(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    # ---- substitution and evaluation --------------------------------------
-    def substitute(self, binding: dict) -> "SymPoly":
-        """Simultaneous substitution Symbol -> SymPoly; every symbol must be bound."""
-        out: dict = {}
-        for m, c in self._terms.items():
-            piece = SymPoly.constant(c)
-            for s, e in m.powers:
-                if s not in binding:
-                    raise UnboundSymbolError(s)
-                piece = piece * (binding[s] ** e)
-            _accumulate(out, piece._terms, None)
-        return SymPoly._raw(out)
-
+    # ---- evaluation ------------------------------------------------------
     def evaluate(self, values: dict):
         """Evaluate at concrete values (Fractions stay exact, floats/complex work too)."""
         total = None
@@ -353,72 +331,3 @@ def poly_sum(polys) -> SymPoly:
     for p in polys:
         _accumulate(acc, p._terms, None)
     return SymPoly._raw(acc)
-
-
-@dataclass(frozen=True)
-class QuasiBinomialVector:
-    """The ordered parameter family of a monic polynomial, one entry per order.
-
-    Entry i (1-based) carries weight i; normally it is the atomic order-i root
-    parameter, but antiderivative extension appends integration-constant
-    symbols in the slots past the original degree.
-    """
-
-    entries: tuple  # of SymPoly
-
-    @classmethod
-    def standard(cls, degree: int) -> "QuasiBinomialVector":
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        return cls(tuple(SymPoly.symbol(root_param(i)) for i in range(1, degree + 1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int) -> SymPoly:
-        """1-based access to the order-i parameter."""
-        return self.entries[i - 1]
-
-
-def truncate_params(R: QuasiBinomialVector, m: int) -> QuasiBinomialVector:
-    """Drop the top m entries: the parameter vector of the m-th derivative."""
-    if not 0 < m < R.degree:
-        raise ValueError(f"truncate_params needs 0 < m < degree, got m={m}, degree={R.degree}")
-    return QuasiBinomialVector(R.entries[: R.degree - m])
-
-
-def extend_params(R: QuasiBinomialVector, m: int) -> QuasiBinomialVector:
-    """Append m fresh integration constants: the parameter vector of the m-th antiderivative.
-
-    The new constants get indices continuing any already present and weights
-    degree+1 .. degree+m, so extending twice agrees with extending once by the sum.
-    """
-    if m < 1:
-        raise ValueError("extend_params needs m >= 1")
-    existing = 0
-    for e in R.entries:
-        if any(s.kind == "c" for s in e.symbols()):
-            existing += 1
-    new = [
-        SymPoly.symbol(integration_const(existing + i, R.degree + i))
-        for i in range(1, m + 1)
-    ]
-    return QuasiBinomialVector(R.entries + tuple(new))
-
-
-def quasi_binomial_coeffs(D: int, R: QuasiBinomialVector) -> list:
-    """Coefficient list (x^D down to x^0) of the monic degree-D polynomial on R.
-
-    Coefficient of x^(D-i) is (-1)^i C(D,i) times entry i; the leading
-    coefficient is 1.
-    """
-    if D < 1:
-        raise ValueError("degree must be >= 1")
-    if R.degree < D:
-        raise ValueError(f"parameter vector of degree {R.degree} too short for D={D}")
-    coeffs = [SymPoly.constant(1)]
-    for i in range(1, D + 1):
-        sign = -1 if i % 2 else 1
-        coeffs.append(R.entry(i).scale(sign * binomial(D, i)))
-    return coeffs

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootmean import means, numeric, relations
+from rootmean import cli, means, numeric, relations
 from rootmean.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -137,6 +137,19 @@ def test_uncertified_dimension_exits_one(monkeypatch, capsys):
     with pytest.raises(relations.RelationError):
         relations.relation_space_dim(6)
     relations.relation_space_dim.cache_clear()
+
+
+def test_dimension_sweep_sequential_by_default(monkeypatch, capsys):
+    # no pool is started unless --threads asks for more than one thread
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    for extra in ((), ("--threads", "0")):
+        code, blob, _ = run_json(
+            capsys, "verify", "--conjecture", "dimension", "--max-degree", "8", *extra
+        )
+        assert code == EXIT_OK and blob["dims"] == [0, 1, 1, 2, 1, 2, 1]
 
 
 def test_threads_only_on_verify():
@@ -410,8 +423,27 @@ def test_exit_code_on_failing_bfile(tmp_path, capsys):
 
 def test_malformed_bfile_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "b.txt"
-    path.write_text("1 2\nfoo bar\n", encoding="utf-8")
-    code, out, err = run(capsys, "mine", "--k-max", "2", "--d-sweep", "8", "--oeis-bfile", str(path))
-    assert code == EXIT_CONFIG
-    assert err.startswith("config error: ") and err.count("\n") == 1
-    assert out == ""
+    # a bad line, and a file without a single "index value" pair
+    for text in ("1 2\nfoo bar\n", "# comments only\n\n"):
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "mine", "--k-max", "2", "--d-sweep", "8", "--oeis-bfile", str(path)
+        )
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert out == ""
+
+
+def test_bfile_matching_nothing_reports_no_offset(tmp_path, capsys):
+    # no shift matches a mined value: no offset, and no mismatches from the
+    # first shift tried
+    path = tmp_path / "b.txt"
+    path.write_text("5 5\n6 6\n", encoding="utf-8")
+    code, blob, _ = run_json(
+        capsys, "mine", "--k-max", "4", "--d-sweep", "10", "--oeis-bfile", str(path),
+    )
+    assert code == EXIT_VERIFY_FAIL and blob["pass"] is False
+    for name in ("lcd", "leading"):
+        assert blob["bfile"][name] == {
+            "offset": None, "matched": 0, "total": 3, "absolute_values": False, "mismatches": [],
+        }

@@ -10,13 +10,14 @@ from rootmean.means import (
     FLAG_ZERO,
     PhiKey,
     _master_symbols,
+    _term_weight,
     phi,
     phi_coefficient,
     phi_table,
     statistical_moments,
 )
 from rootmean.powersums import materialize, mean_parameters
-from rootmean.sympoly import Monomial, QuasiBinomialVector, SymPoly, root_param
+from rootmean.sympoly import Monomial, SymPoly, root_param
 
 
 def poly_str(D, delta, rho):
@@ -164,8 +165,7 @@ def test_exact_agreement_two_root_family():
 
 
 def test_statistical_moments_cubic():
-    R = QuasiBinomialVector.standard(3)
-    E, V, W = statistical_moments(R)
+    E, V, W = statistical_moments(3)
     assert str(E) == "1 r1"
     assert str(V) == "2 r1^2 - 2 r2"
     assert str(W) == "2 r1^3 - 3 r1 r2 + 1 r3"
@@ -177,7 +177,48 @@ def test_statistical_moments_cubic():
 
 def test_statistical_moments_requires_three():
     with pytest.raises(ValueError):
-        statistical_moments(QuasiBinomialVector.standard(2))
+        statistical_moments(2)
+
+
+def test_master_symbols_truncation():
+    # the m-th derivative of a degree-D polynomial keeps r1..r(D-m)
+    for D in range(2, 9):
+        full = _master_symbols(D, D)
+        assert full == tuple(root_param(i) for i in range(1, D + 1))
+        for m in range(1, D):
+            assert _master_symbols(D, D - m) == full[: D - m]
+
+
+def test_master_symbols_extension():
+    # the m-th antiderivative appends c1..cm with weights D+1..D+m
+    for D in range(2, 9):
+        for m in range(1, 4):
+            chain = _master_symbols(D, D + m)
+            assert chain[:D] == _master_symbols(D, D)
+            assert [(s.kind, s.order, s.weight) for s in chain[D:]] == [
+                ("c", i, D + i) for i in range(1, m + 1)
+            ]
+    assert [s.weight for s in _master_symbols(3, 5)] == [1, 2, 3, 4, 5]
+
+
+def test_master_symbols_chain_is_prefix():
+    # a shorter chain is a prefix of a longer one: extending twice equals
+    # extending once by the sum, and truncation undoes extension
+    for D in range(2, 9):
+        longest = _master_symbols(D, D + 4)
+        for length in range(1, D + 5):
+            assert _master_symbols(D, length) == longest[:length]
+
+
+def test_term_weight_is_quasi_binomial():
+    # at delta = 0 the coefficient of x^(D-i) is (-1)^i C(D, i) times the
+    # weight-i parameter: 1, -4 r1, 6 r2, -4 r3, r4 for a quartic
+    assert [_term_weight(4, 0, 4 - i) for i in range(5)] == [1, -4, 6, -4, 1]
+    for D in range(1, 9):
+        for i in range(D + 1):
+            assert _term_weight(D, 0, D - i) == (-1) ** i * binomial(D, i)
+            if i:
+                assert _master_symbols(D, D)[i - 1].weight == i
 
 
 def test_monomial_coefficient_sanity():

@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import rootmean
 from rootmean.sympoly import (
     Monomial,
-    QuasiBinomialVector,
     SymPoly,
+    Symbol,
     UnboundSymbolError,
-    extend_params,
     integration_const,
-    quasi_binomial_coeffs,
     root_param,
-    truncate_params,
 )
 
 R1, R2, R3 = root_param(1), root_param(2), root_param(3)
@@ -27,8 +25,6 @@ def test_symbol_invariants():
     c = integration_const(1, 4)
     assert c.weight == 4 and c.name == "c1"
     with pytest.raises(ValueError):
-        from rootmean.sympoly import Symbol
-
         Symbol("r", 2, 5)
 
 
@@ -75,92 +71,17 @@ def test_mul_adds_weights_randomized():
             assert s.weights() == {wa}
 
 
-def test_substitute():
-    s1 = root_param(1)
-    p = SymPoly.term(1, [(s1, 2)])
-    assert p.substitute({s1: sym(R1)}) == SymPoly.term(1, [(R1, 2)])
-    q = SymPoly.term(2, [(s1, 2)]) - sym(root_param(2))
-    out = q.substitute({s1: sym(R1), root_param(2): sym(R2)})
-    assert out == SymPoly.term(2, [(R1, 2)]) - sym(R2)
-
-
-def test_substitute_unbound_names_symbol():
-    p = sym(R1) * sym(R2)
-    with pytest.raises(UnboundSymbolError) as err:
-        p.substitute({R1: sym(R1)})
-    assert err.value.symbol == R2
-
-
-def test_substitute_weight_preserving_binding():
-    rng = random.Random(11)
-    # bind r1 -> r1, r2 -> r1^2 - r2 (weight 2): grading must be preserved
-    binding = {R1: sym(R1), R2: SymPoly.term(1, [(R1, 2)]) - sym(R2)}
-    for _ in range(20):
-        e1, e2 = rng.randint(0, 3), rng.randint(0, 2)
-        if e1 == e2 == 0:
-            continue
-        p = SymPoly.term(rng.randint(1, 9), {R1: e1, R2: e2}.items())
-        out = p.substitute(binding)
-        assert out.weights() == {e1 + 2 * e2}
-
-
 def test_evaluate_exact():
     p = SymPoly.term(2, [(R1, 2)]) - sym(R2)
     val = p.evaluate({R1: Fraction(3, 2), R2: Fraction(1, 4)})
     assert val == Fraction(2) * Fraction(9, 4) - Fraction(1, 4)
 
 
-def test_truncate_extend():
-    R = QuasiBinomialVector.standard(4)
-    T = truncate_params(R, 1)
-    assert T.degree == 3 and T.entry(3) == sym(R3)
-    single = truncate_params(R, 3)
-    assert single.degree == 1
-    assert truncate_params(truncate_params(R, 1), 2).entries == truncate_params(R, 3).entries
-    with pytest.raises(ValueError):
-        truncate_params(R, 4)
-
-
-def test_extend():
-    R = QuasiBinomialVector.standard(3)
-    E = extend_params(R, 1)
-    assert E.degree == 4
-    (sym_c,) = E.entry(4).symbols()
-    assert sym_c.kind == "c" and sym_c.weight == 4
-    E2 = extend_params(R, 2)
-    weights = [next(iter(e.symbols())).weight for e in E2.entries]
-    assert weights == [1, 2, 3, 4, 5]
-    # extending twice agrees with extending once by the sum
-    assert extend_params(E, 1).entries == E2.entries
-    # truncation undoes extension
-    assert truncate_params(E, 1).entries == R.entries
-
-
-def test_quasi_binomial_coeffs():
-    R = QuasiBinomialVector.standard(4)
-    c3 = quasi_binomial_coeffs(3, R)
-    assert c3 == [
-        SymPoly.constant(1),
-        sym(R1).scale(-3),
-        sym(R2).scale(3),
-        sym(R3).scale(-1),
-    ]
-    assert quasi_binomial_coeffs(1, R) == [SymPoly.constant(1), sym(R1).scale(-1)]
-    c4 = quasi_binomial_coeffs(4, R)
-    assert [str(c) for c in c4] == ["1", "-4 r1", "6 r2", "-4 r3", "1 r4"]
-    with pytest.raises(ValueError):
-        quasi_binomial_coeffs(5, R)
-
-
-def test_quasi_binomial_sign_and_weight():
-    R = QuasiBinomialVector.standard(6)
-    coeffs = quasi_binomial_coeffs(6, R)
-    for i, c in enumerate(coeffs):
-        if i == 0:
-            continue
-        assert c.weights() == {i}
-        (coeff,) = [v for _, v in c.terms()]
-        assert (coeff > 0) == (i % 2 == 0)
+def test_evaluate_unbound_names_symbol():
+    p = sym(R1) * sym(R2)
+    with pytest.raises(UnboundSymbolError) as err:
+        p.evaluate({R1: Fraction(2)})
+    assert err.value.symbol == R2
 
 
 def test_serialization_roundtrip():
@@ -190,3 +111,9 @@ def test_canonical_term_order():
         + SymPoly.term(1, [(R1, 2), (R2, 1)])
     )
     assert str(p) == "1 r1^4 + 1 r1^2 r2 + 1 r1 r3 + 1 r2^2 + 1 r4"
+
+
+def test_public_names_resolve():
+    # a deleted export must leave no stale name behind in __all__
+    for name in rootmean.__all__:
+        assert getattr(rootmean, name, None) is not None, name

@@ -10,7 +10,6 @@ from rootmean.means import (
     FLAG_ZERO,
     PhiKey,
     _master_symbols,
-    _term_weight,
     phi,
     phi_coefficient,
     phi_table,
@@ -208,17 +207,6 @@ def test_master_symbols_chain_is_prefix():
         longest = _master_symbols(D, D + 4)
         for length in range(1, D + 5):
             assert _master_symbols(D, length) == longest[:length]
-
-
-def test_term_weight_is_quasi_binomial():
-    # at delta = 0 the coefficient of x^(D-i) is (-1)^i C(D, i) times the
-    # weight-i parameter: 1, -4 r1, 6 r2, -4 r3, r4 for a quartic
-    assert [_term_weight(4, 0, 4 - i) for i in range(5)] == [1, -4, 6, -4, 1]
-    for D in range(1, 9):
-        for i in range(D + 1):
-            assert _term_weight(D, 0, D - i) == (-1) ** i * binomial(D, i)
-            if i:
-                assert _master_symbols(D, D)[i - 1].weight == i
 
 
 def test_monomial_coefficient_sanity():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 import rootmean
+from rootmean.exact import binomial
+from rootmean.means import _master_symbols, _term_weight
 from rootmean.sympoly import (
     Monomial,
     SymPoly,
@@ -111,6 +113,43 @@ def test_canonical_term_order():
         + SymPoly.term(1, [(R1, 2), (R2, 1)])
     )
     assert str(p) == "1 r1^4 + 1 r1^2 r2 + 1 r1 r3 + 1 r2^2 + 1 r4"
+
+
+def quasi_binomial_coeffs(D):
+    """Coefficients of x^D, ..., x^0 of the monic degree-D polynomial: (-1)^i C(D, i) r_i."""
+    syms = _master_symbols(D, D)
+    coeffs = [SymPoly.constant(_term_weight(D, 0, D))]
+    for i in range(1, D + 1):
+        coeffs.append(sym(syms[i - 1]).scale(_term_weight(D, 0, D - i)))
+    return coeffs
+
+
+def test_quasi_binomial_coeffs():
+    c3 = quasi_binomial_coeffs(3)
+    assert c3 == [
+        SymPoly.constant(1),
+        sym(R1).scale(-3),
+        sym(R2).scale(3),
+        sym(R3).scale(-1),
+    ]
+    assert quasi_binomial_coeffs(1) == [SymPoly.constant(1), sym(R1).scale(-1)]
+    c4 = quasi_binomial_coeffs(4)
+    assert [str(c) for c in c4] == ["1", "-4 r1", "6 r2", "-4 r3", "1 r4"]
+    for D in range(1, 9):
+        for i in range(D + 1):
+            assert _term_weight(D, 0, D - i) == (-1) ** i * binomial(D, i)
+    # past degree D the chain holds integration constants, not root parameters
+    assert [s.kind for s in _master_symbols(4, 5)] == ["r", "r", "r", "r", "c"]
+
+
+def test_quasi_binomial_sign_and_weight():
+    coeffs = quasi_binomial_coeffs(6)
+    for i, c in enumerate(coeffs):
+        if i == 0:
+            continue
+        assert c.weights() == {i}
+        (coeff,) = [v for _, v in c.terms()]
+        assert (coeff > 0) == (i % 2 == 0)
 
 
 def test_public_names_resolve():

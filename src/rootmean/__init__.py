@@ -19,19 +19,17 @@ from .relations import (
     nullspace,
     relation_space_dim,
 )
-from .sympoly import Monomial, SymPoly, Symbol, root_param
+from .sympoly import SymPoly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExactRational",
-    "Monomial",
     "PartitionVector",
     "PhiKey",
     "PhiResult",
     "RelationVector",
     "SymPoly",
-    "Symbol",
     "binomial",
     "check_inheritance",
     "check_odd_binomial",
@@ -45,6 +43,5 @@ __all__ = [
     "phi_table",
     "power_sum_mean",
     "relation_space_dim",
-    "root_param",
     "statistical_moments",
 ]

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import golden, mining, numeric, relations
 from .means import PhiKey, phi, phi_table
 from .powersums import power_sum_table
+from .sympoly import part_name
 
 HARD_DEGREE_CAP = 30
 
@@ -79,27 +80,13 @@ def check_degree(D: int, args, delta: int | None = None) -> None:
         )
 
 
-def pretty_monomial(m) -> str:
-    if not m.powers:
-        return "1"
-    bits = []
-    for s, e in m.powers:
-        base = f"r^[{s.order}]" if s.kind == "r" else f"c^[{s.order}]"
-        bits.append(base if e == 1 else f"{base}^{e}")
-    return " ".join(bits)
+def pretty_poly(p, D: int | None = None) -> str:
+    """The polynomial with each part p spelled r^[p], or c^[p-D] above D."""
+    def name(part):
+        sym = part_name(part, D)
+        return f"{sym[0]}^[{sym[1:]}]"
 
-
-def pretty_poly(p) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for m, c in p.terms():
-        sign = "+" if c > 0 else "-"
-        mag = c if c > 0 else -c
-        body = f"{mag}" if not m.powers else f"{mag} {pretty_monomial(m)}"
-        bits.append(f"{sign} {body}")
-    out = " ".join(bits)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+    return p.render(name)
 
 
 def emit(args, payload: dict, pretty_lines, csv_rows=None, csv_header=None) -> None:
@@ -173,7 +160,7 @@ def cmd_phi(args) -> int:
             {
                 "rho": res.key.rho,
                 "n": res.family_size,
-                "terms": res.poly.to_json()["terms"],
+                "terms": res.poly.to_json(D)["terms"],
                 "sum_positive": str(res.sum_positive),
                 "flag": res.flag,
             }
@@ -183,11 +170,11 @@ def cmd_phi(args) -> int:
     pretty = [f"mean values, degree {D}, value order {args.delta}"]
     for res in results:
         pretty.append(
-            f"  n={res.family_size:2d} rho={res.key.rho:3d}: {pretty_poly(res.poly)}   [sum+ {res.sum_positive}]"
+            f"  n={res.family_size:2d} rho={res.key.rho:3d}: {pretty_poly(res.poly, D)}   [sum+ {res.sum_positive}]"
         )
     csv_rows = [
         (D, args.delta, res.key.rho, res.family_size,
-         json.dumps(res.poly.to_json()["terms"]), str(res.sum_positive))
+         json.dumps(res.poly.to_json(D)["terms"]), str(res.sum_positive))
         for res in results
     ]
     emit(args, payload, pretty, csv_rows, ("D", "delta", "rho", "n", "terms", "sum_positive"))
@@ -300,14 +287,15 @@ def _verify_inheritance(args, payload, pretty):
 
 
 def _verify_prop4(args, payload, pretty):
-    # averaged values over antiderivative families carry no integration constants
+    # averaged values over antiderivative families carry no integration
+    # constants: no part above D
     ok = True
     checked = 0
     for D in range(2, args.max_degree + 1):
         for delta in range(0, D):
             for m in range(1, 4):
                 poly = phi(PhiKey(D, delta, -m)).poly
-                clean = all(s.kind == "r" for s in poly.symbols())
+                clean = all(part <= D for part in poly.symbols())
                 checked += 1
                 if not clean:
                     ok = False

@@ -111,7 +111,7 @@ def check_phi_tables(report: DiscrepancyReport | None = None) -> DiscrepancyRepo
             res = phi(PhiKey(D, table["delta"], row["rho"]))
             row_id = {"rho": row["rho"]}
             _compare_terms(
-                report, typos, f"phi.{D}", row_id, row["terms"], res.poly.to_json()["terms"]
+                report, typos, f"phi.{D}", row_id, row["terms"], res.poly.to_json(D)["terms"]
             )
             if str(res.sum_positive) != row["sum_positive"]:
                 report.discrepancies.append(

@@ -4,17 +4,19 @@ phi((D, delta, rho)) is the average of the delta-th derived function of a
 monic degree-D polynomial over the D - rho roots of its rho-th derived
 function.  Positive orders are derivatives, zero is the function itself, and
 negative orders are antiderivatives; antiderivatives extend the shared
-parameter family with integration-constant symbols of weights D+1, D+2, ...
+parameter family with integration constants of weights D+1, D+2, ...
 
 The computation follows the direct route: write the averaged function in
 quasi-binomial form, replace each power x^j by the mean power sum of the
 averaging family, and use the fact that a derived function's parameters are
 the parameters of the original, truncated for a derivative and extended by
 integration constants for an antiderivative, so everything lands in one
-exact polynomial over the original parameters.  ``_master_symbols`` is that
-one chain: the parameters of every derived function of a degree-D
-polynomial are a prefix of it.  ``phi_coefficient`` reads a single
-coefficient from the same terms without expanding phi.
+exact polynomial over the original parameters.  The family holds one
+parameter per weight, so a monomial is a partition whose part p is the
+weight-p parameter (``sympoly.part_name`` names it r_p or c_(p-D)), and the
+parameters of every derived function are the parts up to its degree.
+``phi_coefficient`` reads a single coefficient from the same terms without
+expanding phi.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 from .exact import ZERO, PartitionVector, binomial
 from .powersums import gw_coefficient, materialize, power_sum_mean
-from .sympoly import SymPoly, integration_const, poly_sum, root_param
+from .sympoly import SymPoly, poly_sum
 
 FLAG_OK = "ok"
 FLAG_CONSTANT = "constant"  # delta == D: the derived function is the constant D!
@@ -64,20 +66,6 @@ class PhiResult:
         return self.poly.sum_positive()
 
 
-@lru_cache(maxsize=None)
-def _master_symbols(D: int, length: int) -> tuple:
-    """Order-1..length parameter symbols of the shared derived-function chain.
-
-    Slots past D hold the integration constants (index m, weight D+m) that the
-    antiderivatives introduce; every derived function in one chain sees the
-    same symbols, so constants are shared between value function and family.
-    """
-    syms = [root_param(i) for i in range(1, min(D, length) + 1)]
-    for m in range(1, length - D + 1):
-        syms.append(integration_const(m, D + m))
-    return tuple(syms)
-
-
 def _term_weight(D: int, delta: int, j: int) -> Fraction:
     """w_j = D!/(D-delta)! * C(deg_g, j) * (-1)^(deg_g - j), with deg_g = D - delta.
 
@@ -102,11 +90,8 @@ def phi(key: PhiKey) -> PhiResult:
         return PhiResult(key, SymPoly.zero(), n, FLAG_ZERO)
 
     deg_g = D - delta  # degree of the averaged function
-    length = max(deg_g, n)
-    syms = _master_symbols(D, length)
     poly = poly_sum(
-        materialize(j, n, syms, _term_weight(D, delta, j), deg_g - j)
-        for j in range(deg_g + 1)
+        materialize(j, n, _term_weight(D, delta, j), deg_g - j) for j in range(deg_g + 1)
     )
     return PhiResult(key, poly, n, FLAG_OK)
 
@@ -114,11 +99,11 @@ def phi(key: PhiKey) -> PhiResult:
 def phi_coefficient(key: PhiKey, m: PartitionVector) -> Fraction:
     """Coefficient in phi(key).poly of the monomial m, without expanding phi.
 
-    m is written as a partition: part p stands for the symbol of weight p,
-    the root parameter r_p when p <= D and the integration constant c_(p-D)
-    beyond it, the slots ``_master_symbols`` assigns.  So r1^2 r3 is
-    Partition[3+1+1], at D = 4 the monomial c1 r2 is Partition[5+2], and the
-    empty partition is the constant monomial.
+    m is the same PartitionVector that keys the polynomial's terms: part p
+    is the parameter of weight p, the root parameter r_p when p <= D and the
+    integration constant c_(p-D) beyond it.  So r1^2 r3 is Partition[3+1+1],
+    at D = 4 the monomial c1 r2 is Partition[5+2], and the empty partition is
+    the constant monomial.
 
     mean(z^j) holds each partition of j once, so m gets at most one term per
     distinct part plus one: the j = deg_g term, where all of m comes from the

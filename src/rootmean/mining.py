@@ -527,18 +527,23 @@ def mine_Q_and_norlund(k_max: int = 8, d_sweep: int = 24, sweep: StructureSweep 
 def read_bfile(path) -> dict:
     """Parse the OEIS b-file format: one "index value" pair per line, # comments.
 
-    A file without a single pair is malformed (ValueError).
+    A line that is not exactly two integers or that repeats an index is
+    malformed (ValueError naming the line number), and so is a file without
+    a single pair.
     """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) < 2:
-                continue
-            out[int(parts[0])] = int(parts[1])
+            try:
+                index, value = map(int, line.split())  # too few or many fields: ValueError
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected 'index value', got {line!r}") from None
+            if index in out:
+                raise ValueError(f"line {lineno}: index {index} repeated")
+            out[index] = value
     if not out:
         raise ValueError("no 'index value' line")
     return out

@@ -9,7 +9,9 @@ expansion used throughout this package:
                 times the product of order-i parameters raised to kappa's
                 multiplicities.
 
-Parts larger than n carry C(n,i) = 0 and are pruned.
+Parts larger than n carry C(n,i) = 0 and are pruned.  The partition kappa
+is also the monomial's key in the resulting ``SymPoly``: part i stands for the
+order-i parameter.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import PartitionVector, binomial, multinomial, partitions
-from .sympoly import Monomial, SymPoly, root_param
+from .sympoly import SymPoly
 
 
 def gw_factor(kappa: PartitionVector) -> Fraction:
@@ -57,25 +59,23 @@ def _expansion(j: int, n: int) -> tuple:
     return tuple((kappa, gw_coefficient(kappa, n)) for kappa in partitions(j) if kappa.max_part <= n)
 
 
-def materialize(j: int, n: int, symbols, coeff=1, times: int = 0) -> SymPoly:
-    """coeff * symbols[times-1] * mean(z^j) for an n-family whose order-i parameter is symbols[i-1].
+def materialize(j: int, n: int, coeff=1, times: int = 0) -> SymPoly:
+    """coeff * (weight-``times`` parameter) * mean(z^j) for an n-family.
 
-    ``times = 0`` leaves out the parameter factor.  Each monomial is built
-    once, from the partition's parts plus the part ``times``, so a mean value
-    assembles its terms without a second multiplication pass.
+    ``times = 0`` leaves out the parameter factor.  Each term's key is the
+    partition itself plus the part ``times``, so a mean value assembles its
+    terms without a multiplication pass.
     """
     coeff = Fraction(coeff)
     if j == 0:
-        return SymPoly.term(coeff, [(symbols[times - 1], 1)] if times else [])
+        return SymPoly.term(coeff, {times: 1} if times else {})
     acc = {}
     for kappa, c in _expansion(j, n):
-        parts = dict(kappa.items)
         if times:
+            parts = dict(kappa.items)
             parts[times] = parts.get(times, 0) + 1
-        # ascending part order matches the symbol sort order (roots by order,
-        # then constants)
-        powers = tuple((symbols[part - 1], mult) for part, mult in sorted(parts.items()))
-        acc[Monomial(powers)] = coeff * c
+            kappa = PartitionVector.from_parts(parts)
+        acc[kappa] = coeff * c
     return SymPoly(acc)
 
 
@@ -86,7 +86,7 @@ def power_sum_mean(j: int, n: int) -> SymPoly:
     """
     if j < 1 or n < 1:
         raise ValueError("power_sum_mean requires j >= 1 and n >= 1")
-    return materialize(j, n, [root_param(i) for i in range(1, n + 1)])
+    return materialize(j, n)
 
 
 def power_sum_table(n: int, max_deg: int) -> list:
@@ -135,8 +135,8 @@ def newton_residual(n: int, values) -> Fraction:
 
 
 def mean_parameters(values) -> dict:
-    """Concrete order-i parameter values of a multiset: e_i / C(n, i)."""
+    """Concrete order-i parameter values of a multiset, {i: e_i / C(n, i)}."""
     vals = [Fraction(v) for v in values]
     n = len(vals)
     e = elementary_symmetric(vals)
-    return {root_param(i): e[i] / binomial(n, i) for i in range(1, n + 1)}
+    return {i: e[i] / binomial(n, i) for i in range(1, n + 1)}

@@ -1,158 +1,70 @@
-"""Sparse exact polynomial algebra over the root-mean parameters.
+"""Sparse exact polynomial algebra over the graded parameter family.
 
 A degree-D monic polynomial is written with coefficient of x^j equal to
 (-1)^(D-j) C(D,j) times the order-(D-j) parameter, where the order-i
 parameter is the mean of all C(D,i) products of i roots.  Parameters are
-graded: the order-i root parameter has weight i; integration constants
-(introduced when antiderivatives extend the parameter family) are assigned
-their own weights at creation.  Which symbols a derived function's
-parameters are, truncated for derivatives and extended for antiderivatives,
-is decided in one place, ``means._master_symbols``; this module supplies
-only the symbols, the monomials and the ring.
+graded, and every derived function of a degree-D polynomial draws on one
+family with exactly one parameter per weight: weight p is the root
+parameter r_p for p <= D and the integration constant c_(p-D) above D
+(a derivative truncates the family, an antiderivative extends it).  So a
+monomial of weight w is a partition of w, and a polynomial keys its terms by
+``exact.PartitionVector``, the type the Girard-Waring expansion and single
+coefficient queries use as well.  ``part_name`` and ``name_part`` turn a
+part into its name and back; they need D only to tell the constants apart.
 
-Everything here is immutable and safe to share across threads.  Symbols and
-monomials cache their hashes; degree-20+ sweeps hammer these paths.
+Everything here is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .exact import ZERO
+from .exact import ZERO, PartitionVector
 
 
 class UnboundSymbolError(KeyError):
-    """Raised by evaluate() when a symbol has no value."""
+    """Raised by evaluate() when a part (a parameter) has no value."""
 
     def __init__(self, symbol):
         self.symbol = symbol
-        super().__init__(f"no binding for symbol {symbol}")
+        super().__init__(f"no value for the weight-{symbol} parameter")
 
 
-class Symbol:
-    """A graded indeterminate: a root-mean parameter or an integration constant.
-
-    kind "r": order i is the bar count, weight == i.
-    kind "c": order m is the constant's index, weight assigned at creation.
-    """
-
-    __slots__ = ("kind", "order", "weight", "_key", "_hash")
-
-    def __init__(self, kind: str, order: int, weight: int):
-        if kind not in ("r", "c"):
-            raise ValueError(f"unknown symbol kind {kind!r}")
-        if order < 1:
-            raise ValueError("symbol order must be >= 1")
-        if kind == "r" and weight != order:
-            raise ValueError("root parameter weight must equal its order")
-        self.kind = kind
-        self.order = order
-        self.weight = weight
-        self._key = (0 if kind == "r" else 1, order, weight)
-        self._hash = hash(self._key)
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind}{self.order}"
-
-    def sort_key(self):
-        return self._key
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Symbol) and self._key == other._key)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return self.name
+def part_name(p: int, D: int | None = None) -> str:
+    """r<p> for p <= D, c<p-D> above D; with D None every part is a root parameter."""
+    return f"r{p}" if D is None or p <= D else f"c{p - D}"
 
 
-@lru_cache(maxsize=None)
-def root_param(i: int) -> Symbol:
-    return Symbol("r", i, i)
+def name_part(name: str, D: int | None = None) -> int:
+    """The part ``part_name`` names ``name``; a constant needs D."""
+    kind, order = name[:1], name[1:]
+    if order.isdigit() and int(order) >= 1:
+        if kind == "r" and (D is None or int(order) <= D):
+            return int(order)
+        if kind == "c" and D is not None:
+            return D + int(order)
+    raise ValueError(f"bad symbol name {name!r} at D={D}")
 
 
-@lru_cache(maxsize=None)
-def integration_const(m: int, weight: int) -> Symbol:
-    return Symbol("c", m, weight)
+def _sort_key(m: PartitionVector):
+    # graded, then lexicographic over ascending parts with larger exponents
+    # first: within one weight this is the table order r1^D, r1^(D-2) r2, ...
+    return (m.j, tuple((p, -k) for p, k in reversed(m.items)))
 
 
-def parse_symbol(name: str, const_weights: dict | None = None) -> Symbol:
-    """Inverse of Symbol.name.  Constants need their weights supplied."""
-    kind, order = name[0], int(name[1:])
-    if kind == "r":
-        return root_param(order)
-    if kind == "c":
-        if const_weights is None or order not in const_weights:
-            raise ValueError(f"cannot parse {name!r} without a weight for c{order}")
-        return integration_const(order, const_weights[order])
-    raise ValueError(f"bad symbol name {name!r}")
-
-
-class Monomial:
-    """Product of symbol powers; ``powers`` is sorted by symbol, no zero exponents."""
-
-    __slots__ = ("powers", "weight", "_hash")
-
-    def __init__(self, powers: tuple):
-        # trusted constructor: powers must be sorted with positive exponents
-        self.powers = powers
-        self.weight = sum(s.weight * e for s, e in powers)
-        self._hash = hash(powers)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Monomial":
-        items = tuple(sorted(((s, e) for s, e in pairs if e), key=lambda p: p[0]._key))
-        if any(e < 0 for _, e in items):
-            raise ValueError("negative exponent")
-        return cls(items)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        if not self.powers:
-            return other
-        if not other.powers:
-            return self
-        acc = {s: e for s, e in self.powers}
-        for s, e in other.powers:
-            acc[s] = acc.get(s, 0) + e
-        return Monomial.from_pairs(acc.items())
-
-    def sort_key(self):
-        # graded, then lexicographic with larger exponents first: within one
-        # weight this reproduces the usual table ordering r1^D, r1^(D-2) r2, ...
-        return (self.weight, tuple((s._key, -e) for s, e in self.powers))
-
-    def symbols(self):
-        return [s for s, _ in self.powers]
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.powers == other.powers
-
-    def __hash__(self):
-        return self._hash
-
-    def __str__(self):
-        if not self.powers:
-            return "1"
-        bits = []
-        for s, e in self.powers:
-            bits.append(s.name if e == 1 else f"{s.name}^{e}")
-        return " ".join(bits)
-
-    def __repr__(self):
-        return f"Monomial({self})"
-
-
-MONOMIAL_ONE = Monomial(())
+def _mul(a: PartitionVector, b: PartitionVector) -> PartitionVector:
+    if not a.items:
+        return b
+    if not b.items:
+        return a
+    acc = dict(a.items)
+    for p, k in b.items:
+        acc[p] = acc.get(p, 0) + k
+    return PartitionVector.from_parts(acc)
 
 
 class SymPoly:
-    """Immutable sparse polynomial: Monomial -> nonzero Fraction."""
+    """Immutable sparse polynomial: PartitionVector -> nonzero Fraction."""
 
     __slots__ = ("_terms",)
 
@@ -174,18 +86,20 @@ class SymPoly:
     @classmethod
     def constant(cls, c) -> "SymPoly":
         c = Fraction(c)
-        return cls._raw({MONOMIAL_ONE: c} if c else {})
+        return cls._raw({PartitionVector(()): c} if c else {})
 
     @classmethod
-    def symbol(cls, s: Symbol) -> "SymPoly":
-        return cls._raw({Monomial(((s, 1),)): Fraction(1)})
+    def symbol(cls, p: int) -> "SymPoly":
+        """The weight-p parameter."""
+        return cls._raw({PartitionVector(((p, 1),)): Fraction(1)})
 
     @classmethod
-    def term(cls, coeff, pairs) -> "SymPoly":
+    def term(cls, coeff, parts) -> "SymPoly":
+        """coeff times the monomial {part: exponent} (a dict or its pairs)."""
         coeff = Fraction(coeff)
         if not coeff:
             return cls.zero()
-        return cls._raw({Monomial.from_pairs(pairs): coeff})
+        return cls._raw({PartitionVector.from_parts(dict(parts)): coeff})
 
     # ---- inspection ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -199,9 +113,9 @@ class SymPoly:
 
     def terms(self):
         """Terms in canonical order (graded, then lexicographic)."""
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
+        return sorted(self._terms.items(), key=lambda t: _sort_key(t[0]))
 
-    def coefficient(self, monomial: Monomial) -> Fraction:
+    def coefficient(self, monomial: PartitionVector) -> Fraction:
         return self._terms.get(monomial, ZERO)
 
     def monomials(self):
@@ -209,13 +123,11 @@ class SymPoly:
         return self._terms.keys()
 
     def symbols(self) -> set:
-        out = set()
-        for m in self._terms:
-            out.update(m.symbols())
-        return out
+        """The parts (parameter weights) that occur."""
+        return {p for m in self._terms for p, _ in m.items}
 
     def weights(self) -> set:
-        return {m.weight for m in self._terms}
+        return {m.j for m in self._terms}
 
     def sum_positive(self) -> Fraction:
         return sum((c for c in self._terms.values() if c > 0), ZERO)
@@ -250,7 +162,7 @@ class SymPoly:
         acc: dict = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = m1.mul(m2)
+                m = _mul(m1, m2)
                 v = acc.get(m, ZERO) + c1 * c2
                 if v:
                     acc[m] = v
@@ -266,50 +178,56 @@ class SymPoly:
 
     # ---- evaluation ------------------------------------------------------
     def evaluate(self, values: dict):
-        """Evaluate at concrete values (Fractions stay exact, floats/complex work too)."""
+        """Evaluate at {part: value} (Fractions stay exact, floats/complex work too)."""
         total = None
         for m, c in self._terms.items():
             piece = c
-            for s, e in m.powers:
-                if s not in values:
-                    raise UnboundSymbolError(s)
-                piece = piece * values[s] ** e
+            for p, e in reversed(m.items):  # ascending parts, as the terms print
+                if p not in values:
+                    raise UnboundSymbolError(p)
+                piece = piece * values[p] ** e
             total = piece if total is None else total + piece
         return ZERO if total is None else total
 
     # ---- serialization ------------------------------------------------------
-    def to_json(self) -> dict:
-        """{"terms": [{"expt": {"r1": 4}, "coeff": "-9"}, ...]} in canonical order."""
+    def to_json(self, D: int | None = None) -> dict:
+        """{"terms": [{"expt": {"r1": 4}, "coeff": "-9"}, ...]} in canonical order.
+
+        Parts above D are named as integration constants (``part_name``).
+        """
         terms = []
         for m, c in self.terms():
-            expt = {s.name: e for s, e in m.powers}
+            expt = {part_name(p, D): e for p, e in reversed(m.items)}
             coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
             terms.append({"expt": expt, "coeff": coeff})
         return {"terms": terms}
 
     @classmethod
-    def from_json(cls, data: dict, const_weights: dict | None = None) -> "SymPoly":
+    def from_json(cls, data: dict, D: int | None = None) -> "SymPoly":
+        """Inverse of ``to_json(D)``; constants ``c<m>`` need the same D."""
         acc: dict = {}
         for t in data["terms"]:
-            pairs = [(parse_symbol(name, const_weights), e) for name, e in t["expt"].items()]
-            m = Monomial.from_pairs(pairs)
-            c = Fraction(t["coeff"])
-            v = acc.get(m, ZERO) + c
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
+            m = PartitionVector.from_parts({name_part(name, D): e for name, e in t["expt"].items()})
+            _accumulate(acc, {m: Fraction(t["coeff"])}, None)
         return cls._raw(acc)
 
-    def __str__(self):
+    def render(self, name=part_name) -> str:
+        """'c1 m1 + c2 m2 ...' in canonical order; ``name(p)`` spells the part p."""
         if not self._terms:
             return "0"
         bits = []
         for m, c in self.terms():
             lead = f"+ {c}" if c > 0 else f"- {-c}"
-            bits.append(f"{lead} {m}" if m.powers else lead)
+            if m.items:
+                lead += " " + " ".join(
+                    name(p) if e == 1 else f"{name(p)}^{e}" for p, e in reversed(m.items)
+                )
+            bits.append(lead)
         out = " ".join(bits)
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+    def __str__(self):
+        return self.render()
 
     def __repr__(self):
         return f"SymPoly({self})"

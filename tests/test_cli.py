@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 from fractions import Fraction
 
@@ -423,14 +424,23 @@ def test_exit_code_on_failing_bfile(tmp_path, capsys):
 
 def test_malformed_bfile_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "b.txt"
-    # a bad line, and a file without a single "index value" pair
-    for text in ("1 2\nfoo bar\n", "# comments only\n\n"):
+    # each bad line is named by its number; a file without a single
+    # "index value" pair has no line to name
+    for text, reason in (
+        ("1 2\nfoo bar\n", "line 2"),
+        ("1 1\n2\n3 24\n", "line 2"),  # truncated line
+        ("# header\n1 1\n2 2 2\n", "line 3"),  # extra field
+        ("1 1\n2 2\n1 3\n", "line 3"),  # repeated index
+        ("# comments only\n\n", "no 'index value' line"),
+    ):
         path.write_text(text, encoding="utf-8")
         code, out, err = run(
-            capsys, "mine", "--k-max", "2", "--d-sweep", "8", "--oeis-bfile", str(path)
+            capsys, "mine", "--k-max", "4", "--d-sweep", "10",
+            "--oeis-bfile", str(path), "--oeis-bfile-for", "lcd",
         )
-        assert code == EXIT_CONFIG
+        assert code == EXIT_CONFIG, text
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert reason in err, err
         assert out == ""
 
 
@@ -447,3 +457,35 @@ def test_bfile_matching_nothing_reports_no_offset(tmp_path, capsys):
         assert blob["bfile"][name] == {
             "offset": None, "matched": 0, "total": 3, "absolute_values": False, "mismatches": [],
         }
+
+
+# sha256 of the output of calls whose polynomials carry integration
+# constants: pins how a part above D is named (c<m>) and where c-bearing terms
+# fall in the canonical order, in every format
+CONSTANT_OUTPUT_DIGESTS = [
+    (("phi", "--D", "4", "--delta", "-3", "--rho=-5..3"), "json",
+     "fdc76d7833dc6f27ce307d16c668506d0e152e08eb82e394bc37fe1cff81bf39"),
+    (("phi", "--D", "4", "--delta", "-3", "--rho=-5..3"), "pretty",
+     "4777f823b0e29f64305b92e637908ab694ba42c22bcc1d3c85510235d222b7e9"),
+    (("phi", "--D", "4", "--delta", "-3", "--rho=-5..3"), "csv",
+     "69825806f41feb8406dd17f228b25f92befa129ff7425813787513805b9b9097"),
+    (("phi", "--D", "6", "--delta", "-2"), "json",
+     "32de20c94fc942fdb3ee2b3affe7099f54038951b6e15b5adc32e56c58f67fdc"),
+    (("phi", "--D", "6", "--delta", "-2"), "pretty",
+     "9b66f31131770aecbfb5340c05aa406eb5125141598ba026bb23e56d6e918f67"),
+    (("phi", "--D", "6", "--delta", "-2"), "csv",
+     "0132ee6bbd51b1ac8bd93bdae0b2377493c8fd965bdb84e0cc6130489ec47f08"),
+    (("relations", "--D", "5", "--delta", "-1", "--rho=-3..4"), "json",
+     "4a505b4a97bd373e396f01e62293135089fa41c2b16bf90b762e99158c74b7ef"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    CONSTANT_OUTPUT_DIGESTS,
+    ids=[" ".join(argv) + f" {fmt}" for argv, fmt, _ in CONSTANT_OUTPUT_DIGESTS],
+)
+def test_output_with_constants_is_pinned(capsys, argv, fmt, digest):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

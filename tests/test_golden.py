@@ -1,6 +1,9 @@
 """The fixture files record the tables as published; the engine must match
 them exactly except where the versioned typo ledger says otherwise."""
 
+import importlib.util
+import os
+
 from rootmean import golden
 from rootmean.relations import RelationVector, check_inheritance
 from rootmean.sympoly import SymPoly
@@ -71,3 +74,16 @@ def test_typo_ledger_entries_have_evidence():
     for t in typos:
         assert t["evidence"]
         assert t["table"]
+
+
+def test_fixture_generator_reproduces_fixtures():
+    # load the generator as a module: its main() would overwrite the fixtures
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    files = tool.fixture_files()
+    assert len(files) == 5
+    for name, data in files.items():
+        with open(os.path.join(tool.OUT, name), encoding="utf-8") as fh:
+            assert tool.dump(data) == fh.read(), name

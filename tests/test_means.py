@@ -9,14 +9,13 @@ from rootmean.means import (
     FLAG_CONSTANT,
     FLAG_ZERO,
     PhiKey,
-    _master_symbols,
     phi,
     phi_coefficient,
     phi_table,
     statistical_moments,
 )
 from rootmean.powersums import materialize, mean_parameters
-from rootmean.sympoly import Monomial, SymPoly, root_param
+from rootmean.sympoly import SymPoly, name_part, part_name
 
 
 def poly_str(D, delta, rho):
@@ -78,12 +77,12 @@ def test_constants_absent_for_nonnegative_delta():
         for delta in range(0, D):
             for m in (1, 2, 3):
                 poly = phi(PhiKey(D, delta, -m)).poly
-                assert all(s.kind == "r" for s in poly.symbols())
+                assert all(part <= D for part in poly.symbols())
 
 
 def test_constants_present_for_negative_delta():
     poly = phi(PhiKey(3, -2, 0)).poly
-    kinds = {s.kind for s in poly.symbols()}
+    kinds = {part_name(p, 3)[0] for p in poly.symbols()}
     assert "c" in kinds
 
 
@@ -103,8 +102,8 @@ def test_mean_slope_ignores_constant_term():
     # the mean slope over the function's own roots
     for D in range(2, 10):
         poly = phi(PhiKey(D, 1, 0)).poly
-        top = root_param(D)
-        assert all(top not in m.symbols() for m, _ in poly.terms())
+        top = D
+        assert all(top not in dict(m.items) for m, _ in poly.terms())
 
 
 def test_phi_table_sums():
@@ -126,7 +125,7 @@ def test_exact_agreement_single_root_family():
         for _ in range(5):
             roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(D)]
             params = mean_parameters(roots)
-            r1 = params[root_param(1)]
+            r1 = params[1]
             f_at_r1 = math.prod([r1 - r for r in roots], start=Fraction(1))
             assert res.poly.evaluate(params) == f_at_r1
 
@@ -140,7 +139,7 @@ def test_exact_agreement_two_root_family():
         for _ in range(5):
             roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(D)]
             params = mean_parameters(roots)
-            r1, r2 = params[root_param(1)], params[root_param(2)]
+            r1, r2 = params[1], params[2]
             # monic coefficients of f, ascending
             coeffs = [Fraction(1)]
             for r in roots:
@@ -179,52 +178,63 @@ def test_statistical_moments_requires_three():
         statistical_moments(2)
 
 
-def test_master_symbols_truncation():
+def chain_names(D, length):
+    """Names of the first ``length`` parameters a degree-D polynomial's derived functions share."""
+    return [part_name(p, D) for p in range(1, length + 1)]
+
+
+def test_parameter_chain_truncation():
     # the m-th derivative of a degree-D polynomial keeps r1..r(D-m)
     for D in range(2, 9):
-        full = _master_symbols(D, D)
-        assert full == tuple(root_param(i) for i in range(1, D + 1))
+        full = chain_names(D, D)
+        assert full == [f"r{i}" for i in range(1, D + 1)]
         for m in range(1, D):
-            assert _master_symbols(D, D - m) == full[: D - m]
+            assert chain_names(D, D - m) == full[: D - m]
+            for rho in (-1, 0, 1):
+                parts = phi(PhiKey(D, m, rho)).poly.symbols()
+                assert {part_name(p, D) for p in parts} <= set(full[: D - m])
 
 
-def test_master_symbols_extension():
+def test_parameter_chain_extension():
     # the m-th antiderivative appends c1..cm with weights D+1..D+m
     for D in range(2, 9):
         for m in range(1, 4):
-            chain = _master_symbols(D, D + m)
-            assert chain[:D] == _master_symbols(D, D)
-            assert [(s.kind, s.order, s.weight) for s in chain[D:]] == [
-                ("c", i, D + i) for i in range(1, m + 1)
-            ]
-    assert [s.weight for s in _master_symbols(3, 5)] == [1, 2, 3, 4, 5]
+            chain = chain_names(D, D + m)
+            assert chain[:D] == chain_names(D, D)
+            assert chain[D:] == [f"c{i}" for i in range(1, m + 1)]
+            assert [name_part(name, D) for name in chain[D:]] == list(range(D + 1, D + m + 1))
+            # the top constant is the antiderivative's constant term, which
+            # every mean of it carries
+            parts = phi(PhiKey(D, -m, 0)).poly.symbols()
+            assert max(parts) == D + m
+            assert {part_name(p, D) for p in parts} <= set(chain)
+    assert [name_part(name, 3) for name in chain_names(3, 5)] == [1, 2, 3, 4, 5]
 
 
-def test_master_symbols_chain_is_prefix():
+def test_parameter_chain_is_prefix():
     # a shorter chain is a prefix of a longer one: extending twice equals
     # extending once by the sum, and truncation undoes extension
     for D in range(2, 9):
-        longest = _master_symbols(D, D + 4)
+        longest = chain_names(D, D + 4)
         for length in range(1, D + 5):
-            assert _master_symbols(D, length) == longest[:length]
+            assert chain_names(D, length) == longest[:length]
 
 
 def test_monomial_coefficient_sanity():
     poly = phi(PhiKey(5, 0, -1)).poly
-    assert poly.coefficient(Monomial.from_pairs([(root_param(1), 5)])) == 216
+    assert poly.coefficient(PartitionVector.from_parts({1: 5})) == 216
 
 
 def phi_by_ring(key):
     """phi as a sum of ring products: scale * sum_j C(g,j)(-1)^(g-j) r_(g-j) mean(z^j)."""
     D, delta = key.D, key.delta
     n, deg_g = key.family_size, D - delta
-    syms = _master_symbols(D, max(deg_g, n))
     total = SymPoly.zero()
     for j in range(deg_g + 1):
         i = deg_g - j
-        piece = materialize(j, n, syms).scale(binomial(deg_g, j) * (-1) ** i)
+        piece = materialize(j, n).scale(binomial(deg_g, j) * (-1) ** i)
         if i:
-            piece = SymPoly.symbol(syms[i - 1]) * piece
+            piece = SymPoly.symbol(i) * piece
         total = total + piece
     return total.scale(Fraction(math.factorial(D), math.factorial(D - delta)))
 
@@ -237,19 +247,15 @@ def test_phi_matches_ring_assembly():
                 assert phi(key).poly == phi_by_ring(key), key
 
 
-def as_partition(mono):
-    """The monomial as phi_coefficient writes it: each symbol is the part of its weight."""
-    return PartitionVector.from_parts({s.weight: e for s, e in mono.powers})
-
-
 def test_phi_coefficient_matches_expansion():
     count = 0
     for D in range(2, 11):
         for delta in range(-2, D + 2):
             for rho in range(-3, D):
                 key = PhiKey(D, delta, rho)
-                for mono, c in phi(key).poly.terms():
-                    assert phi_coefficient(key, as_partition(mono)) == c, (key, mono)
+                poly = phi(key).poly
+                for mono, c in poly.terms():
+                    assert phi_coefficient(key, mono) == poly.coefficient(mono) == c, (key, mono)
                     count += 1
     assert count == 7976
 
@@ -258,10 +264,7 @@ def test_phi_coefficient_zero_where_phi_lacks_the_monomial():
     def lacking(key, parts):
         m = PartitionVector.from_parts(parts)
         assert phi_coefficient(key, m) == 0
-        # every part p stands for the weight-p slot of the chain
-        syms = _master_symbols(key.D, max(key.D - key.delta, key.family_size, m.max_part))
-        mono = Monomial.from_pairs([(syms[p - 1], k) for p, k in m.items])
-        assert phi(key).poly.coefficient(mono) == 0
+        assert phi(key).poly.coefficient(m) == 0
 
     lacking(PhiKey(5, 0, 1), {5: 1, 1: 1})  # weight 6, phi is homogeneous of weight 5
     lacking(PhiKey(5, 0, 1), {})

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rootmean.exact import PartitionVector
 from rootmean.mining import (
     BfileComparison,
     FitError,
@@ -24,7 +25,6 @@ from rootmean.mining import (
     top_parameter_coefficient,
 )
 from rootmean.powersums import power_sum_mean
-from rootmean.sympoly import Monomial, root_param
 
 
 def test_leading_coefficient_examples():
@@ -187,20 +187,18 @@ def test_irreducibility_checks():
 def test_per_monomial_sequence_third_order_pair():
     # coefficient of r1^l r3^2 in the (l+6)-degree expansion over a 3-family:
     # j(j-5)/18 * 3^(j-5)
-    r1, r3 = root_param(1), root_param(3)
     for j in range(6, 13):
         ell = j - 6
-        mono = Monomial.from_pairs([(r1, ell), (r3, 2)])
+        mono = PartitionVector.from_parts({1: ell, 3: 2})
         got = power_sum_mean(j, 3).coefficient(mono)
         assert got == Fraction(j * (j - 5), 18) * 3 ** (j - 5)
 
 
 def test_per_monomial_sequence_second_order_on_four_family():
     # coefficient of r1^l r2 over a 4-family: magnitude 6 j 4^(j-3), sign -1
-    r1, r2 = root_param(1), root_param(2)
     for j in range(2, 9):
         ell = j - 2
-        mono = Monomial.from_pairs([(r1, ell), (r2, 1)])
+        mono = PartitionVector.from_parts({1: ell, 2: 1})
         got = power_sum_mean(j, 4).coefficient(mono)
         assert got == -Fraction(6 * j) * Fraction(4) ** (j - 3)
 

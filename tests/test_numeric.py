@@ -392,7 +392,6 @@ def test_symbolic_numeric_agreement():
     # derivative/antiderivative roots
     from rootmean.means import PhiKey, phi
     from rootmean.powersums import elementary_symmetric
-    from rootmean.sympoly import root_param
 
     rng = random.Random(424242)
     for D in range(2, 8):
@@ -400,12 +399,12 @@ def test_symbolic_numeric_agreement():
             roots = sample_roots(rng, D)
             p = monic_from_roots(roots)
             e = elementary_symmetric(roots)
-            values = {root_param(i): e[i] / math.comb(D, i) for i in range(1, D + 1)}
+            values = {i: e[i] / math.comb(D, i) for i in range(1, D + 1)}
             constants = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2)]
             for rho in range(-2, min(3, D)):
                 for delta in range(0, min(3, D)):
                     res = phi(PhiKey(D, delta, rho))
-                    if any(s.kind == "c" for s in res.poly.symbols()):
+                    if any(part > D for part in res.poly.symbols()):
                         continue  # delta < 0 only; not in this window
                     want = res.poly.evaluate(values)
                     if rho == 0:

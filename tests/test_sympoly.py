@@ -4,18 +4,12 @@ from fractions import Fraction
 import pytest
 
 import rootmean
-from rootmean.exact import binomial
-from rootmean.means import _master_symbols, _term_weight
-from rootmean.sympoly import (
-    Monomial,
-    SymPoly,
-    Symbol,
-    UnboundSymbolError,
-    integration_const,
-    root_param,
-)
+from rootmean.exact import PartitionVector, binomial
+from rootmean.means import PhiKey, _term_weight, phi
+from rootmean.sympoly import SymPoly, UnboundSymbolError, name_part, part_name
 
-R1, R2, R3 = root_param(1), root_param(2), root_param(3)
+# a monomial is a partition: part i is the weight-i parameter
+R1, R2, R3 = 1, 2, 3
 
 
 def sym(s):
@@ -23,11 +17,15 @@ def sym(s):
 
 
 def test_symbol_invariants():
-    assert R2.weight == 2
-    c = integration_const(1, 4)
-    assert c.weight == 4 and c.name == "c1"
-    with pytest.raises(ValueError):
-        Symbol("r", 2, 5)
+    # at D = 3 parts 1..3 are root parameters and part 4 is the first constant
+    assert part_name(R2, 3) == "r2"
+    assert part_name(4, 3) == "c1"
+    assert name_part("c1", 3) == 4 and name_part("r2", 3) == R2
+    # without a degree every part is a root parameter, and a constant is unreadable
+    assert part_name(7) == "r7" and name_part("r7") == 7
+    for bad, D in (("c1", None), ("r4", 3), ("x1", 3), ("r0", 3), ("r", 3), ("c-1", 3)):
+        with pytest.raises(ValueError):
+            name_part(bad, D)
 
 
 def test_mul_and_add():
@@ -40,15 +38,15 @@ def test_mul_and_add():
 
 
 def test_weights():
-    m = Monomial.from_pairs([(R1, 2), (R3, 1)])
-    assert m.weight == 5
+    m = PartitionVector.from_parts({R1: 2, R3: 1})
+    assert m.j == 5
     p = SymPoly.term(1, [(R1, 2)]) + SymPoly.term(-4, [(R2, 1)])
     assert p.weights() == {2}
 
 
 def test_mul_adds_weights_randomized():
     rng = random.Random(5)
-    syms = [root_param(i) for i in range(1, 5)]
+    syms = [1, 2, 3, 4]
 
     def random_homogeneous(weight):
         acc = SymPoly.zero()
@@ -56,9 +54,9 @@ def test_mul_adds_weights_randomized():
             left = weight
             pairs = {}
             while left:
-                s = rng.choice([x for x in syms if x.weight <= left])
+                s = rng.choice([x for x in syms if x <= left])
                 pairs[s] = pairs.get(s, 0) + 1
-                left -= s.weight
+                left -= s
             acc = acc + SymPoly.term(rng.randint(-5, 5), pairs.items())
         return acc
 
@@ -95,18 +93,35 @@ def test_serialization_roundtrip():
 
 
 def test_serialization_with_constants():
-    c1 = integration_const(1, 4)
+    c1 = 4  # the first integration constant of a cubic
     p = SymPoly.term(2, [(R1, 1), (c1, 1)])
-    blob = p.to_json()
+    blob = p.to_json(3)
     assert blob["terms"][0]["expt"] == {"r1": 1, "c1": 1}
-    back = SymPoly.from_json(blob, const_weights={1: 4})
+    back = SymPoly.from_json(blob, 3)
     assert back == p
+
+
+def test_serialization_roundtrip_every_phi():
+    # every mean value with D <= 7, constants included, survives to_json(D) and
+    # back; no value order delta >= 0 names a constant
+    named_constants = 0
+    for D in range(2, 8):
+        for delta in range(-3, D):
+            for rho in range(-3, D):
+                p = phi(PhiKey(D, delta, rho)).poly
+                blob = p.to_json(D)
+                assert SymPoly.from_json(blob, D) == p, (D, delta, rho)
+                names = {name for t in blob["terms"] for name in t["expt"]}
+                has_constant = any(name.startswith("c") for name in names)
+                assert not (delta >= 0 and has_constant), (D, delta, rho)
+                named_constants += has_constant
+    assert named_constants > 0
 
 
 def test_canonical_term_order():
     # within one weight: r1^4, r1^2 r2, r1 r3, r2^2, r4 (the printed order)
     p = (
-        SymPoly.term(1, [(root_param(4), 1)])
+        SymPoly.term(1, [(4, 1)])
         + SymPoly.term(1, [(R2, 2)])
         + SymPoly.term(1, [(R1, 4)])
         + SymPoly.term(1, [(R1, 1), (R3, 1)])
@@ -117,10 +132,9 @@ def test_canonical_term_order():
 
 def quasi_binomial_coeffs(D):
     """Coefficients of x^D, ..., x^0 of the monic degree-D polynomial: (-1)^i C(D, i) r_i."""
-    syms = _master_symbols(D, D)
     coeffs = [SymPoly.constant(_term_weight(D, 0, D))]
     for i in range(1, D + 1):
-        coeffs.append(sym(syms[i - 1]).scale(_term_weight(D, 0, D - i)))
+        coeffs.append(sym(i).scale(_term_weight(D, 0, D - i)))
     return coeffs
 
 
@@ -139,7 +153,7 @@ def test_quasi_binomial_coeffs():
         for i in range(D + 1):
             assert _term_weight(D, 0, D - i) == (-1) ** i * binomial(D, i)
     # past degree D the chain holds integration constants, not root parameters
-    assert [s.kind for s in _master_symbols(4, 5)] == ["r", "r", "r", "r", "c"]
+    assert [part_name(p, 4)[0] for p in range(1, 6)] == ["r", "r", "r", "r", "c"]
 
 
 def test_quasi_binomial_sign_and_weight():

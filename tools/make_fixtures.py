@@ -20,8 +20,8 @@ from rootmean.powersums import power_sum_mean
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "rootmean", "fixtures")
 
 
-def poly_terms(p):
-    return p.to_json()["terms"]
+def poly_terms(p, D=None):
+    return p.to_json(D)["terms"]
 
 
 def patch_coeff(terms, expt, printed):
@@ -55,7 +55,7 @@ def phi_tables():
         for n in range(1, 11):
             rho = D - n
             res = phi(PhiKey(D, 0, rho))
-            terms = poly_terms(res.poly)
+            terms = poly_terms(res.poly, D)
             sum_pos = str(res.sum_positive)
             if D == 7 and rho == -1:
                 # printed coefficient drops a digit; row checksum matches engine
@@ -340,20 +340,27 @@ KNOWN_TYPOS = [
 ]
 
 
-def main():
-    os.makedirs(OUT, exist_ok=True)
-    files = {
+def fixture_files():
+    """File name -> the data written to it."""
+    return {
         "phi_tables.json": phi_tables(),
         "gw_tables.json": gw_tables(),
         "gw_deg_tables.json": gw_deg_tables(),
         "relations_catalog.json": relations_catalog(),
         "known_typos.json": {"typos": KNOWN_TYPOS},
     }
-    for name, data in files.items():
+
+
+def dump(data) -> str:
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def main():
+    os.makedirs(OUT, exist_ok=True)
+    for name, data in fixture_files().items():
         path = os.path.join(OUT, name)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(dump(data))
         print("wrote", path)
 
 

@@ -278,7 +278,8 @@ def _verify_inheritance(args, payload, pretty):
                 nxt = chain[idx + 1]
                 shifted = {r + 1: a for r, a in entry["alpha"].items()}
                 chain_ok = chain_ok and relations.check_inheritance(rel)
-                chain_ok = chain_ok and shifted == nxt["alpha"] and nxt["D"] == entry["D"] + 1
+                chain_ok = chain_ok and shifted == nxt["alpha"]
+                chain_ok = chain_ok and (nxt["D"], nxt["delta"]) == (entry["D"] + 1, entry["delta"] + 1)
         details[label] = chain_ok
         ok = ok and chain_ok
         pretty.append(f"  chain {label} (length {len(chain)}): {'ok' if chain_ok else 'FAIL'}")
@@ -388,6 +389,9 @@ def cmd_numeric(args) -> int:
     # relation residuals never exceed 1, so a tol of 1 or more passes a false relation
     if not 0 < args.tol < 1:
         raise ConfigError(f"--tol must lie strictly between 0 and 1, got {args.tol}")
+    given = [f"--{mode}" for mode in ("relation", "auto", "conjecture") if getattr(args, mode)]
+    if len(given) > 1:
+        raise ConfigError(f"pass only one of --relation, --auto and --conjecture, got {' and '.join(given)}")
     if args.conjecture == "relative-rates":
         check_degree(args.max_degree, args, delta=0)
         reports = [numeric.relative_rates_report(args.max_degree, args.samples, args.seed, args.tol)]
@@ -453,7 +457,7 @@ def cmd_mine(args) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read --oeis-bfile {args.oeis_bfile!r}: {exc}") from None
     sweep = mining.StructureSweep.run(args.d_sweep)
-    q_seq, lead_seq = mining.mine_Q_and_norlund(args.k_max, args.d_sweep, sweep)
+    q_seq, lead_seq = mining.mine_Q_and_norlund(args.k_max, sweep)
     payload = {
         "seed": args.seed,
         "d_sweep": args.d_sweep,

@@ -14,6 +14,10 @@ Girard-Waring terms that reach that monomial; neither expands phi.
   rho = D - n, chi = D mod 2, and g_D is monic with integer coefficients of
   degree D - (2 + chi).  The h/g/t/Q mining pipeline runs on this extractor.
 
+Each g_D is then decided over the integers by ``is_irreducible_int``: an
+integer-root scan, then Ben-Or's test modulo small primes, then a divisor-root
+scan and, at low degree, a Kronecker factor search.
+
 From g_D(n) = sum_k t_k(D) n^(D-(k+chi)) the coefficient polynomials t_k(D)
 are interpolated across degrees, their least common denominators Q_k and the
 integer-cleared leading coefficients are collected as integer sequences for
@@ -45,8 +49,9 @@ def top_parameter_coefficient(D: int, rho: int) -> Fraction:
     return phi_coefficient(PhiKey(D, 0, rho), PartitionVector.from_parts({D: 1}))
 
 
-def _horner(coeffs, x, acc=0):
+def _horner(coeffs, x):
     """Value at x of the polynomial with ascending coefficients coeffs."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -65,16 +70,12 @@ class RationalPolynomial:
             cs.pop()
         return cls(tuple(cs))
 
-    @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls(())
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def __call__(self, x) -> Fraction:
-        return _horner(self.coeffs, x, Fraction(0))
+        return _horner(self.coeffs, x)
 
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self.coeffs):
@@ -97,15 +98,6 @@ class RationalPolynomial:
     def scaled(self, s) -> "RationalPolynomial":
         return RationalPolynomial.make([c * Fraction(s) for c in self.coeffs])
 
-    def multiply(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return RationalPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial.make(out)
-
     def divide_exact(self, other: "RationalPolynomial") -> "RationalPolynomial":
         """Exact quotient; raises StructuralFormError on a nonzero remainder."""
         if not other.coeffs:
@@ -123,18 +115,6 @@ class RationalPolynomial:
             raise StructuralFormError(f"non-exact division, remainder {rem}")
         return RationalPolynomial.make(q)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            var = "" if k == 0 else ("n" if k == 1 else f"n^{k}")
-            bits.append(f"{c}{('*' + var) if var else ''}")
-        return " + ".join(bits).replace("+ -", "- ")
-
 
 class StructuralFormError(ValueError):
     pass
@@ -142,13 +122,6 @@ class StructuralFormError(ValueError):
 
 class FitError(ValueError):
     pass
-
-
-def _poly_add(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    size = max(len(a.coeffs), len(b.coeffs))
-    return RationalPolynomial.make(
-        [a.coefficient(i) + b.coefficient(i) for i in range(size)]
-    )
 
 
 def interpolate(points) -> RationalPolynomial:
@@ -162,47 +135,39 @@ def interpolate(points) -> RationalPolynomial:
     for level in range(1, len(xs)):
         for i in range(len(xs) - 1, level - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    poly = RationalPolynomial.zero()
-    basis = RationalPolynomial.make([1])
-    for i, c in enumerate(coef):
-        poly = _poly_add(poly, basis.scaled(c))
-        basis = basis.multiply(RationalPolynomial.make([-xs[i], 1]))
-    return poly
+    # Horner on the Newton form: p = c_m, then p = p * (x - x_i) + c_i
+    poly = []
+    for xi, c in zip(reversed(xs), reversed(coef)):
+        poly = [0, *poly]
+        for k in range(len(poly) - 1):
+            poly[k] -= xi * poly[k + 1]
+        poly[0] += c
+    return RationalPolynomial.make(poly)
 
 
-def fit_polynomial(points, holdout: int = HOLDOUT) -> RationalPolynomial:
-    """Interpolate through all but the last ``holdout`` points, then verify those.
+def fit_polynomial(points) -> RationalPolynomial:
+    """Interpolate through all but the last ``HOLDOUT`` points, then verify those.
 
     Exact arithmetic means the interpolant *is* the underlying polynomial
     whenever the data really is polynomial of degree < len(fit points).
     """
-    if len(points) < holdout + 2:
+    if len(points) < HOLDOUT + 2:
         raise FitError("not enough points to fit and hold out")
-    fit_pts = points[:-holdout] if holdout else points
-    held = points[-holdout:] if holdout else []
-    poly = interpolate(fit_pts)
-    for x, y in held:
+    poly = interpolate(points[:-HOLDOUT])
+    for x, y in points[-HOLDOUT:]:
         if poly(x) != Fraction(y):
             raise FitError(f"held-out point ({x}, {y}) missed: got {poly(x)} (not polynomial at this degree)")
     return poly
 
 
-def fit_h(D: int, n_points=None, extractor=top_parameter_coefficient):
-    """Interpolate the coefficient-in-n polynomial h_D through (n, extractor(D, D-n)).
+def fit_h(D: int) -> RationalPolynomial:
+    """The coefficient-in-n polynomial h_D through (n, top_parameter_coefficient(D, D-n)).
 
-    Default points n = 1..D+1 plus ``HOLDOUT`` verification points.  Returns
-    (polynomial, deviations) where deviations lists any requested points the
-    polynomial fails to reproduce (with the defaults there are none).
+    It interpolates n = 1..D+1 and must reproduce the ``HOLDOUT`` points
+    n = D+2, D+3, or ``fit_polynomial`` raises ``FitError``.
     """
-    if n_points is None:
-        n_points = list(range(1, D + 2 + HOLDOUT))
-    n_points = list(n_points)
-    if len(n_points) < D:
-        raise FitError(f"need at least {D} points for degree {D}")
-    data = [(Fraction(n), extractor(D, D - n)) for n in n_points]
-    poly = fit_polynomial(data)
-    deviations = [(int(x), y, poly(x)) for x, y in data if poly(x) != y]
-    return poly, deviations
+    data = [(Fraction(n), top_parameter_coefficient(D, D - n)) for n in range(1, D + 2 + HOLDOUT)]
+    return fit_polynomial(data)
 
 
 def chi(D: int) -> int:
@@ -219,10 +184,7 @@ class GExtraction:
 
     def t_coefficient(self, k: int) -> Fraction:
         """t_k(D): coefficient of n^(D-(k+chi)) in g, zero when out of range."""
-        e = self.D - (k + self.chi)
-        if e < 0:
-            return Fraction(0)
-        return self.g.coefficient(e)
+        return self.g.coefficient(self.D - (k + self.chi))
 
 
 def extract_g(D: int, h: RationalPolynomial) -> GExtraction:
@@ -235,10 +197,7 @@ def extract_g(D: int, h: RationalPolynomial) -> GExtraction:
     """
     x = chi(D)
     const = Fraction((-1) ** D * D, math.factorial(D))
-    prefactor = RationalPolynomial.make([Fraction(D), Fraction(-1)])  # D - n
-    for _ in range(x):
-        prefactor = prefactor.multiply(RationalPolynomial.make([0, 1]))
-    prefactor = prefactor.scaled(const)
+    prefactor = RationalPolynomial.make([0] * x + [const * D, -const])  # const * (D - n) * n^chi
     g = h.divide_exact(prefactor)
     M = D - (2 + x)
     if g.degree != M:
@@ -306,50 +265,27 @@ def _pgcd(a, b, p):
         inv = pow(b[-1], p - 2, p)
         b = [(x * inv) % p for x in b]
         while len(a) >= len(b) and a:
-            c = a[-1]
-            if c:
-                shift = len(a) - len(b)
-                for k in range(len(b)):
-                    a[shift + k] = (a[shift + k] - c * b[k]) % p
+            c, shift = a[-1], len(a) - len(b)  # a is trimmed: c != 0
+            for k in range(len(b)):
+                a[shift + k] = (a[shift + k] - c * b[k]) % p
             _ptrim(a)
         a, b = b, a
     return _ptrim(a)
 
 
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def _irreducible_mod_p(g_int, p) -> bool:
-    """Rabin's test: monic g irreducible over GF(p).  No false positives."""
+    """Ben-Or's test: monic g irreducible over GF(p).  Exact for every degree.
+
+    A reducible g of degree M has an irreducible factor of some degree
+    d <= M // 2, and that factor divides x^(p^d) - x.
+    """
     g = [c % p for c in g_int]
-    M = len(g) - 1
-    x = [0, 1]
-    # x^(p^M) == x (mod g)
-    frob = _ppowmod(x, p**M, g, p)
-    lhs = list(frob)
-    while len(lhs) < 2:
-        lhs.append(0)
-    lhs[1] = (lhs[1] - 1) % p
-    if _ptrim(lhs):
-        return False
-    for q in _prime_factors(M):
-        h = _ppowmod(x, p ** (M // q), g, p)
-        h = list(h)
-        while len(h) < 2:
-            h.append(0)
+    frob = [0, 1]
+    for _ in range((len(g) - 1) // 2):
+        frob = _ppowmod(frob, p, g, p)  # x^(p^d) mod g
+        h = frob + [0] * (2 - len(frob))
         h[1] = (h[1] - 1) % p
-        d = _pgcd(_ptrim(h), g, p)
-        if len(d) - 1 != 0:
+        if len(_pgcd(h, g, p)) != 1:
             return False
     return True
 
@@ -401,13 +337,14 @@ _MODP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 def is_irreducible_int(g: RationalPolynomial) -> bool | None:
     """Irreducibility of a monic integer polynomial over the integers.
 
-    The first test that settles it answers, in this order: an integer root
-    in -64..64 (or g(0) = 0) means reducible; Rabin's test finding g
-    irreducible modulo one of the 17 ``_MODP_PRIMES`` means irreducible;
-    |g(0)| above ``_DIVISOR_CAP`` gives None; a root among the divisors of
-    g(0) means reducible; for M <= 7, the Kronecker search for a monic
-    quadratic or cubic factor decides (None if g(0), g(1) or g(-1) is above
-    the cap).  Otherwise None: D = 15 and 17 in the default ``mine`` sweep.
+    Degree M <= 1 is irreducible.  Otherwise the first test that settles it
+    answers, in this order: an integer root in -64..64 (or g(0) = 0) means
+    reducible; Ben-Or's test finding g irreducible modulo one of the 17
+    ``_MODP_PRIMES`` means irreducible; |g(0)| above ``_DIVISOR_CAP`` gives
+    None; a root among the divisors of g(0) means reducible; for M <= 7, the
+    Kronecker search for a monic quadratic or cubic factor decides (None if
+    g(0), g(1) or g(-1) is above the cap).  Otherwise None: D = 15 and 17
+    in the default ``mine`` sweep, and D = 28 and 29 below the degree cap.
     """
     M = g.degree
     if M <= 1:
@@ -448,18 +385,14 @@ class StructureSweep:
     def run(cls, d_max: int) -> "StructureSweep":
         sweep = cls()
         for D in range(2, d_max + 1):
-            h, deviations = fit_h(D)
-            if deviations:
-                raise StructuralFormError(f"h fit deviates at D={D}: {deviations}")
+            h = fit_h(D)
             sweep.h_polys[D] = h
             sweep.extractions[D] = extract_g(D, h)
         return sweep
 
-    def t_data(self, k: int, d_min: int | None = None):
-        ds = sorted(self.extractions)
-        if d_min is not None:
-            ds = [d for d in ds if d >= d_min]
-        return [(Fraction(D), self.extractions[D].t_coefficient(k)) for D in ds]
+    def t_data(self, k: int, d_min: int = 2):
+        return [(Fraction(D), gx.t_coefficient(k))
+                for D, gx in sorted(self.extractions.items()) if D >= d_min]
 
 
 def t_series(k: int, sweep: StructureSweep) -> RationalPolynomial:
@@ -475,10 +408,7 @@ def t_series(k: int, sweep: StructureSweep) -> RationalPolynomial:
         for D, val in sweep.t_data(k):
             if D <= k and val != 0:
                 raise StructuralFormError(f"expected t_{k}({D}) = 0, got {val}")
-    pts = sweep.t_data(k, d_min=k)
-    if len(pts) < HOLDOUT + 2:
-        raise FitError(f"sweep too short to fit t_{k}")
-    return fit_polynomial(pts)
+    return fit_polynomial(sweep.t_data(k, d_min=k))
 
 
 @dataclass(frozen=True)
@@ -497,14 +427,12 @@ class MinedSequence:
         }
 
 
-def mine_Q_and_norlund(k_max: int = 8, d_sweep: int = 24, sweep: StructureSweep | None = None):
+def mine_Q_and_norlund(k_max: int, sweep: StructureSweep):
     """Least common denominators Q_k of t_k and leading coefficients of Q_k * t_k.
 
     Q_k clears t_k to an integer polynomial u_k (asserted); the leading
     coefficient of u_k is the k-th mined value of the second sequence.
     """
-    if sweep is None:
-        sweep = StructureSweep.run(d_sweep)
     qs, leads = [], []
     for k in range(2, k_max + 1):
         tk = t_series(k, sweep)
@@ -514,7 +442,7 @@ def mine_Q_and_norlund(k_max: int = 8, d_sweep: int = 24, sweep: StructureSweep 
             raise StructuralFormError(f"u_{k} is not an integer polynomial")
         qs.append(q)
         leads.append(int(uk.leading))
-    prov = {"d_sweep": d_sweep, "k_max": k_max}
+    prov = {"d_sweep": max(sweep.extractions), "k_max": k_max}
     return (
         MinedSequence("lcd-of-t_k", 2, tuple(qs), prov),
         MinedSequence("leading-of-cleared-t_k", 2, tuple(leads), prov),

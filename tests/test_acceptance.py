@@ -203,9 +203,9 @@ def test_criterion_10_sequence_mining():
         for k in range(2, min(8, D) + 1):
             if k in t_polys and D >= k:
                 ok = ok and t_polys[k](D) == gx.t_coefficient(k)
-    q24, lead24 = mining.mine_Q_and_norlund(8, 24, sweep)
+    q24, lead24 = mining.mine_Q_and_norlund(8, sweep)
     sweep22 = mining.StructureSweep.run(22)
-    q22, lead22 = mining.mine_Q_and_norlund(8, 22, sweep22)
+    q22, lead22 = mining.mine_Q_and_norlund(8, sweep22)
     ok = ok and q24.values == q22.values and lead24.values == lead22.values
     # comparator round-trip on a locally written b-file (the external
     # cross-check path used when a published b-file is supplied)

@@ -176,6 +176,20 @@ def test_verify_tables(capsys):
     assert blob["tables"]["unexplained"] == []
 
 
+def test_verify_inheritance_checks_each_delta(monkeypatch, capsys):
+    # at delta >= D phi is constant and any zero-sum alpha holds, so a link
+    # must step delta by one as well as D
+    chain = [
+        {"D": 4, "delta": 0, "alpha": {1: 5, 2: -6, 3: 1}},
+        {"D": 5, "delta": 5, "alpha": {2: 5, 3: -6, 4: 1}},
+        {"D": 6, "delta": 2, "alpha": {3: 5, 4: -6, 5: 1}},
+    ]
+    monkeypatch.setattr("rootmean.cli.golden.inheritance_chains", lambda: {"b": chain})
+    code, blob, _ = run_json(capsys, "verify", "--conjecture", "inheritance", "--max-degree", "9")
+    assert code == EXIT_VERIFY_FAIL
+    assert blob["inheritance"] == {"b": False}
+
+
 def test_numeric_check_auto(capsys):
     code, blob, _ = run_json(
         capsys, "numeric-check", "--auto", "--D", "4", "--samples", "60", "--seed", "7"
@@ -255,6 +269,9 @@ def test_numeric_check_zero_samples_warns(capsys):
         ("numeric-check", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5", "--tol", "-1"),
         ("numeric-check", "--D", "4", "--relation", "5:1,-6:1,1:3", "--samples", "5"),
         ("numeric-check", "--samples", "0"),
+        ("numeric-check", "--conjecture", "translation", "--auto", "--D", "4",
+         "--relation", "5:1,-6:2,1:3"),
+        ("numeric-check", "--auto", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5"),
     ],
     ids=[
         "relation-spec", "rho-window", "negative-samples", "k-max-below-2",
@@ -262,7 +279,7 @@ def test_numeric_check_zero_samples_warns(capsys):
         "translation-above-cap", "odd-binomial-nothing-to-check", "prop5-nothing-to-check",
         "all-zero-relation", "output-path-missing", "bfile-missing", "sweep-too-short-to-fit",
         "auto-no-relation", "tol-inf", "tol-nan", "tol-negative", "repeated-rho",
-        "zero-samples-nothing-requested",
+        "zero-samples-nothing-requested", "three-modes", "auto-and-relation",
     ],
 )
 def test_bad_input_is_a_config_error(capsys, argv):
@@ -324,6 +341,11 @@ def test_mine_stable_at_degree_cap(capsys):
         assert code == EXIT_OK
         seqs.append({name: s["values"] for name, s in blob["sequences"].items()})
     assert seqs[0] == seqs[1]
+    # the irreducibility verdicts up to the cap: undecided (null) at four degrees
+    undecided = {15, 17, 28, 29}
+    assert {int(D): s["irreducible"] for D, s in blob["structure"].items()} == {
+        D: None if D in undecided else True for D in range(2, HARD_DEGREE_CAP + 1)
+    }
     assert len(seqs[0]["lcd"]) == len(seqs[0]["leading"]) == 9
 
 

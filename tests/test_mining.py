@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from rootmean.mining import (
     RationalPolynomial,
     StructuralFormError,
     StructureSweep,
+    _irreducible_mod_p,
     chi,
     compare_with_bfile,
     extract_g,
@@ -62,7 +64,7 @@ def test_rational_polynomial_basics():
     p = RationalPolynomial.make([3, -2, 1])  # x^2 - 2x + 3
     assert p.degree == 2 and p.is_monic() and p.is_integer()
     assert p(2) == 3
-    q = p.multiply(RationalPolynomial.make([0, 1]))
+    q = RationalPolynomial.make([0, 3, -2, 1])  # x * p
     assert q.coeffs == (Fraction(0), Fraction(3), Fraction(-2), Fraction(1))
     assert q.divide_exact(RationalPolynomial.make([0, 1])) == p
     with pytest.raises(StructuralFormError):
@@ -71,36 +73,36 @@ def test_rational_polynomial_basics():
 
 def test_interpolation_and_holdout():
     pts = [(Fraction(x), Fraction(x**3 - x + 2)) for x in range(8)]
-    poly = fit_polynomial(pts, holdout=2)
+    poly = fit_polynomial(pts)
     assert poly.coeffs == (Fraction(2), Fraction(-1), Fraction(0), Fraction(1))
     bad = pts[:-1] + [(Fraction(7), Fraction(999))]
     with pytest.raises(FitError):
-        fit_polynomial(bad, holdout=2)
+        fit_polynomial(bad)
+    with pytest.raises(FitError):
+        fit_polynomial(pts[:3])  # too few points to fit and hold out
     with pytest.raises(FitError):
         interpolate([(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))])
 
 
+def _leading_h(D):
+    # n = 1..D+1 to fit, then the held-out points n = D+2 and D+3
+    return fit_polynomial([(Fraction(n), leading_phi_coefficient(D, D - n)) for n in range(1, D + 4)])
+
+
 def test_fit_h_leading_extractor_reproduces_printed_values():
-    h, deviations = fit_h(4, extractor=leading_phi_coefficient)
-    assert not deviations
+    h = _leading_h(4)
     assert [h(n) for n in range(1, 7)] == [-3, -8, -9, 0, 25, 72]
     assert h(7) == 147  # held-out row
 
 
 def test_fit_h_leading_extractor_degree2():
-    h, deviations = fit_h(2, extractor=leading_phi_coefficient)
-    assert not deviations
+    h = _leading_h(2)
     assert h(2) == 0  # vanishes where the family is the function's own roots
     assert h(1) == -1
 
 
-def test_fit_h_too_few_points():
-    with pytest.raises(FitError):
-        fit_h(6, n_points=[1, 2, 3])
-
-
 def test_extract_g_quartic():
-    h, _ = fit_h(4)
+    h = fit_h(4)
     gx = extract_g(4, h)
     assert gx.chi == 0 and gx.M == 2
     assert gx.g.is_monic() and gx.g.is_integer()
@@ -109,8 +111,8 @@ def test_extract_g_quartic():
 
 def test_chi_parity_and_degrees():
     assert chi(5) == 1 and chi(6) == 0
-    h5, _ = fit_h(5)
-    h6, _ = fit_h(6)
+    h5 = fit_h(5)
+    h6 = fit_h(6)
     assert extract_g(5, h5).M == 2
     assert extract_g(6, h6).M == 4
 
@@ -147,7 +149,7 @@ def test_t_series_reproduces_g_coefficients():
     sweep = StructureSweep.run(14)
     t4 = t_series(4, sweep)
     for D in range(4, 15):
-        h, _ = fit_h(D)
+        h = fit_h(D)
         gx = extract_g(D, h)
         assert t4(D) == gx.t_coefficient(4)
 
@@ -162,9 +164,9 @@ def test_odd_k_vanishing_in_data():
 
 def test_mine_sequences_integrality_and_stability():
     sweep_a = StructureSweep.run(18)
-    q_a, lead_a = mine_Q_and_norlund(6, 18, sweep_a)
+    q_a, lead_a = mine_Q_and_norlund(6, sweep_a)
     sweep_b = StructureSweep.run(20)
-    q_b, lead_b = mine_Q_and_norlund(6, 20, sweep_b)
+    q_b, lead_b = mine_Q_and_norlund(6, sweep_b)
     # values stable once the fit is overdetermined
     assert q_a.values == q_b.values
     assert lead_a.values == lead_b.values
@@ -176,12 +178,36 @@ def test_irreducibility_checks():
     assert is_irreducible_int(RationalPolynomial.make([1, 0, 1])) is True  # x^2 + 1
     assert is_irreducible_int(RationalPolynomial.make([-1, 0, 1])) is False  # (x-1)(x+1)
     # product of two irreducible quadratics: settled reducible by trial search
-    prod = RationalPolynomial.make([1, 1, 1]).multiply(RationalPolynomial.make([2, 0, 1]))
+    prod = RationalPolynomial.make([2, 2, 3, 1, 1])  # (x^2 + x + 1)(x^2 + 2)
     assert is_irreducible_int(prod) is False
     assert is_irreducible_int(RationalPolynomial.make([7, 1])) is True  # linear
     # (x - 7)(x^2 + 10^13): only the small-root scan settles it, g(0) is past the divisor cap
-    big = RationalPolynomial.make([-7, 1]).multiply(RationalPolynomial.make([10**13, 0, 1]))
+    big = RationalPolynomial.make([-7 * 10**13, 10**13, -7, 1])
     assert is_irreducible_int(big) is False
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 6), (5, 4), (7, 3)])
+def test_irreducible_mod_p_counts_match_gauss(p, top):
+    # the number of monic irreducibles of degree M over GF(p) is
+    # (1/M) sum_{d | M} mu(d) p^(M/d)
+    for M in range(1, top + 1):
+        count = sum(
+            _irreducible_mod_p([*low, 1], p) for low in itertools.product(range(p), repeat=M)
+        )
+        gauss = sum(_mobius(d) * p ** (M // d) for d in range(1, M + 1) if M % d == 0) // M
+        assert count == gauss, (p, M)
 
 
 def test_per_monomial_sequence_third_order_pair():

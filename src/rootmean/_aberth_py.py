@@ -26,7 +26,7 @@ def horner(coeffs, z):
     return p
 
 
-def aberth_refine(coeffs, z0, max_iter):
+def aberth_refine(coeffs, z0, max_sweeps):
     """Refine all roots of the monic polynomial simultaneously.
 
     coeffs: descending complex coefficients, coeffs[0] == 1.
@@ -37,7 +37,7 @@ def aberth_refine(coeffs, z0, max_iter):
     further step can be told from noise.  Stopped roots still enter the
     Aberth sums of the roots that are moving.
     Returns (roots list, sweeps used, converged flag); converged means every
-    root stopped within max_iter sweeps.
+    root stopped within max_sweeps sweeps.
     """
     z = list(z0)
     tail = coeffs[1:]
@@ -48,7 +48,7 @@ def aberth_refine(coeffs, z0, max_iter):
     # the moduli of its terms; complex arithmetic adds a small factor
     rounding = 4.0 * len(tail) * _EPS
     active = list(range(len(z)))
-    for it in range(max_iter):
+    for it in range(max_sweeps):
         moving = []
         for i in active:
             zi = z[i]
@@ -82,4 +82,4 @@ def aberth_refine(coeffs, z0, max_iter):
         active = moving
         if not active:
             return z, it + 1, True
-    return z, max_iter, False
+    return z, max_sweeps, False

@@ -505,8 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
+    # csv only where the subcommand hands emit its rows
+    table_formats = ("pretty", "csv", "json")
+
+    def common(p, formats=("pretty", "json")):
+        p.add_argument("--format", choices=formats, default="pretty")
         p.add_argument("--output", help="write to a file instead of stdout")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--unsafe-degree", action="store_true",
@@ -515,14 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gw", help="mean power-sum tables for an n-element family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-deg", type=int, required=True)
-    common(p)
+    common(p, table_formats)
     p.set_defaults(fn=cmd_gw)
 
     p = sub.add_parser("phi", help="mean-value table rows for one degree")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--rho", help="window 'A..B', e.g. --rho=-7..2 (default: the table range)")
-    common(p)
+    common(p, table_formats)
     p.set_defaults(fn=cmd_phi)
 
     p = sub.add_parser("relations", help="discover linear relations among mean values")
@@ -532,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extended", action="store_true",
                    help="default window -(D+2)..D-1 instead of 1..D-1")
     p.add_argument("--no-minimal-support", dest="minimal_support", action="store_false")
-    common(p)
+    common(p, table_formats)
     p.set_defaults(fn=cmd_relations)
 
     p = sub.add_parser("verify", help="symbolic verification suites")
@@ -559,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-sweep", type=int, default=24)
     p.add_argument("--oeis-bfile", help="b-file to compare against (text: 'index value')")
     p.add_argument("--oeis-bfile-for", choices=("lcd", "leading", "both"), default="both")
-    common(p)
+    common(p, table_formats)
     p.set_defaults(fn=cmd_mine)
 
     return parser

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import ZERO, PartitionVector, binomial
 from .powersums import gw_coefficient, materialize, power_sum_mean
@@ -78,7 +77,6 @@ def _term_weight(D: int, delta: int, j: int) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
 def phi(key: PhiKey) -> PhiResult:
     """Exact mean of the delta-th derived function over the rho-th root family."""
     D, delta, rho = key.D, key.delta, key.rho

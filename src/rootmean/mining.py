@@ -376,18 +376,15 @@ def is_irreducible_int(g: RationalPolynomial) -> bool | None:
 
 @dataclass
 class StructureSweep:
-    """g_D extraction for every degree in a sweep, with the fitted h polynomials."""
+    """g_D extraction for every degree in a sweep."""
 
     extractions: dict = field(default_factory=dict)  # D -> GExtraction
-    h_polys: dict = field(default_factory=dict)
 
     @classmethod
     def run(cls, d_max: int) -> "StructureSweep":
         sweep = cls()
         for D in range(2, d_max + 1):
-            h = fit_h(D)
-            sweep.h_polys[D] = h
-            sweep.extractions[D] = extract_g(D, h)
+            sweep.extractions[D] = extract_g(D, fit_h(D))
         return sweep
 
     def t_data(self, k: int, d_min: int = 2):

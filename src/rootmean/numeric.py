@@ -10,6 +10,11 @@ The root-refinement inner loop and the Horner evaluator live in
 around the root centroid whose radius is the geometric-mean distance to the
 roots, and the residual test that accepts or rejects the kernel's roots.  The
 kernel stops each root on its own once it has converged.
+
+Every check counts a failed root solve as a skipped evaluation.  A report
+passes only if its worst residual is within ``tol`` and, when it attempted
+anything, it evaluated something: fewer evaluations were skipped than
+attempted.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ KERNEL_BACKEND = "python"
 ROOT_RESIDUAL_TOL = 1e-10
 RELATION_TOL = 1e-8
 MIN_ROOT_SEPARATION = 1e-6
+MAX_SWEEPS = 160  # Aberth sweeps before find_roots gives up on a root
 
 
 class RootFindingError(RuntimeError):
@@ -105,13 +111,6 @@ def _derived_chain(coeffs, lowest: int, highest: int, constants) -> dict:
     return chain
 
 
-def derived_coeffs(p: NumPoly, delta: int, constants=()) -> list:
-    """Coefficients of the delta-th derived function (negative = antiderivative)."""
-    consts = list(constants)
-    consts += [0j] * (-delta - len(consts))
-    return _derived_chain(p.coeffs, min(delta, 0), max(delta, 0), consts)[delta]
-
-
 def monicized(coeffs) -> NumPoly:
     """NumPoly with the same roots: divide through by the leading coefficient."""
     lead = coeffs[0]
@@ -158,7 +157,7 @@ def _residual_scale(coeffs, z) -> float:
     return max(scale, 1e-300)
 
 
-def find_roots(p: NumPoly, max_iter: int = 160) -> tuple:
+def find_roots(p: NumPoly) -> tuple:
     """All complex roots of p, repeated by multiplicity, by Aberth's
     simultaneous iteration.
 
@@ -183,7 +182,7 @@ def find_roots(p: NumPoly, max_iter: int = 160) -> tuple:
     elif deg == 1:
         z = [-coeffs[1]]
     else:
-        z, _, _ = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), max_iter)
+        z, _, _ = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), MAX_SWEEPS)
         worst = max(abs(horner(coeffs, zi)) / _residual_scale(coeffs, zi) for zi in z)
         if worst > ROOT_RESIDUAL_TOL:
             raise RootFindingError(
@@ -193,22 +192,14 @@ def find_roots(p: NumPoly, max_iter: int = 160) -> tuple:
     return tuple(z) + (0j,) * zeros
 
 
-def _mean_value(coeffs, roots) -> complex:
+def mean_over_family(coeffs, roots) -> complex:
+    """(1/n) sum of the polynomial with these coefficients over the n given roots."""
+    if not roots:
+        raise ValueError("empty family")
     total = 0j
     for r in roots:
         total += horner(coeffs, r)
     return total / len(roots)
-
-
-def mean_over_family(p: NumPoly, delta: int, roots, constants=()) -> complex:
-    """(1/n) sum of the delta-th derived function of p over the n given roots.
-
-    For delta < 0 the antiderivative's additive constants default to zero;
-    pass the sample's constants to keep a whole derived chain consistent.
-    """
-    if not roots:
-        raise ValueError("empty family")
-    return _mean_value(derived_coeffs(p, delta, constants), roots)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +238,15 @@ def sample_rng(seed: int, *streams) -> random.Random:
     return random.Random(x)
 
 
+def _samples(seed: int, degree: int, count: int, *stream):
+    """(rng, roots, f) for sample idx = 0..count-1: rng is sample_rng(seed, *stream, idx)
+    after drawing the roots of the monic degree-``degree`` f; the caller may draw on."""
+    for idx in range(count):
+        rng = sample_rng(seed, *stream, idx)
+        roots = sample_roots(rng, degree)
+        yield rng, roots, monic_from_roots(roots)
+
+
 # ---------------------------------------------------------------------------
 # relation and conjecture checks
 
@@ -258,7 +258,12 @@ class NumericReport:
     skipped: int = 0
     seed: int = 0
     tol: float = RELATION_TOL
-    passed: bool = True
+    attempted: int = 0  # evaluations a failed root solve can skip; not written to JSON
+
+    @property
+    def passed(self) -> bool:
+        # within tol, and something evaluated if anything was attempted
+        return self.max_rel_residual <= self.tol and (not self.attempted or self.skipped < self.attempted)
 
     def to_json(self) -> dict:
         return {
@@ -297,22 +302,20 @@ def check_relations_batch(
     function's coefficients c_k, so when den <= tol * S the residual is
     |num| / S, S = sum_rho |alpha_rho| mean_r sum_k |c_k| |r|^(deg-k).  As
     den <= S, that only lowers a residual, so S is computed only for a
-    sample that would otherwise raise the worst one, and only when den is at
-    most tol times S's bound at the largest |r|.
+    sample that would otherwise raise the worst one.
 
     rels: RelationVectors, or {rho: alpha} mappings, sharing (D, delta).
     Root families are found once per sample and reused across relations, so a
     degree's whole relation set costs the same as its slowest single relation,
     and each relation's residuals do not depend on which others share the
     batch.  A sample whose root finding fails is skipped for every relation.
-    Zero samples pass vacuously; otherwise a report passes only if at least
-    one sample was evaluated.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
     terms = [_relation_terms(D, delta, rel) for rel in rels]
     reports = [
-        NumericReport(label=label, samples=samples, seed=seed, tol=tol) for label, _, _ in terms
+        NumericReport(label=label, samples=samples, seed=seed, tol=tol, attempted=samples)
+        for label, _, _ in terms
     ]
     if not terms:
         return reports
@@ -320,10 +323,7 @@ def check_relations_batch(
     lowest = min([*support_union, delta])
     highest = max([*support_union, delta])
     deepest = max(0, -lowest)
-    for idx in range(samples):
-        rng = sample_rng(seed, D, delta, idx)
-        roots = sample_roots(rng, D)
-        f = monic_from_roots(roots)
+    for rng, roots, f in _samples(seed, D, samples, D, delta):
         constants = [
             complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             for _ in range(deepest)
@@ -335,7 +335,7 @@ def check_relations_batch(
         try:
             for rho in support_union:
                 fams[rho] = roots if rho == 0 else find_roots(monicized(chain[rho]))
-                means[rho] = _mean_value(values, fams[rho])
+                means[rho] = mean_over_family(values, fams[rho])
         except RootFindingError:
             for rep in reports:
                 rep.skipped += 1
@@ -345,15 +345,11 @@ def check_relations_batch(
             den = sum(abs(a * means[r]) for r, a in zip(support, alpha))
             residual = abs(num) / den if den else 0.0
             if residual > rep.max_rel_residual:
-                radius = max(max(map(abs, fams[r])) for r in support)
-                if den <= tol * sum(map(abs, alpha)) * _residual_scale(values, radius):
-                    scale = sum(abs(a) * sum(_residual_scale(values, z) for z in fams[r]) / len(fams[r])
-                                for r, a in zip(support, alpha))
-                    if den <= tol * scale:
-                        residual = abs(num) / scale
+                scale = sum(abs(a) * sum(_residual_scale(values, z) for z in fams[r]) / len(fams[r])
+                            for r, a in zip(support, alpha))
+                if den <= tol * scale:
+                    residual = abs(num) / scale
             rep.max_rel_residual = max(rep.max_rel_residual, residual)
-    for rep in reports:
-        rep.passed = rep.max_rel_residual <= tol and (samples == 0 or rep.skipped < samples)
     return reports
 
 
@@ -367,16 +363,14 @@ def _relative_rates(p: NumPoly, ks, roots) -> list:
         for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) < MIN_ROOT_SEPARATION:
                 raise RootFindingError("repeated roots: resample")
-    d1 = differentiate(p.coeffs, 1)
-    slopes = [horner(d1, r) for r in roots]
-    dk, order = d1, 1
+    chain = _derived_chain(p.coeffs, 0, max(ks), ())
+    slopes = [horner(chain[1], r) for r in roots]
     out = []
     for k in ks:
         if k > p.degree:
             out.append((0j, []))
             continue
-        dk, order = differentiate(dk, k - order), k
-        terms = [horner(dk, r) / s for r, s in zip(roots, slopes)]
+        terms = [horner(chain[k], r) / s for r, s in zip(roots, slopes)]
         total = 0j
         for t in terms:
             total += t
@@ -401,26 +395,28 @@ def relative_rates_report(
     report = NumericReport(label=f"relative-rates degrees 2..{max_degree}", samples=samples, seed=seed, tol=tol)
     for D in range(2, max_degree + 1):
         ks = range(2, D) if D > 2 else (2,)
-        for idx in range(samples):
-            rng = sample_rng(seed, 7_001, D, idx)
-            roots = sample_roots(rng, D)
-            p = monic_from_roots(roots)
+        for _, roots, p in _samples(seed, D, samples, 7_001, D):
             for total, terms in _relative_rates(p, ks, roots):
                 mag = sum(abs(t) for t in terms)
                 residual = abs(total) / mag if mag > 1e-12 else abs(total)
                 report.max_rel_residual = max(report.max_rel_residual, residual)
-    report.passed = report.max_rel_residual <= tol
     return report
 
 
 def check_translation_invariance(p: NumPoly, dh_list, tol: float = RELATION_TOL) -> NumericReport:
     """Mean slope over the roots of p - dh compared with dh = 0, per dh.
 
-    With shifts requested, passes only if at least one shifted solve was evaluated.
+    A failed shifted solve skips its shift; a failed solve of p skips them all.
     """
-    report = NumericReport(label=f"translation-invariance degree {p.degree}", samples=len(dh_list), tol=tol)
-    base_fam = find_roots(p)
-    base = mean_over_family(p, 1, base_fam)
+    report = NumericReport(label=f"translation-invariance degree {p.degree}", samples=len(dh_list),
+                           tol=tol, attempted=len(dh_list))
+    try:
+        base_fam = find_roots(p)
+    except RootFindingError:
+        report.skipped = len(dh_list)
+        return report
+    slope = differentiate(p.coeffs)
+    base = mean_over_family(slope, base_fam)
     scale = max(1.0, abs(base))
     for dh in dh_list:
         shifted = list(p.coeffs)
@@ -430,10 +426,8 @@ def check_translation_invariance(p: NumPoly, dh_list, tol: float = RELATION_TOL)
         except RootFindingError:
             report.skipped += 1
             continue
-        m = mean_over_family(p, 1, fam)
-        residual = abs(m - base) / scale
+        residual = abs(mean_over_family(slope, fam) - base) / scale
         report.max_rel_residual = max(report.max_rel_residual, residual)
-    report.passed = report.max_rel_residual <= tol and (not dh_list or report.skipped < len(dh_list))
     return report
 
 
@@ -441,18 +435,13 @@ def translation_invariance_report(
     max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
     report = NumericReport(label=f"translation-invariance degrees 2..{max_degree}", samples=samples, seed=seed, tol=tol)
-    shifts = 0
     for D in range(2, max_degree + 1):
-        for idx in range(samples):
-            rng = sample_rng(seed, 9_001, D, idx)
-            roots = sample_roots(rng, D)
-            p = monic_from_roots(roots)
+        for rng, _, p in _samples(seed, D, samples, 9_001, D):
             dh = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
             sub = check_translation_invariance(p, dh, tol)
-            shifts += sub.samples
+            report.attempted += sub.attempted
             report.skipped += sub.skipped
             report.max_rel_residual = max(report.max_rel_residual, sub.max_rel_residual)
-    report.passed = report.max_rel_residual <= tol and (not shifts or report.skipped < shifts)
     return report
 
 

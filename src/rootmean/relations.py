@@ -22,7 +22,6 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .exact import binomial
@@ -395,7 +394,6 @@ def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
 EVALUATION_RANGE = 10  # the parameters of each evaluation point lie in -10..10
 
 
-@lru_cache(maxsize=None)
 def relation_space_dim(D: int) -> int:
     """Certified dimension of the relation space of the fundamental family (delta=0, rho=1..D-1).
 

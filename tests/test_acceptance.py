@@ -189,7 +189,7 @@ def test_criterion_10_sequence_mining():
         ok = ok and gx.g.is_monic() and gx.g.is_integer()
         ok = ok and gx.M == D - (2 + gx.chi)
         for n in range(1, D + 4):
-            ok = ok and sweep.h_polys[D](n) == const * (D - n) * n**gx.chi * gx.g(n)
+            ok = ok and mining.top_parameter_coefficient(D, D - n) == const * (D - n) * n**gx.chi * gx.g(n)
         ok = ok and gx.t_coefficient(2) == 1
     for k in (3, 5, 7):
         for D, val in sweep.t_data(k):

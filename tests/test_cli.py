@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootmean import cli, means, numeric, relations
+from rootmean import cli, numeric, relations
 from rootmean.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -111,9 +111,6 @@ def test_verify_dimension(capsys):
 def test_verify_dimension_independent_of_threads(capsys):
     outs = []
     for threads in ("1", "2"):
-        # cold caches, so each thread count computes every degree itself
-        means.phi.cache_clear()
-        relations.relation_space_dim.cache_clear()
         code, out, _ = run(
             capsys, "verify", "--conjecture", "dimension", "--max-degree", "12",
             "--threads", threads, "--format", "json",
@@ -127,7 +124,6 @@ def test_uncertified_dimension_exits_one(monkeypatch, capsys):
     # bounds that cannot meet are a verification failure, never a reported dim
     monkeypatch.setattr(relations, "_phi_values", lambda D, point: [Fraction(0)] * (D - 1))
     for threads in ("1", "2"):
-        relations.relation_space_dim.cache_clear()
         code, out, err = run(
             capsys, "verify", "--conjecture", "dimension", "--max-degree", "6", "--threads", threads
         )
@@ -137,7 +133,6 @@ def test_uncertified_dimension_exits_one(monkeypatch, capsys):
         assert "not certified" in err
     with pytest.raises(relations.RelationError):
         relations.relation_space_dim(6)
-    relations.relation_space_dim.cache_clear()
 
 
 def test_dimension_sweep_sequential_by_default(monkeypatch, capsys):
@@ -156,6 +151,21 @@ def test_dimension_sweep_sequential_by_default(monkeypatch, capsys):
 def test_threads_only_on_verify():
     with pytest.raises(SystemExit) as exc:
         main(["gw", "--n", "2", "--max-deg", "3", "--threads", "2"])
+    assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--conjecture", "odd-binomial"],
+        ["numeric-check", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "3"],
+    ],
+    ids=["verify", "numeric-check"],
+)
+def test_csv_only_on_table_commands(argv):
+    # these commands have no rows to write, so csv would print nothing
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
     assert exc.value.code == EXIT_CONFIG
 
 
@@ -300,6 +310,20 @@ def test_numeric_failure_exit_code(monkeypatch, capsys):
     assert code == EXIT_NUMERIC
     assert err == "numeric failure: forced\n"
     assert out == ""
+
+
+def test_translation_failed_solves_exit_one(monkeypatch, capsys):
+    # a failed root solve is a skipped evaluation, never a crash
+    def fail(*args):
+        raise numeric.RootFindingError("forced")
+
+    monkeypatch.setattr(numeric, "find_roots", fail)
+    code, out, err = run(
+        capsys, "numeric-check", "--conjecture", "translation", "--max-degree", "4", "--samples", "3"
+    )
+    assert code == EXIT_VERIFY_FAIL
+    assert err == ""
+    assert "(skipped 27) FAIL" in out and out.endswith("FAIL\n")
 
 
 def test_numeric_check_needs_target(capsys):
@@ -509,5 +533,25 @@ CONSTANT_OUTPUT_DIGESTS = [
 )
 def test_output_with_constants_is_pinned(capsys, argv, fmt, digest):
     code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of numeric-check JSON, residuals included: pins every rng draw and
+# every float operation of the relation and translation checks at one seed
+NUMERIC_OUTPUT_DIGESTS = [
+    (("numeric-check", "--auto", "--D", "7", "--delta", "6", "--samples", "20", "--seed", "3"),
+     "629881750e327c8f9a7cb6601a5644bcd57c242f9760a11c5fcc2ee73eb60bd2"),
+    (("numeric-check", "--conjecture", "translation", "--max-degree", "5", "--samples", "5",
+      "--seed", "3"),
+     "56bdd6cb3e8e93914775a89a5ec7d5b00a62a27c9d03e7dd25adabbf9c446e11"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", NUMERIC_OUTPUT_DIGESTS, ids=[" ".join(argv) for argv, _ in NUMERIC_OUTPUT_DIGESTS]
+)
+def test_numeric_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -113,10 +113,6 @@ def test_phi_table_sums():
     assert phi(PhiKey(7, 0, -3)).sum_positive == 1913499
 
 
-def test_memoization_returns_same_object():
-    assert phi(PhiKey(5, 0, 2)) is phi(PhiKey(5, 0, 2))
-
-
 def test_exact_agreement_single_root_family():
     # rho = D-1: the family is the single root of the last derivative, r1
     rng = random.Random(17)

@@ -120,11 +120,11 @@ def test_chi_parity_and_degrees():
 def test_structure_sweep_roundtrip():
     sweep = StructureSweep.run(12)
     for D, gx in sweep.extractions.items():
-        # h reproduces through the structural factorization at every point
+        # the fitted points reproduce through the structural factorization
         const = Fraction((-1) ** D * D, math.factorial(D))
         for n in range(1, D + 4):
             rho = Fraction(D - n)
-            assert sweep.h_polys[D](n) == const * rho * n ** gx.chi * gx.g(n)
+            assert top_parameter_coefficient(D, D - n) == const * rho * n ** gx.chi * gx.g(n)
         # g coefficients come back from the t_k extraction
         for k in range(2, D + 1):
             e = D - (k + gx.chi)

@@ -11,7 +11,6 @@ from rootmean.numeric import (
     check_relations_batch,
     check_relative_rates,
     check_translation_invariance,
-    derived_coeffs,
     differentiate,
     find_roots,
     horner,
@@ -71,7 +70,7 @@ def test_find_roots_exact_zero_roots():
 
 def kernel_solve(p):
     coeffs = list(p.coeffs)
-    return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs), 160)
+    return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs), numeric.MAX_SWEEPS)
 
 
 def test_kernel_stops_early_on_multiple_and_close_roots():
@@ -118,9 +117,10 @@ def test_find_roots_rational_roots_degree8():
         assert abs(a - b) < 1e-9
 
 
-def test_find_roots_error_carries_residual():
+def test_find_roots_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(numeric, "MAX_SWEEPS", 1)
     with pytest.raises(RootFindingError) as err:
-        find_roots(NumPoly(tuple([1] + [0] * 7 + [-1])), max_iter=1)
+        find_roots(NumPoly(tuple([1] + [0] * 7 + [-1])))
     assert err.value.best_residual is not None and err.value.best_residual > 0
 
 
@@ -130,8 +130,8 @@ def test_derivative_and_integral_coefficients():
     assert differentiate(p.coeffs, 3) == [6]
     anti = integrate(p.coeffs, [5.0])
     assert anti == [0.25, -2 / 3, 1.5, -4, 5.0]
-    assert derived_coeffs(p, -1, [5.0]) == anti
-    assert derived_coeffs(p, 0) == list(p.coeffs)
+    assert numeric._derived_chain(p.coeffs, -1, 0, [5.0])[-1] == anti
+    assert numeric._derived_chain(p.coeffs, 0, 0, ())[0] == list(p.coeffs)
 
 
 def test_derived_chain_is_bit_identical():
@@ -162,7 +162,12 @@ def test_mean_over_own_roots_is_zero():
     for _ in range(10):
         roots = sample_roots(rng, rng.randint(2, 7))
         p = monic_from_roots(roots)
-        assert abs(mean_over_family(p, 0, roots)) < 1e-9 * (1 + max(abs(r) for r in roots))
+        assert abs(mean_over_family(p.coeffs, roots)) < 1e-9 * (1 + max(abs(r) for r in roots))
+
+
+def test_mean_over_empty_family_rejected():
+    with pytest.raises(ValueError):
+        mean_over_family([1, 0], [])
 
 
 def test_quartic_relation_direct():
@@ -170,7 +175,7 @@ def test_quartic_relation_direct():
     means = {}
     for rho in (1, 2, 3):
         roots = find_roots(monicized(differentiate(p.coeffs, rho)))
-        means[rho] = mean_over_family(p, 0, roots)
+        means[rho] = mean_over_family(p.coeffs, roots)
     assert abs(5 * means[1] - 6 * means[2] + means[3]) < 1e-10
 
 
@@ -179,7 +184,7 @@ def test_cubic_mean_slope_is_three_halves_variance():
     for _ in range(10):
         roots = sample_roots(rng, 3)
         p = monic_from_roots(roots)
-        mean_slope = mean_over_family(p, 1, roots)
+        mean_slope = mean_over_family(differentiate(p.coeffs), roots)
         _, var, _ = sample_moments(roots)
         assert abs(mean_slope - 1.5 * var) < 1e-9
 
@@ -322,6 +327,32 @@ def test_translation_report_all_shifts_skipped_does_not_pass(monkeypatch):
     assert not rep.passed
 
 
+def test_translation_failed_base_solve_skips_every_shift(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RootFindingError("forced")
+
+    monkeypatch.setattr(numeric, "find_roots", fail)
+    rep = check_translation_invariance(monic_from_roots([1, 2, 3]), [0.5, -1, 2])
+    assert rep.skipped == 3 and not rep.passed
+    rep = numeric.translation_invariance_report(4, 3, 42)
+    assert rep.skipped == 27
+    assert not rep.passed
+
+
+def test_report_verdict_follows_its_counts():
+    rep = numeric.NumericReport(label="x", samples=4, attempted=4)
+    assert rep.passed
+    rep.skipped = 3
+    assert rep.passed
+    rep.skipped = 4
+    assert not rep.passed
+    rep.skipped, rep.max_rel_residual = 0, 2 * rep.tol
+    assert not rep.passed
+    # nothing attempted passes vacuously
+    assert numeric.NumericReport(label="x", samples=0).passed
+    assert "attempted" not in rep.to_json()
+
+
 def test_solve_quadratic_statistical():
     lo, hi = solve_quadratic_statistical(0, 1)
     assert abs(lo + 1) < 1e-14 and abs(hi - 1) < 1e-14
@@ -401,6 +432,7 @@ def test_symbolic_numeric_agreement():
             e = elementary_symmetric(roots)
             values = {i: e[i] / math.comb(D, i) for i in range(1, D + 1)}
             constants = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2)]
+            chain = numeric._derived_chain(p.coeffs, -2, 2, constants)
             for rho in range(-2, min(3, D)):
                 for delta in range(0, min(3, D)):
                     res = phi(PhiKey(D, delta, rho))
@@ -410,7 +442,7 @@ def test_symbolic_numeric_agreement():
                     if rho == 0:
                         family = roots
                     else:
-                        family = find_roots(monicized(derived_coeffs(p, rho, constants)))
-                    got = mean_over_family(p, delta, family, constants)
+                        family = find_roots(monicized(chain[rho]))
+                    got = mean_over_family(chain[delta], family)
                     scale = max(1.0, abs(complex(want)))
                     assert abs(complex(want) - got) <= 1e-8 * scale

@@ -173,7 +173,6 @@ def relation_space_dim_by_expansion(D) -> int:
 
 
 def test_relation_space_dim_matches_expansion():
-    relation_space_dim.cache_clear()
     for D in range(2, 15):
         assert relation_space_dim(D) == relation_space_dim_by_expansion(D), D
 
@@ -185,7 +184,6 @@ def test_relation_space_dim_expands_nothing(monkeypatch):
     monkeypatch.setattr(relations, "phi", forbidden)
     monkeypatch.setattr(relations.PhiMatrix, "build", classmethod(forbidden))
     monkeypatch.setattr("rootmean.means.materialize", forbidden)
-    relation_space_dim.cache_clear()
     assert [relation_space_dim(D) for D in range(2, 12)] == [0, 1, 1, 2, 1, 2, 1, 2, 1, 2]
 
 
@@ -198,12 +196,8 @@ def test_certificate_needs_no_gw_factor_or_partition_vector(monkeypatch):
     monkeypatch.setattr("rootmean.exact.PartitionVector", forbidden)
     monkeypatch.setattr(relations, "gw_factor", forbidden, raising=False)
     monkeypatch.setattr(relations, "PartitionVector", forbidden, raising=False)
-    relation_space_dim.cache_clear()
-    try:
-        assert certify_relations(12, [PRINTED_RELATIONS[-1][1]])
-        assert relation_space_dim(16) == 1
-    finally:
-        relation_space_dim.cache_clear()
+    assert certify_relations(12, [PRINTED_RELATIONS[-1][1]])
+    assert relation_space_dim(16) == 1
 
 
 def test_dimension_pattern_to_the_degree_cap():
@@ -296,7 +290,6 @@ def test_certificate_rejects_invalid_keys():
 def test_uncertified_degree_raises(monkeypatch):
     # a wrong evaluator loosens the upper bound past what the certificate proves
     monkeypatch.setattr(relations, "_phi_values", lambda D, point: [Fraction(0)] * (D - 1))
-    relation_space_dim.cache_clear()
     for D in (2, 6, 7):
         with pytest.raises(RelationError, match=f"D={D}"):
             relation_space_dim(D)
@@ -312,10 +305,8 @@ def test_loose_bound_retries_with_more_points(monkeypatch):
         return _phi_values(D, point)
 
     monkeypatch.setattr(relations, "_phi_values", first_points_lost)
-    relation_space_dim.cache_clear()
     assert relation_space_dim(9) == 2
     assert len(calls) == 2 * (9 + 1)
-    relation_space_dim.cache_clear()
 
 
 def test_nullspace_dimension_against_plain_rank():

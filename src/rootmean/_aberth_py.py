@@ -1,13 +1,16 @@
 """Simultaneous root refinement (Ehrlich-Aberth iteration) and the package's
 one Horner evaluator.
 
-``rootmean.numeric.find_roots`` starts ``aberth_refine`` on a circle around
-the root centroid and accepts the result only if every root passes its
-residual test.  The kernel stops updating each root on its own once that root
-is done (MPSolve practice, Bini & Fiorentino 2000), so a sweep costs only the
-roots still moving.  Everything else that evaluates a polynomial in the
-numeric oracle goes through ``horner``; the kernel inlines its own fused
-value-and-derivative Horner pass, because it is the one hot loop.
+``rootmean.numeric.find_roots`` starts ``aberth_refine`` from roots already
+found for a nearby polynomial, or on a circle around the root centroid, and
+accepts the result only if every root passes its residual test.  The kernel
+stops updating each root on its own once that root is done (MPSolve
+practice, Bini & Fiorentino 2000), so a sweep costs only the roots still
+moving, and it takes the rounding-level sum of a root's Horner pass only
+once the root is close enough for that sum to decide.  Everything else that
+evaluates a polynomial in the numeric oracle goes through ``horner``; the
+kernel inlines its own fused value-and-derivative Horner pass, because it is
+the one hot loop.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import sys
 
 CORRECTION_TOL = 1e-13
 _EPS = sys.float_info.epsilon
+# complex operands spare the hot loop float's NotImplemented round trip in
+# 1.0 / d and 1.0 - x; the floats are the same
+_ONE = 1 + 0j
 
 
 def horner(coeffs, z):
@@ -30,12 +36,16 @@ def aberth_refine(coeffs, z0, max_sweeps):
     """Refine all roots of the monic polynomial simultaneously.
 
     coeffs: descending complex coefficients, coeffs[0] == 1.
-    z0: initial guesses, one per root.
+    z0: initial guesses, one per root: a circle, or roots already found for
+    a nearby polynomial.
     A root stops being updated once its own relative correction
     |w| / (1 + |z|) falls below CORRECTION_TOL, or once |p(z)| is at the
     rounding level of the Horner sum sum_k |a_k| |z|^(deg-k), where no
-    further step can be told from noise.  Stopped roots still enter the
-    Aberth sums of the roots that are moving.
+    further step can be told from noise.  That sum is computed only when
+    |p(z)| is within twice the rounding level of sum_k |a_k| max(1, |z|)^deg,
+    which bounds it, so it costs nothing while a root is far from done and
+    every decision is the same as with the sum taken at every step.
+    Stopped roots still enter the Aberth sums of the roots that are moving.
     Returns (roots list, sweeps used, converged flag); converged means every
     root stopped within max_sweeps sweeps.
     """
@@ -44,9 +54,15 @@ def aberth_refine(coeffs, z0, max_sweeps):
     abs_tail = [abs(c) for c in tail]
     lead = coeffs[0]
     abs_lead = abs(lead)
+    deg = len(tail)
     # Horner's rounding error is at most about 2 deg eps times the sum of
     # the moduli of its terms; complex arithmetic adds a small factor
-    rounding = 4.0 * len(tail) * _EPS
+    rounding = 4.0 * deg * _EPS
+    # the factor 2 covers the rounding of the float Horner sum it bounds
+    near = 2.0 * rounding * (abs_lead + sum(abs_tail))
+    # from this modulus on, |z|^deg or near * |z|^deg could overflow: take
+    # the sum itself
+    huge = 0.5 * (sys.float_info.max / max(near, 1.0)) ** (1.0 / deg)
     active = list(range(len(z)))
     for it in range(max_sweeps):
         moving = []
@@ -55,13 +71,16 @@ def aberth_refine(coeffs, z0, max_sweeps):
             az = abs(zi)
             p = lead
             dp = 0j
-            scale = abs_lead
-            for c, ac in zip(tail, abs_tail):
+            for c in tail:
                 dp = dp * zi + p
                 p = p * zi + c
-                scale = scale * az + ac
-            if abs(p) <= rounding * scale:
-                continue
+            ap = abs(p)
+            if az >= huge or ap <= near * (az**deg if az > 1.0 else 1.0):
+                scale = abs_lead
+                for ac in abs_tail:
+                    scale = scale * az + ac
+                if ap <= rounding * scale:
+                    continue
             if dp == 0:
                 # nudge off the stationary point
                 z[i] = zi + (1e-8 + 1e-8j) * (1.0 + az)
@@ -72,8 +91,8 @@ def aberth_refine(coeffs, z0, max_sweeps):
             for zk in z:
                 d = zi - zk
                 if d != 0:
-                    s += 1.0 / d
-            denom = 1.0 - newton * s
+                    s += _ONE / d
+            denom = _ONE - newton * s
             w = newton if denom == 0 else newton / denom
             zi = zi - w
             z[i] = zi

@@ -1,10 +1,9 @@
 """Command-line surface: table emission, relation discovery, verification,
 numeric cross-checks, and sequence mining.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 internal numeric failure.  Every machine-readable artifact records the seed
-it was produced with; fixed seed means byte-identical output regardless of
-the worker-thread count.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error.  Every
+machine-readable artifact records the seed it was produced with; fixed seed
+means byte-identical output regardless of the worker-thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ HARD_DEGREE_CAP = 30
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
 
 
 class ConfigError(ValueError):
@@ -586,9 +584,6 @@ def main(argv=None) -> int:
     except relations.RelationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except numeric.RootFindingError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -6,15 +6,20 @@ root families come from a simultaneous-iteration root finder, and means are
 computed by Horner evaluation and averaging.
 
 The root-refinement inner loop and the Horner evaluator live in
-``rootmean._aberth_py``; this module adds the initial guesses, a circle
-around the root centroid whose radius is the geometric-mean distance to the
-roots, and the residual test that accepts or rejects the kernel's roots.  The
-kernel stops each root on its own once it has converged.
+``rootmean._aberth_py``; this module adds the starting points and the
+residual test that accepts or rejects the kernel's roots, in one pass per
+root.  The kernel stops each root on its own once it has converged.  A solve
+starts from roots already found where there are some: the roots of f^(rho)
+from those of f^(rho-1), whose critical points they are, and each shifted
+polynomial of the translation check from the roots of the unshifted one.
+Otherwise, or when a warm-started solve fails the residual test, it starts
+from a circle around the root centroid whose radius is the geometric-mean
+distance to the roots.
 
-Every check counts a failed root solve as a skipped evaluation.  A report
-passes only if its worst residual is within ``tol`` and, when it attempted
-anything, it evaluated something: fewer evaluations were skipped than
-attempted.
+Every check counts a failed root solve, one that fails from the circle, as
+a skipped evaluation.  A report passes only if its worst residual is within
+``tol`` and, when it attempted anything, it evaluated something: fewer
+evaluations were skipped than attempted.
 """
 
 from __future__ import annotations
@@ -157,19 +162,43 @@ def _residual_scale(coeffs, z) -> float:
     return max(scale, 1e-300)
 
 
-def find_roots(p: NumPoly) -> tuple:
+def _accepted(coeffs, z) -> bool:
+    """True when every root r satisfies |p(r)| <= ROOT_RESIDUAL_TOL * scale(r),
+    scale(r) = sum_k |a_k| |r|^(deg-k): one fused value-and-scale pass per
+    root, the same floats as ``horner`` and ``_residual_scale``, stopping at
+    the first root that fails or is not finite."""
+    abs_coeffs = [abs(c) for c in coeffs]
+    for zi in z:
+        az = abs(zi)
+        p = 0j
+        scale = 0.0
+        for c, ac in zip(coeffs, abs_coeffs):
+            p = p * zi + c
+            scale = scale * az + ac
+        # written to fail on NaN: a root that ran off to infinity has
+        # |p| / scale = inf / inf
+        if not abs(p) / max(scale, 1e-300) <= ROOT_RESIDUAL_TOL:
+            return False
+    return True
+
+
+def find_roots(p: NumPoly, start=None) -> tuple:
     """All complex roots of p, repeated by multiplicity, by Aberth's
     simultaneous iteration.
 
     Exact trailing zero coefficients are exact roots 0: they are stripped and
     returned as 0j after the other roots, because the residual scale below
-    vanishes with |r| when a_deg == 0.  The rest is solved by the kernel
-    from the circle of ``_initial_guesses``; each root stops on its own once
-    converged.  The kernel's approximations are returned when every residual
-    satisfies |p(r)| <= ROOT_RESIDUAL_TOL * scale(r) with
-    scale(r) = sum_k |a_k| |r|^(deg-k); otherwise RootFindingError carries the
-    worst residual.  A multiple root comes back as that many separate
-    approximations, and close distinct roots stay apart.
+    vanishes with |r| when a_deg == 0.  The rest is solved by the kernel,
+    each root stopping on its own once converged.  The kernel starts from
+    ``start`` (approximations of p's roots, such as the roots of a nearby
+    polynomial) when one is given, no zero was stripped, it has one point
+    per root and its result passes the residual test; otherwise it starts
+    from the circle of ``_initial_guesses``.  The roots are accepted
+    when every residual satisfies |p(r)| <= ROOT_RESIDUAL_TOL * scale(r) with
+    scale(r) = sum_k |a_k| |r|^(deg-k).  Only a solve from the circle that
+    fails raises RootFindingError, which carries the worst residual.  A
+    multiple root comes back as that many separate approximations, and close
+    distinct roots stay apart.
     """
     coeffs = list(p.coeffs)
     zeros = 0
@@ -182,14 +211,38 @@ def find_roots(p: NumPoly) -> tuple:
     elif deg == 1:
         z = [-coeffs[1]]
     else:
-        z, _, _ = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), MAX_SWEEPS)
-        worst = max(abs(horner(coeffs, zi)) / _residual_scale(coeffs, zi) for zi in z)
-        if worst > ROOT_RESIDUAL_TOL:
-            raise RootFindingError(
-                f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}",
-                best_residual=worst,
-            )
+        z = None
+        if start is not None and not zeros and len(start) == deg:
+            z, _, _ = _kernel.aberth_refine(coeffs, start, MAX_SWEEPS)
+        if z is None or not _accepted(coeffs, z):
+            z, _, _ = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), MAX_SWEEPS)
+            if not _accepted(coeffs, z):
+                worst = max(abs(horner(coeffs, zi)) / _residual_scale(coeffs, zi) for zi in z)
+                raise RootFindingError(
+                    f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}",
+                    best_residual=worst,
+                )
     return tuple(z) + (0j,) * zeros
+
+
+def _derivative_start(coeffs, parent):
+    """Aberth start for the roots of the monic ``coeffs`` from the roots of
+    the polynomial it is the (scaled) derivative of, or None without them.
+
+    Both share the centroid c = -a_1 / n, and the critical points of a
+    random polynomial pair up with its roots (Kabluchko 2015, Hanin 2017).
+    So the n + 1 parent roots less the one nearest c start the n roots
+    sought, each moved toward c by the factor n / (n + 1).
+    """
+    n = len(coeffs) - 1
+    if parent is None or n < 2:  # find_roots solves degree 1 without a start
+        return None
+    c = -coeffs[1] / n
+    gaps = [abs(r - c) for r in parent]
+    shrink = n / (n + 1)
+    start = [c + (r - c) * shrink for r in parent]
+    del start[gaps.index(min(gaps))]
+    return start
 
 
 def mean_over_family(coeffs, roots) -> complex:
@@ -308,7 +361,10 @@ def check_relations_batch(
     Root families are found once per sample and reused across relations, so a
     degree's whole relation set costs the same as its slowest single relation,
     and each relation's residuals do not depend on which others share the
-    batch.  A sample whose root finding fails is skipped for every relation.
+    batch.  Families are solved in ascending rho, and f^(rho), rho >= 1,
+    starts from the roots of f^(rho-1) when those are at hand (the sampled
+    roots for rho = 1).  A sample whose root finding fails is skipped for
+    every relation.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
@@ -334,7 +390,12 @@ def check_relations_batch(
         means = {}
         try:
             for rho in support_union:
-                fams[rho] = roots if rho == 0 else find_roots(monicized(chain[rho]))
+                if rho == 0:
+                    fams[0] = roots
+                else:
+                    monic = monicized(chain[rho])
+                    parent = roots if rho == 1 else fams.get(rho - 1)
+                    fams[rho] = find_roots(monic, _derivative_start(monic.coeffs, parent))
                 means[rho] = mean_over_family(values, fams[rho])
         except RootFindingError:
             for rep in reports:
@@ -406,7 +467,8 @@ def relative_rates_report(
 def check_translation_invariance(p: NumPoly, dh_list, tol: float = RELATION_TOL) -> NumericReport:
     """Mean slope over the roots of p - dh compared with dh = 0, per dh.
 
-    A failed shifted solve skips its shift; a failed solve of p skips them all.
+    Each shifted solve starts from the roots of p.  A failed shifted solve
+    skips its shift; a failed solve of p skips them all.
     """
     report = NumericReport(label=f"translation-invariance degree {p.degree}", samples=len(dh_list),
                            tol=tol, attempted=len(dh_list))
@@ -422,7 +484,7 @@ def check_translation_invariance(p: NumPoly, dh_list, tol: float = RELATION_TOL)
         shifted = list(p.coeffs)
         shifted[-1] = shifted[-1] - dh
         try:
-            fam = find_roots(NumPoly(tuple(shifted)))
+            fam = find_roots(NumPoly(tuple(shifted)), base_fam)
         except RootFindingError:
             report.skipped += 1
             continue

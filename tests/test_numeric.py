@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import struct
+import sys
 
 import pytest
 
@@ -73,12 +75,14 @@ def kernel_solve(p):
     return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs), numeric.MAX_SWEEPS)
 
 
+# clusters, Wilkinson's degree-10 polynomial and two close roots
+KERNEL_HARD_CASES = [[1] * k for k in range(2, 7)] + [list(range(1, 11)), [1, 1 + 5e-5, -2]]
+
+
 def test_kernel_stops_early_on_multiple_and_close_roots():
     # started on the centroid circle and stopped per root, the kernel settles
     # clusters at the rounding level instead of running out of sweeps
-    cases = [[1] * k for k in range(2, 7)]
-    cases += [list(range(1, 11)), [1, 1 + 5e-5, -2]]
-    for planted in cases:
+    for planted in KERNEL_HARD_CASES:
         _, sweeps, converged = kernel_solve(monic_from_roots(planted))
         assert converged and sweeps <= 30, (planted, sweeps)
 
@@ -97,6 +101,160 @@ def test_kernel_sweeps_on_sampled_families():
                 assert converged
                 sweeps.append(n)
     assert sum(sweeps) / len(sweeps) < 6.5
+
+
+def reference_aberth_refine(coeffs, z0, max_sweeps):
+    """The kernel's loop written plainly, with the rounding-level sum taken
+    at every step and float operands in the Aberth sum: the kernel must
+    reproduce it bit for bit."""
+    z = list(z0)
+    tail = coeffs[1:]
+    abs_tail = [abs(c) for c in tail]
+    lead = coeffs[0]
+    abs_lead = abs(lead)
+    rounding = 4.0 * len(tail) * sys.float_info.epsilon
+    active = list(range(len(z)))
+    for it in range(max_sweeps):
+        moving = []
+        for i in active:
+            zi = z[i]
+            az = abs(zi)
+            p = lead
+            dp = 0j
+            scale = abs_lead
+            for c, ac in zip(tail, abs_tail):
+                dp = dp * zi + p
+                p = p * zi + c
+                scale = scale * az + ac
+            if abs(p) <= rounding * scale:
+                continue
+            if dp == 0:
+                z[i] = zi + (1e-8 + 1e-8j) * (1.0 + az)
+                moving.append(i)
+                continue
+            newton = p / dp
+            s = 0j
+            for zk in z:
+                d = zi - zk
+                if d != 0:
+                    s += 1.0 / d
+            denom = 1.0 - newton * s
+            w = newton if denom == 0 else newton / denom
+            zi = zi - w
+            z[i] = zi
+            if abs(w) >= numeric._kernel.CORRECTION_TOL * (1.0 + abs(zi)):
+                moving.append(i)
+        active = moving
+        if not active:
+            return z, it + 1, True
+    return z, max_sweeps, False
+
+
+def float_bits(result):
+    # NaN != NaN, so compare the bytes of every root
+    z, sweeps, converged = result
+    return [struct.pack("dd", r.real, r.imag) for r in z], sweeps, converged
+
+
+def test_kernel_is_bit_identical_to_reference():
+    polys = [monic_from_roots(planted) for planted in KERNEL_HARD_CASES]
+    for D in range(2, 10):
+        rng = random.Random(100 + D)
+        for _ in range(10):
+            f = monic_from_roots(sample_roots(rng, D))
+            polys += [monicized(differentiate(f.coeffs, rho)) for rho in range(D - 1)]
+    for p in polys:
+        coeffs = list(p.coeffs)
+        circle = numeric._initial_guesses(coeffs)
+        # modulus 1e200 overflows |z|^deg: every start, and one among the circle
+        starts = [circle, [1e200 * z / abs(z) for z in circle], [1e200j] + circle[1:]]
+        for z0 in starts:
+            want = reference_aberth_refine(coeffs, z0, numeric.MAX_SWEEPS)
+            got = numeric._kernel.aberth_refine(coeffs, z0, numeric.MAX_SWEEPS)
+            assert float_bits(got) == float_bits(want), (p, z0[0])
+
+
+def record_kernel(monkeypatch, fail_warm=False):
+    """Record (start, sweeps, converged) of every kernel call; with fail_warm,
+    a call not started from the circle returns its start unrefined."""
+    calls = []
+    real = numeric._kernel.aberth_refine
+
+    def kernel(coeffs, z0, max_sweeps):
+        warm = list(z0) != numeric._initial_guesses(coeffs)
+        z, sweeps, converged = (list(z0), 1, False) if fail_warm and warm else real(coeffs, z0, max_sweeps)
+        calls.append((list(z0), warm, sweeps, converged))
+        return z, sweeps, converged
+
+    monkeypatch.setattr(numeric._kernel, "aberth_refine", kernel)
+    return calls
+
+
+def chain_reports(samples=30, seed=3):
+    from rootmean.relations import find_relations
+
+    return [
+        rep.to_json()
+        for D in range(3, 10)
+        for rep in check_relations_batch(D, 0, find_relations(D).all_relations(), samples, seed)
+    ]
+
+
+def test_warm_starts_cut_sweeps_on_derivative_chains(monkeypatch):
+    # every f^(rho) starts from the roots of f^(rho-1); the circle needs 5.5
+    # sweeps a solve on these families
+    calls = record_kernel(monkeypatch)
+    reports = chain_reports()
+    assert all(rep["pass"] and rep["skipped"] == 0 for rep in reports)
+    assert all(converged for _, _, _, converged in calls)
+    assert sum(warm for _, warm, _, _ in calls) == 30 * sum(D - 2 for D in range(3, 10))
+    assert sum(sweeps for _, _, sweeps, _ in calls) / len(calls) < 4.8
+
+
+def test_failed_warm_start_retries_from_circle(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_derivative_start", lambda coeffs, parent: None)
+        circle_only = chain_reports(samples=10)
+    calls = record_kernel(monkeypatch, fail_warm=True)
+    # the retry from the circle gives the roots, and the residuals, of a
+    # solve that had no start
+    assert chain_reports(samples=10) == circle_only
+    warm = [i for i, call in enumerate(calls) if call[1]]
+    assert warm and all(not calls[i + 1][1] for i in warm)
+    rep = check_translation_invariance(monic_from_roots([1, 2j, -3, 0.5]), [0.5, -1j, 2])
+    assert rep.passed and rep.skipped == 0 and calls[-1][1] is False
+
+
+def test_unusable_start_falls_back_to_circle(monkeypatch):
+    calls = record_kernel(monkeypatch)
+    p = monic_from_roots([1, 2, 3])
+    close = [1.1, 2.1, 2.9]
+    find_roots(p, start=close)
+    assert calls[-1][0] == close
+    for q, start in [
+        (monic_from_roots([0, 1, 2, 3]), [0.1, 1.1, 2.1, 2.9]),  # a zero is stripped
+        (p, [1.1, 2.1]),  # too few points
+        (p, [1.1, 2.1, 2.9, 4]),  # too many
+    ]:
+        got = find_roots(q, start=start)
+        # the cubic's circle: for q with a zero root, after the zero is stripped
+        assert calls[-1][0] == numeric._initial_guesses(list(q.coeffs[:4]))
+        assert sorted_roots(got) == sorted_roots(find_roots(q))
+
+
+def test_start_that_diverges_falls_back_to_circle(monkeypatch):
+    # from seven coinciding points the kernel sends the roots of z^7 - 1/2
+    # past 1e45, where |p| / scale is inf / inf; no NaN passes the residual
+    # test, so the solve is retried from the circle
+    calls = record_kernel(monkeypatch)
+    q = NumPoly((1,) + (0,) * 6 + (-0.5,))
+    got = find_roots(q, start=[0j] * 7)
+    assert len(calls) == 2 and not calls[-1][1]
+    assert max(abs(z) for z in calls[0][0]) == 0
+    assert sorted_roots(got) == sorted_roots(find_roots(q))
+    # the translation check starts z^7 - dh from the seven exact zeros of z^7
+    rep = check_translation_invariance(NumPoly((1,) + (0,) * 7), [0.5, -1j, 0.3 + 0.2j])
+    assert rep.passed and rep.skipped == 0
 
 
 def test_find_roots_plant_and_recover():

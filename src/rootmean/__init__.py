@@ -8,9 +8,9 @@ exact nullspace computation, and cross-validates everything against an
 independent floating-point oracle.
 """
 
-from .exact import ExactRational, PartitionVector, binomial, multinomial, partitions
-from .means import PhiKey, PhiResult, phi, phi_table, statistical_moments
-from .powersums import gw_coefficient, newton_residual, power_sum_mean
+from .exact import PartitionVector, binomial, multinomial, partitions
+from .means import PhiKey, PhiResult, phi, phi_table
+from .powersums import gw_coefficient, power_sum_mean
 from .relations import (
     RelationVector,
     check_inheritance,
@@ -24,7 +24,6 @@ from .sympoly import SymPoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactRational",
     "PartitionVector",
     "PhiKey",
     "PhiResult",
@@ -36,12 +35,10 @@ __all__ = [
     "find_relations",
     "gw_coefficient",
     "multinomial",
-    "newton_residual",
     "nullspace",
     "partitions",
     "phi",
     "phi_table",
     "power_sum_mean",
     "relation_space_dim",
-    "statistical_moments",
 ]

@@ -382,8 +382,9 @@ def cmd_numeric(args) -> int:
     payload = {"seed": args.seed, "tol": args.tol, "reports": []}
     pretty = []
     ok = True
-    if args.samples < 0:
-        raise ConfigError("--samples must be >= 0")
+    # zero samples would evaluate nothing, and a check must not pass on nothing
+    if args.samples < 1:
+        raise ConfigError("--samples must be >= 1")
     # relation residuals never exceed 1, so a tol of 1 or more passes a false relation
     if not 0 < args.tol < 1:
         raise ConfigError(f"--tol must lie strictly between 0 and 1, got {args.tol}")
@@ -422,8 +423,6 @@ def cmd_numeric(args) -> int:
     else:
         raise ConfigError("nothing to check: pass --relation, --auto, or --conjecture")
 
-    if args.samples == 0:
-        pretty.append("warning: 0 samples requested; checks pass vacuously")
     for rep in reports:
         payload["reports"].append(rep.to_json())
         ok = ok and rep.passed

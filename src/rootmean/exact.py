@@ -1,9 +1,7 @@
 """Exact rational arithmetic and the combinatorial primitives used everywhere else.
 
-All symbolic coefficients in this package are arbitrary-precision rationals.
-``fractions.Fraction`` already satisfies the required invariants (lowest terms,
-positive denominator, zero stored as 0/1), so it is re-exported as
-``ExactRational`` rather than reimplemented.
+All symbolic coefficients in this package are arbitrary-precision rationals,
+``fractions.Fraction``: lowest terms, positive denominator, zero stored as 0/1.
 """
 
 from __future__ import annotations
@@ -13,10 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-ExactRational = Fraction
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def binomial(n: int, k: int) -> int:
@@ -117,7 +112,3 @@ def partitions(j: int) -> tuple:
     if j < 0:
         raise ValueError("partitions requires j >= 0")
     return tuple(PartitionVector.from_list(p) for p in _descending_partitions(j, j))
-
-
-def partition_count(j: int) -> int:
-    return len(partitions(j))

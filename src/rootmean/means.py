@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ZERO, PartitionVector, binomial
-from .powersums import gw_coefficient, materialize, power_sum_mean
+from .powersums import gw_coefficient, materialize
 from .sympoly import SymPoly, poly_sum
 
 FLAG_OK = "ok"
@@ -129,18 +129,3 @@ def phi_coefficient(key: PhiKey, m: PartitionVector) -> Fraction:
 def phi_table(D: int, delta: int, rho_values) -> list:
     """PhiResults for each rho, ordered as given (tables list rho descending)."""
     return [phi(PhiKey(D, delta, r)) for r in rho_values]
-
-
-def statistical_moments(n: int):
-    """(mean, variance, third central moment) of an n-element root family.
-
-    Each is a polynomial in the family's own parameters r1..rn, built from the
-    mean power sums; n >= 3, so that all three are defined.  For a 3-family
-    these are r1, 2(r1^2 - r2), and 2 r1^3 - 3 r1 r2 + r3.
-    """
-    if n < 3:
-        raise ValueError("third central moment needs a family of size >= 3")
-    E, M2, M3 = (power_sum_mean(j, n) for j in (1, 2, 3))
-    V = M2 - E * E
-    W = M3 - (M2 * E).scale(3) + (E * E * E).scale(2)
-    return (E, V, W)

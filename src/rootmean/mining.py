@@ -1,18 +1,13 @@
 """Coefficient-sequence mining over the mean-value tables.
 
-Two coefficient extractors are provided for phi(D, 0, rho).  Each reads its
-one coefficient through ``means.phi_coefficient``, which sums the at most two
-Girard-Waring terms that reach that monomial; neither expands phi.
-
-* ``leading_phi_coefficient``: the coefficient of the first parameter raised
-  to the D-th power (the leading printed term).  As a polynomial in the
-  family size n it is exactly -rho * n^(D-2).
-
-* ``top_parameter_coefficient``: the coefficient of the single top-order
-  parameter (weight D, exponent 1).  This is the series with the structural
-  factorization h_D(n) = ((-1)^D D / D!) * rho * n^chi * g_D(n), where
-  rho = D - n, chi = D mod 2, and g_D is monic with integer coefficients of
-  degree D - (2 + chi).  The h/g/t/Q mining pipeline runs on this extractor.
+One coefficient extractor feeds the mining: ``top_parameter_coefficient``
+reads the coefficient of the single top-order parameter (weight D, exponent
+1) in phi(D, 0, rho) through ``means.phi_coefficient``, which sums the at
+most two Girard-Waring terms that reach that monomial without expanding phi.
+As a polynomial in the family size n it has the structural factorization
+h_D(n) = ((-1)^D D / D!) * rho * n^chi * g_D(n), where rho = D - n,
+chi = D mod 2, and g_D is monic with integer coefficients of degree
+D - (2 + chi), and the h/g/t/Q pipeline runs on it.
 
 Each g_D is then decided over the integers by ``is_irreducible_int``: an
 integer-root scan, then Ben-Or's test modulo small primes, then a divisor-root
@@ -37,11 +32,6 @@ from .means import PhiKey, phi_coefficient
 
 HOLDOUT = 2  # held-out points every fit must reproduce
 MAX_BFILE_OFFSET = 6  # largest index shift tried against a b-file
-
-
-def leading_phi_coefficient(D: int, rho: int) -> Fraction:
-    """Coefficient of (order-1 parameter)^D in phi((D, 0, rho))."""
-    return phi_coefficient(PhiKey(D, 0, rho), PartitionVector.from_parts({1: D}))
 
 
 def top_parameter_coefficient(D: int, rho: int) -> Fraction:

@@ -18,8 +18,9 @@ distance to the roots.
 
 Every check counts a failed root solve, one that fails from the circle, as
 a skipped evaluation.  A report passes only if its worst residual is within
-``tol`` and, when it attempted anything, it evaluated something: fewer
-evaluations were skipped than attempted.
+``tol`` (a non-finite residual counts as infinite) and, when it attempted
+anything, it evaluated something: fewer evaluations were skipped than
+attempted.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ class NumPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        return horner(self.coeffs, z)
 
 
 def monic_from_roots(roots) -> NumPoly:
@@ -330,6 +328,12 @@ class NumericReport:
         }
 
 
+def _worse(worst: float, residual: float) -> float:
+    """The larger residual, a non-finite one counting as inf: max(0.0, nan)
+    is 0.0, which would pass a NaN mean."""
+    return max(worst, residual) if math.isfinite(residual) else math.inf
+
+
 def _relation_terms(D: int, delta: int, rel):
     """(label, support, alpha) of a RelationVector or a {rho: alpha} mapping."""
     if isinstance(rel, dict):
@@ -410,7 +414,7 @@ def check_relations_batch(
                             for r, a in zip(support, alpha))
                 if den <= tol * scale:
                     residual = abs(num) / scale
-            rep.max_rel_residual = max(rep.max_rel_residual, residual)
+            rep.max_rel_residual = _worse(rep.max_rel_residual, residual)
     return reports
 
 
@@ -439,17 +443,6 @@ def _relative_rates(p: NumPoly, ks, roots) -> list:
     return out
 
 
-def check_relative_rates(p: NumPoly, k: int, roots) -> complex:
-    """sum over the roots r of p of f^(k)(r) / f'(r); needs simple roots.
-
-    Verification treats the value as zero when |sum| <= tol * sum of term
-    magnitudes; k > degree gives exactly 0.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return _relative_rates(p, (k,), list(roots))[0][0]
-
-
 def relative_rates_report(
     max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
@@ -460,7 +453,7 @@ def relative_rates_report(
             for total, terms in _relative_rates(p, ks, roots):
                 mag = sum(abs(t) for t in terms)
                 residual = abs(total) / mag if mag > 1e-12 else abs(total)
-                report.max_rel_residual = max(report.max_rel_residual, residual)
+                report.max_rel_residual = _worse(report.max_rel_residual, residual)
     return report
 
 
@@ -489,7 +482,7 @@ def check_translation_invariance(p: NumPoly, dh_list, tol: float = RELATION_TOL)
             report.skipped += 1
             continue
         residual = abs(mean_over_family(slope, fam) - base) / scale
-        report.max_rel_residual = max(report.max_rel_residual, residual)
+        report.max_rel_residual = _worse(report.max_rel_residual, residual)
     return report
 
 
@@ -503,45 +496,5 @@ def translation_invariance_report(
             sub = check_translation_invariance(p, dh, tol)
             report.attempted += sub.attempted
             report.skipped += sub.skipped
-            report.max_rel_residual = max(report.max_rel_residual, sub.max_rel_residual)
+            report.max_rel_residual = _worse(report.max_rel_residual, sub.max_rel_residual)
     return report
-
-
-# ---------------------------------------------------------------------------
-# statistical solvers (order 2 and 3)
-
-def solve_quadratic_statistical(E, V):
-    """Roots of the monic quadratic whose root mean is E and variance V: E +/- sqrt(V)."""
-    s = cmath.sqrt(complex(V))
-    return (complex(E) - s, complex(E) + s)
-
-
-def solve_cubic_statistical(E, V, W):
-    """Roots of the monic cubic with root mean E, variance V, third central moment W.
-
-    Uses the trigonometric-free radical form: with T+- the cube roots of
-    W/2 +- sqrt((W/2)^2 - (V/2)^3) paired so that T+ T- = V/2, the roots are
-    E + w^k T+ + w^-k T- over the cube roots of unity w^k.
-    """
-    E, V, W = complex(E), complex(V), complex(W)
-    disc = cmath.sqrt((W / 2) ** 2 - (V / 2) ** 3)
-    base = W / 2 + disc
-    if abs(base) < 1e-300:
-        base = W / 2 - disc
-    if abs(base) < 1e-300:
-        t_plus = 0j
-        t_minus = 0j
-    else:
-        t_plus = base ** (1.0 / 3.0)
-        t_minus = (V / 2) / t_plus
-    omega = cmath.exp(2j * math.pi / 3)
-    return tuple(E + omega**k * t_plus + omega**-k * t_minus for k in range(3))
-
-
-def sample_moments(roots):
-    """(mean, variance, third central moment) of a finite multiset."""
-    n = len(roots)
-    mean = sum(roots) / n
-    var = sum((r - mean) ** 2 for r in roots) / n
-    third = sum((r - mean) ** 3 for r in roots) / n
-    return mean, var, third

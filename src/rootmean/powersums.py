@@ -96,47 +96,3 @@ def power_sum_table(n: int, max_deg: int) -> list:
         p = power_sum_mean(j, n)
         rows.append((j, p, p.sum_positive()))
     return rows
-
-
-def elementary_symmetric(values) -> list:
-    """e_0..e_n of a concrete multiset, exact if the inputs are Fractions."""
-    e = [Fraction(1)]
-    for v in values:
-        e.append(Fraction(0))
-        for k in range(len(e) - 1, 0, -1):
-            e[k] = e[k] + v * e[k - 1]
-    return e
-
-
-def power_sums(values, max_j: int) -> list:
-    """p_0..p_max_j of a concrete multiset (p_0 = family size)."""
-    vals = list(values)
-    out = [Fraction(len(vals))]
-    for j in range(1, max_j + 1):
-        out.append(sum((v**j for v in vals), Fraction(0)))
-    return out
-
-
-def newton_residual(n: int, values) -> Fraction:
-    """sum_{i+j=n} (-1)^j p_j e_i on a concrete n-multiset; identically zero.
-
-    Kept as a self-check of the symmetric-function bookkeeping.
-    """
-    vals = list(values)
-    if len(vals) != n or n < 1:
-        raise ValueError("newton_residual needs exactly n values, n >= 1")
-    e = elementary_symmetric(vals)
-    p = power_sums(vals, n)
-    total = Fraction(0)
-    for j in range(n + 1):
-        i = n - j
-        total += (-1) ** j * p[j] * e[i]
-    return total
-
-
-def mean_parameters(values) -> dict:
-    """Concrete order-i parameter values of a multiset, {i: e_i / C(n, i)}."""
-    vals = [Fraction(v) for v in values]
-    n = len(vals)
-    e = elementary_symmetric(vals)
-    return {i: e[i] / binomial(n, i) for i in range(1, n + 1)}

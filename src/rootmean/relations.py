@@ -186,9 +186,6 @@ class RelationVector:
     def verify(self) -> bool:
         return certify_relations(self.D, [self.alpha], self.delta, self.support)
 
-    def as_mapping(self) -> dict:
-        return dict(zip(self.support, self.alpha))
-
     def alpha_sum(self) -> int:
         return sum(self.alpha)
 
@@ -197,11 +194,6 @@ class RelationVector:
         for r, a in zip(self.support, self.alpha):
             bits.append(f"{a:+d}*phi({self.D},{self.delta},{r})")
         return " ".join(bits) + " = 0"
-
-
-def _dense(rel: RelationVector, rho_list) -> tuple:
-    m = rel.as_mapping()
-    return tuple(m.get(r, 0) for r in rho_list)
 
 
 @dataclass
@@ -230,10 +222,6 @@ class RelationReport:
 
     def zero_sum_ok(self) -> bool:
         return all(r.alpha_sum() == 0 for r in self.basis)
-
-    def rank(self) -> int:
-        dense = [list(_dense(r, self.rho_set)) for r in self.all_relations()]
-        return len(_echelon(dense, len(self.rho_set)))
 
     def to_json(self) -> dict:
         return {

@@ -9,8 +9,8 @@ parameter r_p for p <= D and the integration constant c_(p-D) above D
 (a derivative truncates the family, an antiderivative extends it).  So a
 monomial of weight w is a partition of w, and a polynomial keys its terms by
 ``exact.PartitionVector``, the type the Girard-Waring expansion and single
-coefficient queries use as well.  ``part_name`` and ``name_part`` turn a
-part into its name and back; they need D only to tell the constants apart.
+coefficient queries use as well.  ``part_name`` names a part; it needs D
+only to tell the constants apart.
 
 Everything here is immutable and safe to share across threads.
 """
@@ -22,45 +22,15 @@ from fractions import Fraction
 from .exact import ZERO, PartitionVector
 
 
-class UnboundSymbolError(KeyError):
-    """Raised by evaluate() when a part (a parameter) has no value."""
-
-    def __init__(self, symbol):
-        self.symbol = symbol
-        super().__init__(f"no value for the weight-{symbol} parameter")
-
-
 def part_name(p: int, D: int | None = None) -> str:
     """r<p> for p <= D, c<p-D> above D; with D None every part is a root parameter."""
     return f"r{p}" if D is None or p <= D else f"c{p - D}"
-
-
-def name_part(name: str, D: int | None = None) -> int:
-    """The part ``part_name`` names ``name``; a constant needs D."""
-    kind, order = name[:1], name[1:]
-    if order.isdigit() and int(order) >= 1:
-        if kind == "r" and (D is None or int(order) <= D):
-            return int(order)
-        if kind == "c" and D is not None:
-            return D + int(order)
-    raise ValueError(f"bad symbol name {name!r} at D={D}")
 
 
 def _sort_key(m: PartitionVector):
     # graded, then lexicographic over ascending parts with larger exponents
     # first: within one weight this is the table order r1^D, r1^(D-2) r2, ...
     return (m.j, tuple((p, -k) for p, k in reversed(m.items)))
-
-
-def _mul(a: PartitionVector, b: PartitionVector) -> PartitionVector:
-    if not a.items:
-        return b
-    if not b.items:
-        return a
-    acc = dict(a.items)
-    for p, k in b.items:
-        acc[p] = acc.get(p, 0) + k
-    return PartitionVector.from_parts(acc)
 
 
 class SymPoly:
@@ -89,11 +59,6 @@ class SymPoly:
         return cls._raw({PartitionVector(()): c} if c else {})
 
     @classmethod
-    def symbol(cls, p: int) -> "SymPoly":
-        """The weight-p parameter."""
-        return cls._raw({PartitionVector(((p, 1),)): Fraction(1)})
-
-    @classmethod
     def term(cls, coeff, parts) -> "SymPoly":
         """coeff times the monomial {part: exponent} (a dict or its pairs)."""
         coeff = Fraction(coeff)
@@ -102,9 +67,6 @@ class SymPoly:
         return cls._raw({PartitionVector.from_parts(dict(parts)): coeff})
 
     # ---- inspection ----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -126,68 +88,21 @@ class SymPoly:
         """The parts (parameter weights) that occur."""
         return {p for m in self._terms for p, _ in m.items}
 
-    def weights(self) -> set:
-        return {m.j for m in self._terms}
-
     def sum_positive(self) -> Fraction:
         return sum((c for c in self._terms.values() if c > 0), ZERO)
 
-    # ---- ring operations -------------------------------------------------
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        _accumulate(acc, other._terms, None)
-        return SymPoly._raw(acc)
-
-    def __neg__(self) -> "SymPoly":
-        return SymPoly._raw({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        _accumulate(acc, other._terms, Fraction(-1))
-        return SymPoly._raw(acc)
-
+    # ---- arithmetic ----------------------------------------------------------
     def scale(self, c) -> "SymPoly":
         c = Fraction(c)
         if not c:
             return SymPoly.zero()
         return SymPoly._raw({m: c * v for m, v in self._terms.items()})
 
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        acc: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _mul(m1, m2)
-                v = acc.get(m, ZERO) + c1 * c2
-                if v:
-                    acc[m] = v
-                else:
-                    acc.pop(m, None)
-        return SymPoly._raw(acc)
-
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    # ---- evaluation ------------------------------------------------------
-    def evaluate(self, values: dict):
-        """Evaluate at {part: value} (Fractions stay exact, floats/complex work too)."""
-        total = None
-        for m, c in self._terms.items():
-            piece = c
-            for p, e in reversed(m.items):  # ascending parts, as the terms print
-                if p not in values:
-                    raise UnboundSymbolError(p)
-                piece = piece * values[p] ** e
-            total = piece if total is None else total + piece
-        return ZERO if total is None else total
 
     # ---- serialization ------------------------------------------------------
     def to_json(self, D: int | None = None) -> dict:
@@ -201,15 +116,6 @@ class SymPoly:
             coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
             terms.append({"expt": expt, "coeff": coeff})
         return {"terms": terms}
-
-    @classmethod
-    def from_json(cls, data: dict, D: int | None = None) -> "SymPoly":
-        """Inverse of ``to_json(D)``; constants ``c<m>`` need the same D."""
-        acc: dict = {}
-        for t in data["terms"]:
-            m = PartitionVector.from_parts({name_part(name, D): e for name, e in t["expt"].items()})
-            _accumulate(acc, {m: Fraction(t["coeff"])}, None)
-        return cls._raw(acc)
 
     def render(self, name=part_name) -> str:
         """'c1 m1 + c2 m2 ...' in canonical order; ``name(p)`` spells the part p."""
@@ -233,19 +139,14 @@ class SymPoly:
         return f"SymPoly({self})"
 
 
-def _accumulate(acc: dict, terms: dict, factor) -> None:
-    """acc += factor * terms, in place, dropping cancellations."""
-    for m, c in terms.items():
-        v = acc.get(m, ZERO) + (c if factor is None else factor * c)
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
-
-
 def poly_sum(polys) -> SymPoly:
-    """Sum many polynomials without intermediate copies."""
+    """Sum many polynomials without intermediate copies, dropping cancellations."""
     acc: dict = {}
     for p in polys:
-        _accumulate(acc, p._terms, None)
+        for m, c in p._terms.items():
+            v = acc.get(m, ZERO) + c
+            if v:
+                acc[m] = v
+            else:
+                acc.pop(m, None)
     return SymPoly._raw(acc)

@@ -1,0 +1,147 @@
+"""Exact reference oracles the tests compare the engine against.
+
+None of these is reached by a ``rootmean`` subcommand: each is an independent
+way to compute what the engine computes, kept next to the tests that use it.
+
+* Symmetric functions of a concrete multiset: ``elementary_symmetric``,
+  ``power_sums``, ``newton_residual`` and ``mean_parameters``.
+* ``SymPoly`` algebra over ``terms()``, ``SymPoly.term`` and ``poly_sum``:
+  ``add``, ``sub``, ``mul`` and ``symbol`` (the ring product phi is
+  checked against), ``weights``, ``evaluate`` and ``from_json``.
+* ``rank`` of a relation report, from the dense relation vectors.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from rootmean.exact import ZERO, binomial
+from rootmean.relations import _echelon
+from rootmean.sympoly import SymPoly, poly_sum
+
+# ---------------------------------------------------------------------------
+# symmetric functions of a concrete multiset
+
+
+def elementary_symmetric(values) -> list:
+    """e_0..e_n of a concrete multiset, exact if the inputs are Fractions."""
+    e = [Fraction(1)]
+    for v in values:
+        e.append(Fraction(0))
+        for k in range(len(e) - 1, 0, -1):
+            e[k] = e[k] + v * e[k - 1]
+    return e
+
+
+def power_sums(values, max_j: int) -> list:
+    """p_0..p_max_j of a concrete multiset (p_0 = family size)."""
+    vals = list(values)
+    out = [Fraction(len(vals))]
+    for j in range(1, max_j + 1):
+        out.append(sum((v**j for v in vals), Fraction(0)))
+    return out
+
+
+def newton_residual(n: int, values) -> Fraction:
+    """sum_{i+j=n} (-1)^j p_j e_i on a concrete n-multiset; identically zero."""
+    vals = list(values)
+    if len(vals) != n or n < 1:
+        raise ValueError("newton_residual needs exactly n values, n >= 1")
+    e = elementary_symmetric(vals)
+    p = power_sums(vals, n)
+    return sum(((-1) ** j * p[j] * e[n - j] for j in range(n + 1)), Fraction(0))
+
+
+def mean_parameters(values) -> dict:
+    """Concrete order-i parameter values of a multiset, {i: e_i / C(n, i)}."""
+    vals = [Fraction(v) for v in values]
+    n = len(vals)
+    e = elementary_symmetric(vals)
+    return {i: e[i] / binomial(n, i) for i in range(1, n + 1)}
+
+
+# ---------------------------------------------------------------------------
+# SymPoly algebra
+
+
+def symbol(p: int) -> SymPoly:
+    """The weight-p parameter."""
+    return SymPoly.term(1, {p: 1})
+
+
+def add(*polys) -> SymPoly:
+    return poly_sum(polys)
+
+
+def sub(a: SymPoly, b: SymPoly) -> SymPoly:
+    return poly_sum([a, b.scale(-1)])
+
+
+def mul(a: SymPoly, b: SymPoly) -> SymPoly:
+    """The ring product: every pair of terms, exponents added part by part."""
+    out = []
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            parts = dict(ma.items)
+            for p, k in mb.items:
+                parts[p] = parts.get(p, 0) + k
+            out.append(SymPoly.term(ca * cb, parts))
+    return poly_sum(out)
+
+
+def weights(a: SymPoly) -> set:
+    return {m.j for m, _ in a.terms()}
+
+
+class UnboundSymbolError(KeyError):
+    """Raised by ``evaluate`` when a part (a parameter) has no value."""
+
+    def __init__(self, symbol):
+        self.symbol = symbol
+        super().__init__(f"no value for the weight-{symbol} parameter")
+
+
+def evaluate(a: SymPoly, values: dict):
+    """a at {part: value}; Fractions stay exact, floats and complex work too."""
+    total = ZERO
+    for m, c in a.terms():
+        piece = c
+        for p, e in reversed(m.items):  # ascending parts, as the terms print
+            if p not in values:
+                raise UnboundSymbolError(p)
+            piece = piece * values[p] ** e
+        total = total + piece
+    return total
+
+
+def name_part(name: str, D: int | None = None) -> int:
+    """The part ``sympoly.part_name`` names ``name``; a constant needs D."""
+    kind, order = name[:1], name[1:]
+    if order.isdigit() and int(order) >= 1:
+        if kind == "r" and (D is None or int(order) <= D):
+            return int(order)
+        if kind == "c" and D is not None:
+            return D + int(order)
+    raise ValueError(f"bad symbol name {name!r} at D={D}")
+
+
+def from_json(data: dict, D: int | None = None) -> SymPoly:
+    """Inverse of ``SymPoly.to_json(D)``; constants ``c<m>`` need the same D."""
+    return poly_sum(
+        SymPoly.term(Fraction(t["coeff"]), {name_part(name, D): e for name, e in t["expt"].items()})
+        for t in data["terms"]
+    )
+
+
+# ---------------------------------------------------------------------------
+# relations
+
+
+def as_mapping(rel) -> dict:
+    return dict(zip(rel.support, rel.alpha))
+
+
+def rank(report) -> int:
+    """Rank of every relation a ``RelationReport`` lists, over its rho window."""
+    rows = [[as_mapping(rel).get(rho, 0) for rho in report.rho_set] for rel in report.all_relations()]
+    return len(_echelon(rows, len(report.rho_set)))

@@ -246,20 +246,13 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
     assert code == EXIT_VERIFY_FAIL and not blob["pass"]
 
 
-def test_numeric_check_zero_samples_warns(capsys):
-    code, out, _ = run(
-        capsys, "numeric-check", "--relation", "5:1,-6:2,1:3", "--D", "4", "--samples", "0"
-    )
-    assert code == EXIT_OK
-    assert "vacuously" in out
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ("numeric-check", "--relation", "5-1", "--D", "4"),
         ("phi", "--D", "4", "--rho", "3..x"),
         ("numeric-check", "--auto", "--D", "4", "--samples", "-5"),
+        ("numeric-check", "--relation", "5:1,-6:2,1:3", "--D", "4", "--samples", "0"),
         ("mine", "--k-max", "1", "--d-sweep", "5"),
         ("numeric-check", "--conjecture", "relative-rates", "--max-degree", "1"),
         ("numeric-check", "--conjecture", "relative-rates", "--max-degree", "0"),
@@ -283,7 +276,7 @@ def test_numeric_check_zero_samples_warns(capsys):
         ("numeric-check", "--auto", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5"),
     ],
     ids=[
-        "relation-spec", "rho-window", "negative-samples", "k-max-below-2",
+        "relation-spec", "rho-window", "negative-samples", "zero-samples", "k-max-below-2",
         "relative-rates-degree-1", "relative-rates-degree-0", "translation-degree-1",
         "translation-above-cap", "odd-binomial-nothing-to-check", "prop5-nothing-to-check",
         "all-zero-relation", "output-path-missing", "bfile-missing", "sweep-too-short-to-fit",

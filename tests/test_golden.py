@@ -6,7 +6,8 @@ import os
 
 from rootmean import golden
 from rootmean.relations import RelationVector, check_inheritance
-from rootmean.sympoly import SymPoly
+
+from oracles import from_json
 
 
 def test_phi_tables_reproduce():
@@ -64,7 +65,7 @@ def test_inheritance_chains_verify():
 def test_fixture_terms_parse_as_polynomials():
     data = golden.load_fixture("phi_tables.json")["phi_tables"]
     row = data["4"]["rows"][2]  # rho = 1
-    poly = SymPoly.from_json({"terms": row["terms"]})
+    poly = from_json({"terms": row["terms"]})
     assert str(poly) == "-9 r1^4 + 18 r1^2 r2 - 4 r1 r3 - 6 r2^2 + 1 r4"
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rootmean.exact import PartitionVector
+from rootmean.means import PhiKey, phi_coefficient
 from rootmean.mining import (
     BfileComparison,
     FitError,
@@ -20,13 +21,17 @@ from rootmean.mining import (
     fit_polynomial,
     interpolate,
     is_irreducible_int,
-    leading_phi_coefficient,
     mine_Q_and_norlund,
     read_bfile,
     t_series,
     top_parameter_coefficient,
 )
 from rootmean.powersums import power_sum_mean
+
+
+def leading_phi_coefficient(D, rho):
+    """Coefficient of r1^D in phi(D, 0, rho), read without expanding phi."""
+    return phi_coefficient(PhiKey(D, 0, rho), PartitionVector.from_parts({1: D}))
 
 
 def test_leading_coefficient_examples():

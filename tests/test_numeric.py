@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 import struct
@@ -11,7 +10,6 @@ from rootmean.numeric import (
     NumPoly,
     RootFindingError,
     check_relations_batch,
-    check_relative_rates,
     check_translation_invariance,
     differentiate,
     find_roots,
@@ -20,16 +18,27 @@ from rootmean.numeric import (
     mean_over_family,
     monic_from_roots,
     monicized,
-    sample_moments,
     sample_rng,
     sample_roots,
-    solve_cubic_statistical,
-    solve_quadratic_statistical,
 )
+
+from oracles import elementary_symmetric, evaluate
 
 
 def sorted_roots(roots):
     return sorted(roots, key=lambda z: (round(z.real, 7), round(z.imag, 7)))
+
+
+def relative_rate(p, k, roots):
+    """sum over the simple roots r of p of f^(k)(r) / f'(r)."""
+    return numeric._relative_rates(p, (k,), list(roots))[0][0]
+
+
+def moments(roots):
+    """(mean, variance, third central moment) of a finite multiset."""
+    n = len(roots)
+    mean = sum(roots) / n
+    return mean, sum((r - mean) ** 2 for r in roots) / n, sum((r - mean) ** 3 for r in roots) / n
 
 
 def test_numpoly_requires_monic():
@@ -312,7 +321,7 @@ def test_derived_chain_is_bit_identical():
             dk = differentiate(p.coeffs, k)
             want = [horner(dk, r) / horner(d1, r) for r in roots] if k <= D else []
             assert terms == want
-            assert total == check_relative_rates(p, k, roots)
+            assert total == relative_rate(p, k, roots)
 
 
 def test_mean_over_own_roots_is_zero():
@@ -343,7 +352,7 @@ def test_cubic_mean_slope_is_three_halves_variance():
         roots = sample_roots(rng, 3)
         p = monic_from_roots(roots)
         mean_slope = mean_over_family(differentiate(p.coeffs), roots)
-        _, var, _ = sample_moments(roots)
+        _, var, _ = moments(roots)
         assert abs(mean_slope - 1.5 * var) < 1e-9
 
 
@@ -394,6 +403,23 @@ def test_all_samples_skipped_does_not_pass(monkeypatch):
     assert not rep.passed
 
 
+def test_nan_residual_fails_every_report(monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN must count as an infinite residual, not vanish
+    nan = complex(math.nan, math.nan)
+    monkeypatch.setattr(numeric, "mean_over_family", lambda coeffs, roots: nan)
+    monkeypatch.setattr(numeric, "_relative_rates", lambda p, ks, roots: [(nan, [nan])] * len(ks))
+    [batch] = check_relations_batch(4, 0, [{1: 5, 2: -6, 3: 1}], 5, 1)
+    reports = [
+        batch,
+        check_translation_invariance(monic_from_roots([1, 2, 3]), [0.5]),
+        numeric.relative_rates_report(4, 2, 1),
+        numeric.translation_invariance_report(4, 2, 1),
+    ]
+    for rep in reports:
+        assert rep.max_rel_residual == math.inf and rep.skipped == 0, rep
+        assert not rep.passed, rep
+
+
 def test_negative_samples_rejected():
     with pytest.raises(ValueError):
         check_relations_batch(4, 0, [{1: 5, 2: -6, 3: 1}], samples=-5, seed=42)
@@ -401,13 +427,13 @@ def test_negative_samples_rejected():
 
 def test_relative_rates_symmetric_quadratic():
     p = NumPoly((1, 0, -1))
-    total = check_relative_rates(p, 2, roots=[-1, 1])
+    total = relative_rate(p, 2, roots=[-1, 1])
     assert abs(total) < 1e-14
 
 
 def test_relative_rates_above_degree_is_exact_zero():
     p = NumPoly((1, 0, -1))
-    assert check_relative_rates(p, 5, roots=[-1, 1]) == 0j
+    assert relative_rate(p, 5, roots=[-1, 1]) == 0j
 
 
 def test_relative_rates_random():
@@ -417,7 +443,7 @@ def test_relative_rates_random():
         roots = sample_roots(rng, deg)
         p = monic_from_roots(roots)
         for k in range(2, deg + 1):
-            total = check_relative_rates(p, k, roots=roots)
+            total = relative_rate(p, k, roots=roots)
             dk = differentiate(p.coeffs, k)
             d1 = differentiate(p.coeffs, 1)
             mag = sum(abs(horner(dk, r) / horner(d1, r)) for r in roots)
@@ -427,7 +453,7 @@ def test_relative_rates_random():
 def test_relative_rates_rejects_repeated_roots():
     p = NumPoly((1, -2, 1))  # (x-1)^2
     with pytest.raises(RootFindingError):
-        check_relative_rates(p, 2, roots=[1, 1])
+        relative_rate(p, 2, roots=[1, 1])
 
 
 def test_translation_invariance_zero_shift_exact():
@@ -511,43 +537,6 @@ def test_report_verdict_follows_its_counts():
     assert "attempted" not in rep.to_json()
 
 
-def test_solve_quadratic_statistical():
-    lo, hi = solve_quadratic_statistical(0, 1)
-    assert abs(lo + 1) < 1e-14 and abs(hi - 1) < 1e-14
-
-
-def test_solve_cubic_statistical_integers():
-    roots = solve_cubic_statistical(2, 2 / 3, 0)
-    got = sorted(z.real for z in roots)
-    assert max(abs(z.imag) for z in roots) < 1e-12
-    for a, b in zip(got, (1, 2, 3)):
-        assert abs(a - b) < 1e-12
-
-
-def test_solve_cubic_statistical_moments_roundtrip():
-    rng = random.Random(31)
-    for _ in range(50):
-        roots = sample_roots(rng, 3)
-        E, V, W = sample_moments(roots)
-        rec = solve_cubic_statistical(E, V, W)
-        e2, v2, w2 = sample_moments(list(rec))
-        assert abs(e2 - E) < 1e-10
-        assert abs(v2 - V) < 1e-10
-        assert abs(w2 - W) < 1e-10
-
-
-def test_cubic_branch_pairing():
-    rng = random.Random(32)
-    for _ in range(20):
-        roots = sample_roots(rng, 3)
-        E, V, W = sample_moments(roots)
-        disc = cmath.sqrt((W / 2) ** 2 - (V / 2) ** 3)
-        t_plus = (W / 2 + disc) ** (1 / 3)
-        if abs(t_plus) > 1e-12:
-            t_minus = (V / 2) / t_plus
-            assert abs(t_plus * t_minus - V / 2) < 1e-12
-
-
 def test_cubic_inflection_point_value():
     # for a monic cubic the value at the root mean is the negated third
     # central moment
@@ -555,8 +544,8 @@ def test_cubic_inflection_point_value():
     for _ in range(30):
         roots = sample_roots(rng, 3)
         p = monic_from_roots(roots)
-        E, _, W = sample_moments(roots)
-        assert abs(p(E) + W) < 1e-9
+        E, _, W = moments(roots)
+        assert abs(horner(p.coeffs, E) + W) < 1e-9
 
 
 def test_sample_rng_deterministic_and_stream_separated():
@@ -580,7 +569,6 @@ def test_symbolic_numeric_agreement():
     # root-mean parameters and compare with direct averaging over refined
     # derivative/antiderivative roots
     from rootmean.means import PhiKey, phi
-    from rootmean.powersums import elementary_symmetric
 
     rng = random.Random(424242)
     for D in range(2, 8):
@@ -596,7 +584,7 @@ def test_symbolic_numeric_agreement():
                     res = phi(PhiKey(D, delta, rho))
                     if any(part > D for part in res.poly.symbols()):
                         continue  # delta < 0 only; not in this window
-                    want = res.poly.evaluate(values)
+                    want = evaluate(res.poly, values)
                     if rho == 0:
                         family = roots
                     else:

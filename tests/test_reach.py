@@ -1,0 +1,157 @@
+"""Every function in ``src/rootmean`` is reached by a subcommand.
+
+A cheap matrix of ``rootmean`` calls, one per subcommand and mode in each
+format it offers plus config errors, runs in process under a call tracer
+(``sys.settrace`` and ``threading.settrace``).  Each function the package
+defines must be entered by one of them or be on ``KEEP``, which says why it
+stays.  Code that only a test calls belongs in ``tests/``.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import os
+import sys
+import threading
+
+import rootmean
+from rootmean import cli
+
+PACKAGE = os.path.dirname(os.path.realpath(rootmean.__file__))
+
+# functions no CLI call enters, each with the reason it stays
+KEEP = {
+    "relations.PhiMatrix.shape": "perfbench/tracer.py reads it",
+    "sympoly.SymPoly.__len__": "perfbench/tracer.py reads it",
+    "cli.build_parser": "runs once, at import",
+    "cli.build_parser.common": "runs inside cli.build_parser, at import",
+    "numeric._fujiwara_radius": "runs only when the root centroid is itself a root",
+    "numeric.RootFindingError.__init__": "error constructor: runs only when a root solve fails",
+    "sympoly.SymPoly.__hash__": "Python protocol method",
+    "sympoly.SymPoly.__bool__": "Python protocol method",
+    "sympoly.SymPoly.__str__": "Python protocol method",
+    "sympoly.SymPoly.__repr__": "Python protocol method",
+    "exact.PartitionVector.__repr__": "Python protocol method",
+    "exact.PartitionVector.as_list": "spells PartitionVector.__repr__",
+    "mining._kronecker_factor": "decides (x^2+x+1)(x^2+2) as reducible until distinct-degree factorisation replaces it",
+}
+
+
+def _bfile(tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text("# lcd\n2 1\n3 1\n")
+    return str(path)
+
+
+def _matrix(tmp_path):
+    """(argv, expected exit code) pairs: every subcommand, mode and format."""
+    three = ("pretty", "json", "csv")
+    two = ("pretty", "json")
+    calls = []
+    for fmt in three:
+        calls += [
+            (["gw", "--n", "3", "--max-deg", "4", "--format", fmt], 0),
+            (["phi", "--D", "4", "--rho=-2..3", "--format", fmt], 0),
+            (["relations", "--D", "5", "--format", fmt], 0),
+            (["mine", "--k-max", "2", "--d-sweep", "5", "--oeis-bfile", _bfile(tmp_path), "--format", fmt], 0),
+        ]
+    for fmt in two:
+        calls += [(["verify", "--conjecture", c, "--max-degree", "5", "--format", fmt], 0)
+                  for c in sorted(cli.VERIFIERS)]
+        calls += [
+            (["numeric-check", "--relation", "1:1,-1:2", "--D", "3", "--samples", "2", "--format", fmt], 0),
+            (["numeric-check", "--auto", "--D", "4", "--samples", "2", "--format", fmt], 0),
+            (["numeric-check", "--conjecture", "relative-rates", "--max-degree", "3", "--samples", "2",
+              "--format", fmt], 0),
+            (["numeric-check", "--conjecture", "translation", "--max-degree", "3", "--samples", "2",
+              "--format", fmt], 0),
+        ]
+    calls += [
+        (["phi", "--D", "4"], 0),
+        (["phi", "--D", "3", "--delta", "3"], 0),
+        (["phi", "--D", "3", "--delta", "4"], 0),
+        (["relations", "--D", "4", "--extended", "--no-minimal-support"], 0),
+        (["relations", "--D", "5", "--delta", "2", "--rho", "0..4"], 0),
+        (["verify", "--conjecture", "dimension", "--max-degree", "4", "--threads", "2"], 0),
+        # a relation over antiderivative families (negative rho)
+        (["numeric-check", "--relation", "2:-2,-5:-1", "--D", "3", "--samples", "2"], 0),
+        (["mine", "--k-max", "2", "--d-sweep", "5", "--output", str(tmp_path / "mine.txt")], 0),
+        # D=15 is the one degree below 20 that reaches the divisor-root scan
+        (["mine", "--k-max", "2", "--d-sweep", "15"], 0),
+        # config errors
+        (["gw", "--n", "0", "--max-deg", "2"], 2),
+        (["phi", "--D", "40"], 2),
+        (["phi", "--D", "9", "--delta", "-30"], 2),
+        (["phi", "--D", "4", "--rho", "x"], 2),
+        (["relations", "--D", "4", "--rho", "3..1"], 2),
+        (["verify", "--conjecture", "prop5", "--max-degree", "2"], 2),
+        (["verify", "--conjecture", "odd-binomial", "--max-degree", "2"], 2),
+        (["numeric-check", "--relation", "1:1,1", "--D", "3"], 2),
+        (["numeric-check", "--samples", "0", "--auto", "--D", "3"], 2),
+        (["numeric-check"], 2),
+        (["mine", "--k-max", "1"], 2),
+        (["mine", "--oeis-bfile", str(tmp_path / "missing.txt")], 2),
+        (["gw", "--n", "2", "--max-deg", "2", "--output", str(tmp_path)], 2),
+    ]
+    return calls
+
+
+def _defined_functions() -> dict:
+    """{(file, first line of the code object): dotted name} of every def in the package."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(path, first)] = name
+                visit(child, path, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}.{child.name}")
+            else:
+                visit(child, path, prefix)
+
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            path = os.path.join(PACKAGE, filename)
+            with open(path, encoding="utf-8") as fh:
+                visit(ast.parse(fh.read()), path, filename[:-3])
+    return out
+
+
+def _clear_caches():
+    # a cached call would hide the functions behind it
+    for name in list(sys.modules):
+        if name.startswith("rootmean."):
+            for value in vars(sys.modules[name]).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def test_every_function_is_reached_or_kept(tmp_path):
+    defined = _defined_functions()
+    assert set(KEEP) <= set(defined.values()), sorted(set(KEEP) - set(defined.values()))
+    entered = set()
+
+    def tracer(frame, event, arg):
+        entered.add(frame.f_code)
+
+    _clear_caches()
+    old, old_thread = sys.gettrace(), threading.gettrace()
+    sys.settrace(tracer)
+    threading.settrace(tracer)
+    try:
+        codes = []
+        for argv, want in _matrix(tmp_path):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append((argv, cli.main(argv), want))
+    finally:
+        sys.settrace(old)
+        threading.settrace(old_thread)
+    assert [c for c in codes if c[1] != c[2]] == []
+    reached = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in entered}
+    unreached = sorted(name for key, name in defined.items() if key not in reached and name not in KEEP)
+    assert not unreached, "no CLI call enters: " + ", ".join(unreached)

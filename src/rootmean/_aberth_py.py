@@ -22,6 +22,7 @@ _EPS = sys.float_info.epsilon
 # complex operands spare the hot loop float's NotImplemented round trip in
 # 1.0 / d and 1.0 - x; the floats are the same
 _ONE = 1 + 0j
+_INF = float("inf")
 
 
 def horner(coeffs, z):
@@ -46,6 +47,8 @@ def aberth_refine(coeffs, z0, max_sweeps):
     which bounds it, so it costs nothing while a root is far from done and
     every decision is the same as with the sum taken at every step.
     Stopped roots still enter the Aberth sums of the roots that are moving.
+    A root whose |p(z)| is not finite can only turn into NaN, so it ends the
+    solve at once, unconverged.
     Returns (roots list, sweeps used, converged flag); converged means every
     root stopped within max_sweeps sweeps.
     """
@@ -75,6 +78,8 @@ def aberth_refine(coeffs, z0, max_sweeps):
                 dp = dp * zi + p
                 p = p * zi + c
             ap = abs(p)
+            if not ap < _INF:  # inf or NaN
+                return z, it + 1, False
             if az >= huge or ap <= near * (az**deg if az > 1.0 else 1.0):
                 scale = abs_lead
                 for ac in abs_tail:

@@ -55,12 +55,22 @@ def parse_rho_window(text: str):
     return range(lo, hi + 1)
 
 
-def check_degree(D: int, args, delta: int | None = None) -> None:
-    """Cap D and D - delta, the degree of the averaged function (the weight of phi).
+def rho_window(D: int, text: str | None, default, extended: bool = False) -> list:
+    """The family orders a command averages over: the ``--rho`` window
+    ``text``, or ``default`` without one.  ``--rho`` and ``--extended`` both
+    choose the window, so they are not taken together, and a rho >= D leaves
+    no root to average over."""
+    if text and extended:
+        raise ConfigError("--rho and --extended both choose the window; pass one of them")
+    window = list(parse_rho_window(text) if text else default)
+    empty = [r for r in window if r >= D]
+    if empty:
+        raise ConfigError(f"rho={min(empty)} leaves an empty root family at D={D}")
+    return window
 
-    ``delta`` defaults to ``args.delta`` (0 when absent); a caller that
-    ignores ``--delta`` passes 0.
-    """
+
+def check_degree(D: int, args, delta: int = 0) -> None:
+    """Cap D and D - delta, the degree of the averaged function (the weight of phi)."""
     if D < 2:
         raise ConfigError("degree must be >= 2")
     if getattr(args, "unsafe_degree", False):
@@ -69,8 +79,6 @@ def check_degree(D: int, args, delta: int | None = None) -> None:
         raise ConfigError(
             f"degree {D} above the cap {HARD_DEGREE_CAP}; pass --unsafe-degree to override"
         )
-    if delta is None:
-        delta = getattr(args, "delta", 0)
     if D - delta > HARD_DEGREE_CAP:
         raise ConfigError(
             f"value order {delta} averages a function of degree {D - delta}, above the cap "
@@ -87,7 +95,17 @@ def pretty_poly(p, D: int | None = None) -> str:
     return p.render(name)
 
 
-def emit(args, payload: dict, pretty_lines, csv_rows=None, csv_header=None) -> None:
+def emit(args, payload: dict, pretty_lines, csv_rows=None, csv_header=None, verdict=None) -> None:
+    """Write one artefact in ``args.format`` to ``--output`` or stdout.
+
+    The JSON payload always records the seed.  A command that checks
+    something passes its outcome as ``verdict``: the payload records it as
+    ``"pass"`` and the pretty text closes with PASS or FAIL.
+    """
+    payload = {**payload, "seed": args.seed}
+    if verdict is not None:
+        payload["pass"] = verdict
+        pretty_lines = [*pretty_lines, "PASS" if verdict else "FAIL"]
     if args.format == "json":
         text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     elif args.format == "csv":
@@ -120,7 +138,6 @@ def cmd_gw(args) -> int:
     check_degree(max(2, max_deg), args)
     table = power_sum_table(n, max_deg)
     payload = {
-        "seed": args.seed,
         "n": n,
         "max_deg": max_deg,
         "rows": [
@@ -140,18 +157,11 @@ def cmd_gw(args) -> int:
 
 def cmd_phi(args) -> int:
     D = args.D
-    check_degree(D, args)
-    if args.rho:
-        window = list(parse_rho_window(args.rho))
-    else:
-        window = [D - n for n in range(1, 11)]  # the tables' printed range
-    window = sorted(window, reverse=True)
-    for r in window:
-        if D - r < 1:
-            raise ConfigError(f"rho={r} leaves an empty root family at D={D}")
+    check_degree(D, args, args.delta)
+    # by default the tables' printed range, n = 1..10
+    window = sorted(rho_window(D, args.rho, [D - n for n in range(1, 11)]), reverse=True)
     results = phi_table(D, args.delta, window)
     payload = {
-        "seed": args.seed,
         "D": D,
         "delta": args.delta,
         "rows": [
@@ -181,18 +191,13 @@ def cmd_phi(args) -> int:
 
 def cmd_relations(args) -> int:
     D = args.D
-    check_degree(D, args)
-    if args.rho:
-        window = list(parse_rho_window(args.rho))
-    else:
-        window = list(range(1, D)) if not args.extended else list(range(-(D + 2), D))
-    for r in window:
-        if D - r < 1:
-            raise ConfigError(f"rho={r} leaves an empty root family at D={D}")
+    check_degree(D, args, args.delta)
+    default = range(-(D + 2), D) if args.extended else range(1, D)
+    window = rho_window(D, args.rho, default, args.extended)
     report = relations.find_relations(
         D, args.delta, window, minimal_support=args.minimal_support
     )
-    payload = {"seed": args.seed, **report.to_json()}
+    payload = report.to_json()
 
     # cross-check the printed catalog for this (D, delta) inside the window
     catalog = [
@@ -224,11 +229,9 @@ def cmd_relations(args) -> int:
     if failures:
         pretty.append(f"  CATALOG FAILURES: {len(failures)}")
     csv_rows = [
-        ("basis", json.dumps(list(rel.support)), json.dumps(list(rel.alpha)))
-        for rel in report.basis
-    ] + [
-        ("minimal", json.dumps(list(rel.support)), json.dumps(list(rel.alpha)))
-        for rel in report.minimal_support
+        (kind, json.dumps(list(rel.support)), json.dumps(list(rel.alpha)))
+        for kind, rels in (("basis", report.basis), ("minimal", report.minimal_support))
+        for rel in rels
     ]
     emit(args, payload, pretty, csv_rows, ("kind", "support", "alpha"))
     return EXIT_VERIFY_FAIL if failures else EXIT_OK
@@ -350,12 +353,10 @@ VERIFIERS = {
 
 def cmd_verify(args) -> int:
     check_degree(args.max_degree, args)
-    payload = {"seed": args.seed, "conjecture": args.conjecture, "max_degree": args.max_degree}
+    payload = {"conjecture": args.conjecture, "max_degree": args.max_degree}
     pretty = [f"verify {args.conjecture} up to degree {args.max_degree}"]
     ok = VERIFIERS[args.conjecture](args, payload, pretty)
-    payload["pass"] = ok
-    pretty.append("PASS" if ok else "FAIL")
-    emit(args, payload, pretty)
+    emit(args, payload, pretty, verdict=ok)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -379,9 +380,6 @@ def parse_relation_spec(text: str):
 
 
 def cmd_numeric(args) -> int:
-    payload = {"seed": args.seed, "tol": args.tol, "reports": []}
-    pretty = []
-    ok = True
     # zero samples would evaluate nothing, and a check must not pass on nothing
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
@@ -392,28 +390,24 @@ def cmd_numeric(args) -> int:
     if len(given) > 1:
         raise ConfigError(f"pass only one of --relation, --auto and --conjecture, got {' and '.join(given)}")
     if args.conjecture == "relative-rates":
-        check_degree(args.max_degree, args, delta=0)
+        check_degree(args.max_degree, args)
         reports = [numeric.relative_rates_report(args.max_degree, args.samples, args.seed, args.tol)]
     elif args.conjecture == "translation":
-        check_degree(args.max_degree, args, delta=0)
+        check_degree(args.max_degree, args)
         reports = [numeric.translation_invariance_report(args.max_degree, args.samples, args.seed, args.tol)]
     elif args.relation:
         if args.D is None:
             raise ConfigError("--relation needs --D")
-        check_degree(args.D, args)
+        check_degree(args.D, args, args.delta)
         mapping = parse_relation_spec(args.relation)
-        for rho in mapping:
-            try:
-                PhiKey(args.D, args.delta, rho)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
+        rho_window(args.D, None, mapping)
         reports = numeric.check_relations_batch(
             args.D, args.delta, [mapping], args.samples, args.seed, args.tol
         )
     elif args.auto:
         if args.D is None:
             raise ConfigError("--auto needs --D")
-        check_degree(args.D, args)
+        check_degree(args.D, args, args.delta)
         found = relations.find_relations(args.D, args.delta, minimal_support=False).all_relations()
         if not found:
             raise ConfigError(f"nothing to check: no relation at D={args.D}, delta={args.delta}")
@@ -423,15 +417,13 @@ def cmd_numeric(args) -> int:
     else:
         raise ConfigError("nothing to check: pass --relation, --auto, or --conjecture")
 
-    for rep in reports:
-        payload["reports"].append(rep.to_json())
-        ok = ok and rep.passed
-        pretty.append(
-            f"  {rep.label}: max rel residual {rep.max_rel_residual:.3e} "
-            f"(skipped {rep.skipped}) {'PASS' if rep.passed else 'FAIL'}"
-        )
-    payload["pass"] = ok
-    emit(args, payload, pretty + ["PASS" if ok else "FAIL"])
+    ok = all(rep.passed for rep in reports)
+    pretty = [
+        f"  {rep.label}: max rel residual {rep.max_rel_residual:.3e} "
+        f"(skipped {rep.skipped}) {'PASS' if rep.passed else 'FAIL'}"
+        for rep in reports
+    ]
+    emit(args, {"tol": args.tol, "reports": [rep.to_json() for rep in reports]}, pretty, verdict=ok)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -456,7 +448,6 @@ def cmd_mine(args) -> int:
     sweep = mining.StructureSweep.run(args.d_sweep)
     q_seq, lead_seq = mining.mine_Q_and_norlund(args.k_max, sweep)
     payload = {
-        "seed": args.seed,
         "d_sweep": args.d_sweep,
         "k_max": args.k_max,
         "sequences": {"lcd": q_seq.to_json(), "leading": lead_seq.to_json()},
@@ -487,8 +478,7 @@ def cmd_mine(args) -> int:
                     f"{cmp_res.matched}/{cmp_res.total} (abs={cmp_res.absolute_values})"
                 )
                 ok = ok and cmp_res.aligned
-    payload["pass"] = ok
-    emit(args, payload, pretty + ["PASS" if ok else "FAIL"], csv_rows, ("sequence", "k", "value"))
+    emit(args, payload, pretty, csv_rows, ("sequence", "k", "value"), verdict=ok)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -86,67 +86,25 @@ def _row_matches_typo(typo_row: dict, row_id: dict) -> bool:
     return all(row_id.get(k) == v for k, v in typo_row.items())
 
 
-def _compare_terms(report, typos, table, row_id, printed_terms, engine_terms):
-    report.compared_rows += 1
-    pset, eset = _term_set(printed_terms), _term_set(engine_terms)
-    if pset == eset:
-        report.matches += 1
-        return
-    printed_only = sorted(pset - eset)
-    engine_only = sorted(eset - pset)
-    known = any(_row_matches_typo(t.get("row", {}), row_id) for t in typos.get(table, []))
-    report.discrepancies.append(
-        Discrepancy(table, row_id, printed_only, engine_only, known=known)
-    )
+def _tables(name: str):
+    """(number, table) for each table of a fixture, in ascending number."""
+    data = load_fixture(f"{name}.json")[name]
+    return sorted((int(k), table) for k, table in data.items())
 
 
-def check_phi_tables(report: DiscrepancyReport | None = None) -> DiscrepancyReport:
-    """Engine vs the printed mean-value tables (degrees 2..7, all printed rows)."""
-    report = report or DiscrepancyReport()
-    typos = _typo_index()
-    data = load_fixture("phi_tables.json")["phi_tables"]
-    for dstr, table in sorted(data.items(), key=lambda kv: int(kv[0])):
-        D = int(dstr)
+def _printed_rows():
+    """(table, row id, printed row, engine polynomial, D) for every printed row:
+    the mean-value tables (degrees 2..7), then both power-sum collations (by
+    family size and by degree)."""
+    for D, table in _tables("phi_tables"):
         for row in table["rows"]:
-            res = phi(PhiKey(D, table["delta"], row["rho"]))
-            row_id = {"rho": row["rho"]}
-            _compare_terms(
-                report, typos, f"phi.{D}", row_id, row["terms"], res.poly.to_json(D)["terms"]
-            )
-            if str(res.sum_positive) != row["sum_positive"]:
-                report.discrepancies.append(
-                    Discrepancy(f"phi.{D}", {**row_id, "field": "sum_positive"},
-                                [row["sum_positive"]], [str(res.sum_positive)])
-                )
-    return report
-
-
-def check_gw_tables(report: DiscrepancyReport | None = None) -> DiscrepancyReport:
-    """Engine vs both printed power-sum collations (by family size and by degree)."""
-    report = report or DiscrepancyReport()
-    typos = _typo_index()
-    data = load_fixture("gw_tables.json")["gw_tables"]
-    for nstr, table in sorted(data.items(), key=lambda kv: int(kv[0])):
-        n = int(nstr)
+            yield f"phi.{D}", {"rho": row["rho"]}, row, phi(PhiKey(D, table["delta"], row["rho"])).poly, D
+    for n, table in _tables("gw_tables"):
         for row in table["rows"]:
-            p = power_sum_mean(row["j"], n)
-            _compare_terms(
-                report, typos, f"gw.n{n}", {"j": row["j"]}, row["terms"], p.to_json()["terms"]
-            )
-            if str(p.sum_positive()) != row["sum_positive"]:
-                report.discrepancies.append(
-                    Discrepancy(f"gw.n{n}", {"j": row["j"], "field": "sum_positive"},
-                                [row["sum_positive"]], [str(p.sum_positive())])
-                )
-    deg = load_fixture("gw_deg_tables.json")["gw_deg_tables"]
-    for jstr, table in sorted(deg.items(), key=lambda kv: int(kv[0])):
-        j = int(jstr)
+            yield f"gw.n{n}", {"j": row["j"]}, row, power_sum_mean(row["j"], n), None
+    for j, table in _tables("gw_deg_tables"):
         for row in table["rows"]:
-            p = power_sum_mean(j, row["n"])
-            _compare_terms(
-                report, typos, f"gw_deg.{j}", {"n": row["n"]}, row["terms"], p.to_json()["terms"]
-            )
-    return report
+            yield f"gw_deg.{j}", {"n": row["n"]}, row, power_sum_mean(j, row["n"]), None
 
 
 def catalog_relations():
@@ -179,7 +137,22 @@ def inheritance_chains():
 
 
 def full_report() -> DiscrepancyReport:
+    """Engine vs every printed row: its terms, then its sum of positive coefficients."""
     report = DiscrepancyReport()
-    check_phi_tables(report)
-    check_gw_tables(report)
+    typos = _typo_index()
+    for table, row_id, row, poly, D in _printed_rows():
+        report.compared_rows += 1
+        pset, eset = _term_set(row["terms"]), _term_set(poly.to_json(D)["terms"])
+        if pset == eset:
+            report.matches += 1
+        else:
+            known = any(_row_matches_typo(t.get("row", {}), row_id) for t in typos.get(table, []))
+            report.discrepancies.append(
+                Discrepancy(table, row_id, sorted(pset - eset), sorted(eset - pset), known=known)
+            )
+        if str(poly.sum_positive()) != row["sum_positive"]:
+            report.discrepancies.append(
+                Discrepancy(table, {**row_id, "field": "sum_positive"},
+                            [row["sum_positive"]], [str(poly.sum_positive())])
+            )
     return report

@@ -9,9 +9,9 @@ h_D(n) = ((-1)^D D / D!) * rho * n^chi * g_D(n), where rho = D - n,
 chi = D mod 2, and g_D is monic with integer coefficients of degree
 D - (2 + chi), and the h/g/t/Q pipeline runs on it.
 
-Each g_D is then decided over the integers by ``is_irreducible_int``: an
-integer-root scan, then Ben-Or's test modulo small primes, then a divisor-root
-scan and, at low degree, a Kronecker factor search.
+Each g_D is then decided over the integers by ``is_irreducible_int``: Ben-Or's
+test modulo small primes, then one integer-root scan and, at low degree, a
+Kronecker factor search.
 
 From g_D(n) = sum_k t_k(D) n^(D-(k+chi)) the coefficient polynomials t_k(D)
 are interpolated across degrees, their least common denominators Q_k and the
@@ -328,31 +328,30 @@ def is_irreducible_int(g: RationalPolynomial) -> bool | None:
     """Irreducibility of a monic integer polynomial over the integers.
 
     Degree M <= 1 is irreducible.  Otherwise the first test that settles it
-    answers, in this order: an integer root in -64..64 (or g(0) = 0) means
-    reducible; Ben-Or's test finding g irreducible modulo one of the 17
-    ``_MODP_PRIMES`` means irreducible; |g(0)| above ``_DIVISOR_CAP`` gives
-    None; a root among the divisors of g(0) means reducible; for M <= 7, the
-    Kronecker search for a monic quadratic or cubic factor decides (None if
-    g(0), g(1) or g(-1) is above the cap).  Otherwise None: D = 15 and 17
-    in the default ``mine`` sweep, and D = 28 and 29 below the degree cap.
+    answers, in this order: Ben-Or's test finding g irreducible modulo one of
+    the 17 ``_MODP_PRIMES`` means irreducible; an integer root means
+    reducible, scanned for among the divisors of g(0), or only in -64..64
+    when |g(0)| is above ``_DIVISOR_CAP`` (then None without one); for
+    M <= 7, the Kronecker search for a monic quadratic or cubic factor
+    decides (None if g(0), g(1) or g(-1) is above the cap).  Otherwise None:
+    D = 15 and 17 in the default ``mine`` sweep, and D = 28 and 29 below the
+    degree cap.  A g with an integer root is reducible modulo every prime,
+    so Ben-Or's test never answers for it, and the scan after it finds it.
     """
     M = g.degree
     if M <= 1:
         return True
     g_int = [int(c) for c in g.coeffs]
-    if g_int[0] == 0:
-        return False
-    for r in range(-64, 65):
-        if r and _horner(g_int, r) == 0:
-            return False
     for p in _MODP_PRIMES:
         if _irreducible_mod_p(g_int, p):
             return True
-    if abs(g_int[0]) > _DIVISOR_CAP:
+    # g(0) = 0 is the root 0; every other integer root divides g(0)
+    big = abs(g_int[0]) > _DIVISOR_CAP
+    candidates = range(-64, 65) if big else _divisors(g_int[0])
+    if g_int[0] == 0 or any(_horner(g_int, r) == 0 for r in candidates):
+        return False
+    if big:
         return None
-    for r in _divisors(g_int[0]):
-        if _horner(g_int, r) == 0:
-            return False
     if M <= 7:
         try:
             for d in range(2, M // 2 + 1):

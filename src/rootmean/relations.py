@@ -189,6 +189,9 @@ class RelationVector:
     def alpha_sum(self) -> int:
         return sum(self.alpha)
 
+    def to_json(self) -> dict:
+        return {"support": list(self.support), "alpha": list(self.alpha)}
+
     def __str__(self):
         bits = []
         for r, a in zip(self.support, self.alpha):
@@ -229,15 +232,9 @@ class RelationReport:
             "delta": self.delta,
             "rho_set": list(self.rho_set),
             "dim": self.dim,
-            "basis": [{"support": list(r.support), "alpha": list(r.alpha)} for r in self.basis],
-            "minimal_support": [
-                {"support": list(r.support), "alpha": list(r.alpha)} for r in self.minimal_support
-            ],
-            "distinguished": (
-                {"support": list(self.distinguished.support), "alpha": list(self.distinguished.alpha)}
-                if self.distinguished
-                else None
-            ),
+            "basis": [r.to_json() for r in self.basis],
+            "minimal_support": [r.to_json() for r in self.minimal_support],
+            "distinguished": self.distinguished.to_json() if self.distinguished else None,
             "zero_phis": list(self.zero_phis),
             "zero_sum_ok": self.zero_sum_ok(),
             "minimal_support_skipped": self.minimal_support_skipped,

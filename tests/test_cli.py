@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,7 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
         ("numeric-check", "--conjecture", "translation", "--auto", "--D", "4",
          "--relation", "5:1,-6:2,1:3"),
         ("numeric-check", "--auto", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5"),
+        ("relations", "--D", "4", "--rho", "1..3", "--extended"),
     ],
     ids=[
         "relation-spec", "rho-window", "negative-samples", "zero-samples", "k-max-below-2",
@@ -281,7 +283,7 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
         "translation-above-cap", "odd-binomial-nothing-to-check", "prop5-nothing-to-check",
         "all-zero-relation", "output-path-missing", "bfile-missing", "sweep-too-short-to-fit",
         "auto-no-relation", "tol-inf", "tol-nan", "tol-negative", "repeated-rho",
-        "zero-samples-nothing-requested", "three-modes", "auto-and-relation",
+        "zero-samples-nothing-requested", "three-modes", "auto-and-relation", "rho-and-extended",
     ],
 )
 def test_bad_input_is_a_config_error(capsys, argv):
@@ -289,6 +291,20 @@ def test_bad_input_is_a_config_error(capsys, argv):
     assert code == EXIT_CONFIG
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert out == ""
+
+
+def test_non_finite_residual_is_strict_json(monkeypatch, capsys):
+    # a NaN mean fails the report, and JSON has no token for its residual
+    monkeypatch.setattr(numeric, "mean_over_family", lambda coeffs, roots: complex(math.nan, math.nan))
+    code, out, _ = run(capsys, "numeric-check", "--relation", "5:1,-6:2,1:3", "--D", "4",
+                       "--samples", "2", "--format", "json")
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    blob = json.loads(out, parse_constant=reject)
+    assert code == EXIT_VERIFY_FAIL and not blob["pass"]
+    assert [rep["max_rel_residual"] for rep in blob["reports"]] == [None]
 
 
 def test_translation_failed_solves_exit_one(monkeypatch, capsys):
@@ -396,10 +412,10 @@ def test_value_order_degree_cap(capsys, argv):
 
 
 def test_value_order_cap_boundary_and_override():
-    assert check_degree(5, argparse.Namespace(delta=5 - HARD_DEGREE_CAP)) is None
+    assert check_degree(5, argparse.Namespace(), 5 - HARD_DEGREE_CAP) is None
     with pytest.raises(ConfigError):
-        check_degree(5, argparse.Namespace(delta=4 - HARD_DEGREE_CAP))
-    assert check_degree(5, argparse.Namespace(delta=-50, unsafe_degree=True)) is None
+        check_degree(5, argparse.Namespace(), 4 - HARD_DEGREE_CAP)
+    assert check_degree(5, argparse.Namespace(unsafe_degree=True), -50) is None
 
 
 def test_output_files_and_determinism(tmp_path, capsys):
@@ -564,3 +580,32 @@ def verdicts_digest(capsys, calls) -> str:
 )
 def test_numeric_verdicts_are_pinned(capsys, calls, digest):
     assert verdicts_digest(capsys, calls) == digest
+
+
+def with_formats(argv, formats=("pretty", "csv", "json")):
+    return [(*argv, "--format", fmt) for fmt in formats]
+
+
+# Every symbolic subcommand in every format it offers: the tables, the
+# relation catalogue through the printed degrees, each verification suite and
+# the mined sequences.
+SYMBOLIC_CALLS = [
+    *with_formats(("gw", "--n", "5", "--max-deg", "9")),
+    *with_formats(("phi", "--D", "7")),
+    *with_formats(("phi", "--D", "7", "--rho=-7..6")),
+    *[call for D in range(3, 14) for call in with_formats(("relations", "--D", str(D)))],
+    *with_formats(("relations", "--D", "5", "--delta", "2", "--rho", "0..4")),
+    *with_formats(("relations", "--D", "7", "--no-minimal-support")),
+    *with_formats(("relations", "--D", "6", "--extended")),
+    *[call for suite in sorted(cli.VERIFIERS)
+      for call in with_formats(("verify", "--conjecture", suite, "--max-degree", "9"), ("pretty", "json"))],
+    *with_formats(("mine", "--k-max", "7", "--d-sweep", "19")),
+]
+
+
+def test_symbolic_outputs_are_pinned(capsys):
+    # sha256 of (argv, exit code, stdout) for each call, in order
+    record = [[list(argv), *run(capsys, *argv)[:2]] for argv in SYMBOLIC_CALLS]
+    assert len(record) == 66
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == "cdae98262fb1739376058f54ff15bedeeac1f1dbaf22711688d0c68ed9fd758d"

@@ -1,11 +1,12 @@
 """Golden-fixture loading and the printed-vs-engine discrepancy report.
 
-The fixture JSON files record the published tables *as printed* (hand-set
-tables contain a handful of typos).  Comparison against the engine therefore
-distinguishes three outcomes per table cell: match, known discrepancy (listed
-in known_typos.json with its justification), and unexplained mismatch.  A
-clean run has zero unexplained mismatches; the known list is versioned with
-the fixtures.
+The fixture JSON files are hand-audited records of the published tables *as
+printed*, typos included: audited row by row against the published text, with
+each row's sum-of-positive-coefficients column as its checksum, edited by
+hand, and never regenerated from the engine.  known_typos.json is the ledger
+of every printed-vs-engine difference, each with its evidence.  A differing
+row is a known discrepancy only when its ledger entries, applied to the
+engine's terms, give exactly the printed terms; a clean run has no other.
 
 Coefficients printed as 0 are omitted from fixtures (a zero coefficient is
 the absent term in canonical form).
@@ -14,6 +15,7 @@ the absent term in canonical form).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -26,12 +28,13 @@ def load_fixture(name: str) -> dict:
         return json.load(fh)
 
 
-def _term_key(t):
-    return (tuple(sorted(t["expt"].items())), str(t["coeff"]))
+def _term_key(expt: dict, coeff):
+    return (tuple(sorted(expt.items())), str(coeff))
 
 
-def _term_set(terms):
-    return {_term_key(t) for t in terms}
+def _terms(terms) -> Counter:
+    """The terms as a multiset, so a term printed twice is a difference."""
+    return Counter(_term_key(t["expt"], t["coeff"]) for t in terms)
 
 
 @dataclass
@@ -74,16 +77,24 @@ class DiscrepancyReport:
         }
 
 
-def _typo_index():
-    data = load_fixture("known_typos.json")["typos"]
-    index = {}
-    for t in data:
-        index.setdefault(t["table"], []).append(t)
-    return index
+def _typo_swap(t: dict):
+    """(engine term, the printed terms that replace it) of a term-level ledger entry."""
+    if t["kind"] == "coefficient":
+        return _term_key(t["expt"], t["engine"]), {_term_key(t["expt"], t["printed"])}
+    if t["kind"] == "monomial":
+        return _term_key(t["engine_expt"], t["coeff"]), {_term_key(t["printed_expt"], t["coeff"])}
+    return _term_key(**t["engine_term"]), set()  # missing-term
 
 
-def _row_matches_typo(typo_row: dict, row_id: dict) -> bool:
-    return all(row_id.get(k) == v for k, v in typo_row.items())
+def _explained(eset: Counter, pset: Counter, typos) -> bool:
+    """True iff the ledger entries, applied to the engine's terms, give the printed terms."""
+    terms = Counter(eset)
+    for engine, printed in map(_typo_swap, typos):
+        if not terms[engine]:
+            return False
+        terms[engine] -= 1
+        terms.update(printed)
+    return +terms == pset
 
 
 def _tables(name: str):
@@ -139,16 +150,18 @@ def inheritance_chains():
 def full_report() -> DiscrepancyReport:
     """Engine vs every printed row: its terms, then its sum of positive coefficients."""
     report = DiscrepancyReport()
-    typos = _typo_index()
+    typos = load_fixture("known_typos.json")["typos"]
     for table, row_id, row, poly, D in _printed_rows():
         report.compared_rows += 1
-        pset, eset = _term_set(row["terms"]), _term_set(poly.to_json(D)["terms"])
+        pset, eset = _terms(row["terms"]), _terms(poly.to_json(D)["terms"])
         if pset == eset:
             report.matches += 1
         else:
-            known = any(_row_matches_typo(t.get("row", {}), row_id) for t in typos.get(table, []))
+            ledgered = [t for t in typos if t["table"] == table and t["row"] == row_id]
             report.discrepancies.append(
-                Discrepancy(table, row_id, sorted(pset - eset), sorted(eset - pset), known=known)
+                Discrepancy(table, row_id, sorted((pset - eset).elements()),
+                            sorted((eset - pset).elements()),
+                            known=_explained(eset, pset, ledgered))
             )
         if str(poly.sum_positive()) != row["sum_positive"]:
             report.discrepancies.append(

@@ -252,8 +252,9 @@ def find_relations(
 ) -> RelationReport:
     """Primitive basis of the relation space plus the minimal-support relations.
 
-    The basis is the reduced-echelon nullspace basis, denominator-cleared,
-    computed once from the ``_echelon`` rows of the ``PhiMatrix``.
+    The basis is the reduced-echelon nullspace basis of the ``PhiMatrix``,
+    denominator-cleared.  A mean value is zero exactly when its unit vector
+    is a basis vector.
 
     The minimal-support relations are the circuits of the column matroid: the
     minimal-support vectors of the relation space restricted to the live
@@ -265,10 +266,8 @@ def find_relations(
     rho_set = tuple(sorted(set(int(r) for r in rho_set)))
     matrix = PhiMatrix.build(D, delta, rho_set)
     ncols = len(rho_set)
-    echelon = _echelon([_clear_row_denominators(row) for row in matrix.rows], ncols)
-    zero_phis = tuple(r for i, r in enumerate(rho_set) if not any(row[i] for row in echelon))
-
-    basis_vecs = nullspace(echelon, ncols=ncols)
+    basis_vecs = nullspace(matrix.rows, ncols=ncols)
+    zero_phis = tuple(rho_set[v.index(1)] for v in basis_vecs if sum(map(bool, v)) == 1)
     basis = [RelationVector.make(D, delta, zip(rho_set, primitive(v))) for v in basis_vecs]
     report = RelationReport(D, delta, rho_set, basis=basis, zero_phis=zero_phis)
 

@@ -29,6 +29,8 @@ from .exact import ZERO, PartitionVector, binomial
 from .powersums import gw_coefficient, materialize
 from .sympoly import SymPoly, poly_sum
 
+# phi is one sum at every value order; the flag names the sign of D - delta,
+# the degree of the averaged function.
 FLAG_OK = "ok"
 FLAG_CONSTANT = "constant"  # delta == D: the derived function is the constant D!
 FLAG_ZERO = "zero"  # delta > D: the derived function vanishes
@@ -79,19 +81,14 @@ def _term_weight(D: int, delta: int, j: int) -> Fraction:
 
 def phi(key: PhiKey) -> PhiResult:
     """Exact mean of the delta-th derived function over the rho-th root family."""
-    D, delta, rho = key.D, key.delta, key.rho
+    D, delta = key.D, key.delta
     n = key.family_size
-
-    if delta >= D:
-        if delta == D:
-            return PhiResult(key, SymPoly.constant(math.factorial(D)), n, FLAG_CONSTANT)
-        return PhiResult(key, SymPoly.zero(), n, FLAG_ZERO)
-
     deg_g = D - delta  # degree of the averaged function
     poly = poly_sum(
         materialize(j, n, _term_weight(D, delta, j), deg_g - j) for j in range(deg_g + 1)
     )
-    return PhiResult(key, poly, n, FLAG_OK)
+    flag = FLAG_OK if deg_g > 0 else FLAG_CONSTANT if deg_g == 0 else FLAG_ZERO
+    return PhiResult(key, poly, n, flag)
 
 
 def phi_coefficient(key: PhiKey, m: PartitionVector) -> Fraction:
@@ -106,18 +103,16 @@ def phi_coefficient(key: PhiKey, m: PartitionVector) -> Fraction:
     mean(z^j) holds each partition of j once, so m gets at most one term per
     distinct part plus one: the j = deg_g term, where all of m comes from the
     mean, and for each distinct part p the j = deg_g - p term, where p is the
-    parameter factor and m - {p} comes from the mean (the empty remainder
-    contributes the weight alone).  A monomial whose weight is not D - delta
-    gets 0.
+    parameter factor and m - {p} comes from the mean.  mean(z^0) = 1, so an
+    empty remainder, or the empty m at delta = D, contributes the weight
+    alone.  A monomial whose weight is not D - delta gets 0.
     """
     D, delta = key.D, key.delta
-    if delta >= D:  # the constant D! (FLAG_CONSTANT) or zero (FLAG_ZERO)
-        return Fraction(math.factorial(D)) if delta == D and not m.items else ZERO
     deg_g = D - delta
     if m.j != deg_g:
         return ZERO
     n = key.family_size
-    total = _term_weight(D, delta, deg_g) * gw_coefficient(m, n)
+    total = _term_weight(D, delta, deg_g) * (gw_coefficient(m, n) if m.items else 1)
     parts = dict(m.items)
     for p, mult in m.items:
         rest = PartitionVector.from_parts({**parts, p: mult - 1})

@@ -220,21 +220,25 @@ def _ptrim(a):
     return a
 
 
+def _pmod(a, g, p):
+    """a modulo the monic g, in place; the entries of a lie in 0..p-1."""
+    dg = len(g) - 1
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = a[i]
+        if c:
+            a[i] = 0
+            for k in range(dg):
+                a[i - dg + k] = (a[i - dg + k] - c * g[k]) % p
+    return _ptrim(a)
+
+
 def _pmulmod(a, b, g, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    # reduce modulo the monic polynomial g
-    dg = len(g) - 1
-    for i in range(len(out) - 1, dg - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for k in range(dg):
-                out[i - dg + k] = (out[i - dg + k] - c * g[k]) % p
-    return _ptrim(out)
+    return _pmod(out, g, p)
 
 
 def _ppowmod(base, exp, g, p):
@@ -249,18 +253,12 @@ def _ppowmod(base, exp, g, p):
 
 
 def _pgcd(a, b, p):
-    a, b = [x % p for x in a], [x % p for x in b]
-    _ptrim(a), _ptrim(b)
+    a, b = _ptrim([x % p for x in a]), _ptrim([x % p for x in b])
     while b:
         inv = pow(b[-1], p - 2, p)
         b = [(x * inv) % p for x in b]
-        while len(a) >= len(b) and a:
-            c, shift = a[-1], len(a) - len(b)  # a is trimmed: c != 0
-            for k in range(len(b)):
-                a[shift + k] = (a[shift + k] - c * b[k]) % p
-            _ptrim(a)
-        a, b = b, a
-    return _ptrim(a)
+        a, b = b, _pmod(a, b, p)
+    return a
 
 
 def _irreducible_mod_p(g_int, p) -> bool:

@@ -18,9 +18,9 @@ distance to the roots.
 
 Every check counts a failed root solve, one that fails from the circle, as
 a skipped evaluation.  A report passes only if its worst residual is within
-``tol`` (a non-finite residual counts as infinite) and, when it attempted
-anything, it evaluated something: fewer evaluations were skipped than
-attempted.
+``tol`` (a non-finite residual counts as infinite) and it evaluated
+something: fewer evaluations were skipped than attempted, so a report that
+attempted nothing fails.
 """
 
 from __future__ import annotations
@@ -306,8 +306,7 @@ class NumericReport:
 
     @property
     def passed(self) -> bool:
-        # within tol, and something evaluated if anything was attempted
-        return self.max_rel_residual <= self.tol and (not self.attempted or self.skipped < self.attempted)
+        return self.max_rel_residual <= self.tol and self.skipped < self.attempted
 
     def to_json(self) -> dict:
         return {
@@ -364,8 +363,8 @@ def check_relations_batch(
     roots for rho = 1).  A sample whose root finding fails is skipped for
     every relation.
     """
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     terms = [_relation_terms(D, delta, rel) for rel in rels]
     reports = [
         NumericReport(label=label, samples=samples, seed=seed, tol=tol, attempted=samples)
@@ -434,7 +433,8 @@ def _relative_rates(p: NumPoly, ks, roots) -> list:
 def relative_rates_report(
     max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
-    report = NumericReport(label=f"relative-rates degrees 2..{max_degree}", samples=samples, seed=seed, tol=tol)
+    report = NumericReport(label=f"relative-rates degrees 2..{max_degree}", samples=samples, seed=seed,
+                           tol=tol, attempted=samples * (max_degree - 1))
     for D in range(2, max_degree + 1):
         ks = range(2, D) if D > 2 else (2,)
         for _, roots, p in _samples(seed, D, samples, 7_001, D):

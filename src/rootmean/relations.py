@@ -330,8 +330,9 @@ def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
     total, carrying the per-rho products, |kappa| and the multinomial; every
     total must end at 0.  c(kappa) is an integer (j (|kappa|-1)!/prod_i k_i!
     is a sum of multinomials), so scaling the weights by their common
-    denominator keeps the arithmetic integral.  For delta >= D, phi is the
-    constant D! (delta = D) or zero.
+    denominator keeps the arithmetic integral.  At delta = D the walk is
+    empty and only the constant term, D! L sum(alpha), remains; past D, phi
+    is zero.
     """
     if rho_set is None:
         rho_set = range(1, D)
@@ -341,8 +342,8 @@ def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
     alphas = [primitive(alpha) for alpha in alphas]
     if any(len(alpha) != len(ns) for alpha in alphas):
         raise ValueError(f"every alpha needs {len(ns)} entries, one per rho")
-    if delta >= D:
-        return delta > D or not any(sum(alpha) for alpha in alphas)
+    if delta > D:
+        return True
     deg_g = D - delta
     L = math.lcm(*ns)
     scaled = [[a * (L // n) for a, n in zip(alpha, ns)] for alpha in alphas]

@@ -50,21 +50,10 @@ class SymPoly:
 
     # ---- constructors -------------------------------------------------
     @classmethod
-    def zero(cls) -> "SymPoly":
-        return cls._raw({})
-
-    @classmethod
-    def constant(cls, c) -> "SymPoly":
-        c = Fraction(c)
-        return cls._raw({PartitionVector(()): c} if c else {})
-
-    @classmethod
     def term(cls, coeff, parts) -> "SymPoly":
         """coeff times the monomial {part: exponent} (a dict or its pairs)."""
         coeff = Fraction(coeff)
-        if not coeff:
-            return cls.zero()
-        return cls._raw({PartitionVector.from_parts(dict(parts)): coeff})
+        return cls._raw({PartitionVector.from_parts(dict(parts)): coeff} if coeff else {})
 
     # ---- inspection ----------------------------------------------------
     def __bool__(self):
@@ -94,9 +83,7 @@ class SymPoly:
     # ---- arithmetic ----------------------------------------------------------
     def scale(self, c) -> "SymPoly":
         c = Fraction(c)
-        if not c:
-            return SymPoly.zero()
-        return SymPoly._raw({m: c * v for m, v in self._terms.items()})
+        return SymPoly._raw({m: c * v for m, v in self._terms.items()} if c else {})
 
     def __eq__(self, other):
         return isinstance(other, SymPoly) and self._terms == other._terms

@@ -101,13 +101,6 @@ def test_relations_mixed_order(capsys):
     assert supports[(0, 3)] == (1, 5)
 
 
-def test_verify_dimension(capsys):
-    code, blob, _ = run_json(capsys, "verify", "--conjecture", "dimension", "--max-degree", "8")
-    assert code == EXIT_OK
-    assert blob["pass"] is True
-    assert blob["dims"] == [0, 1, 1, 2, 1, 2, 1]
-
-
 def test_verify_dimension_independent_of_threads(capsys):
     outs = []
     for threads in ("1", "2"):
@@ -167,16 +160,6 @@ def test_csv_only_on_table_commands(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--format", "csv"])
     assert exc.value.code == EXIT_CONFIG
-
-
-def test_verify_odd_binomial(capsys):
-    code, blob, _ = run_json(capsys, "verify", "--conjecture", "odd-binomial", "--max-degree", "9")
-    assert code == EXIT_OK and blob["pass"] is True
-
-
-def test_verify_prop5(capsys):
-    code, blob, _ = run_json(capsys, "verify", "--conjecture", "prop5", "--max-degree", "7")
-    assert code == EXIT_OK and blob["pass"] is True
 
 
 def test_verify_tables(capsys):

@@ -7,31 +7,9 @@ from importlib import resources
 import pytest
 
 from rootmean import cli, golden
-from rootmean.relations import RelationVector, check_inheritance
+from rootmean.relations import RelationVector
 
 from oracles import from_json
-
-
-def discrepancies(prefix):
-    """(rows compared, discrepancies) of ``full_report`` in the tables whose
-    name starts with prefix."""
-    report = golden.full_report()
-    rows = sum(1 for table, *_ in golden._printed_rows() if table.startswith(prefix))
-    return rows, [d for d in report.discrepancies if d.table.startswith(prefix)]
-
-
-def test_phi_tables_reproduce():
-    rows, found = discrepancies("phi.")
-    assert rows == 60
-    # exactly the two ledgered coefficient typos
-    assert len(found) == 2
-    assert all(d.known for d in found), [d.describe() for d in found]
-
-
-def test_gw_tables_reproduce():
-    _, found = discrepancies("gw")
-    assert all(d.known for d in found), [d.describe() for d in found]
-    assert len(found) == 5  # one in the family-size collation, four cells in the degree collation
 
 
 def test_full_report_counts():
@@ -53,21 +31,6 @@ def test_catalog_covers_all_value_orders():
     deltas = {(e["D"], e["delta"]) for e in golden.catalog_relations()}
     for key in ((3, 1), (4, 2), (5, 3), (6, 4), (3, -2), (3, -1)):
         assert key in deltas
-
-
-def test_inheritance_chains_verify():
-    chains = golden.inheritance_chains()
-    assert set(chains) == set("abcdefghi")
-    for label, chain in chains.items():
-        for idx, entry in enumerate(chain):
-            rel = RelationVector.make(entry["D"], entry["delta"], entry["alpha"].items())
-            assert rel.verify()
-            if idx + 1 < len(chain):
-                nxt = chain[idx + 1]
-                assert nxt["D"] == entry["D"] + 1
-                assert nxt["delta"] == entry["delta"] + 1
-                assert nxt["alpha"] == {r + 1: a for r, a in entry["alpha"].items()}
-                assert check_inheritance(rel)
 
 
 def test_fixture_terms_parse_as_polynomials():

@@ -159,14 +159,6 @@ def test_t_series_reproduces_g_coefficients():
         assert t4(D) == gx.t_coefficient(4)
 
 
-def test_odd_k_vanishing_in_data():
-    sweep = StructureSweep.run(12)
-    for k in (3, 5, 7):
-        for D, val in sweep.t_data(k):
-            if D <= k:
-                assert val == 0
-
-
 def test_mine_sequences_integrality_and_stability():
     sweep_a = StructureSweep.run(18)
     q_a, lead_a = mine_Q_and_norlund(6, sweep_a)

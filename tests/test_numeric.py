@@ -379,8 +379,9 @@ def test_check_one_relation_septic():
 
 
 def test_check_one_relation_vacuous():
-    [rep] = check_relations_batch(4, 0, [{1: 5, 2: -6, 3: 1}], samples=0, seed=1)
-    assert rep.passed and rep.max_rel_residual == 0.0
+    # zero samples would evaluate nothing, and a check must not pass on nothing
+    with pytest.raises(ValueError):
+        check_relations_batch(4, 0, [{1: 5, 2: -6, 3: 1}], samples=0, seed=1)
 
 
 def test_check_one_relation_antiderivative_orders():
@@ -535,8 +536,8 @@ def test_report_verdict_follows_its_counts():
     assert not rep.passed
     rep.skipped, rep.max_rel_residual = 0, 2 * rep.tol
     assert not rep.passed
-    # nothing attempted passes vacuously
-    assert numeric.NumericReport(label="x", samples=0).passed
+    # nothing attempted fails: no check passes vacuously
+    assert not numeric.NumericReport(label="x", samples=0).passed
     assert "attempted" not in rep.to_json()
 
 

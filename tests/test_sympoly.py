@@ -57,7 +57,7 @@ def test_mul_adds_weights_randomized():
     syms = [1, 2, 3, 4]
 
     def random_homogeneous(weight):
-        acc = SymPoly.zero()
+        acc = SymPoly()
         for _ in range(4):
             left = weight
             pairs = {}
@@ -140,7 +140,7 @@ def test_canonical_term_order():
 
 def quasi_binomial_coeffs(D):
     """Coefficients of x^D, ..., x^0 of the monic degree-D polynomial: (-1)^i C(D, i) r_i."""
-    coeffs = [SymPoly.constant(_term_weight(D, 0, D))]
+    coeffs = [SymPoly.term(_term_weight(D, 0, D), {})]
     for i in range(1, D + 1):
         coeffs.append(symbol(i).scale(_term_weight(D, 0, D - i)))
     return coeffs
@@ -149,12 +149,12 @@ def quasi_binomial_coeffs(D):
 def test_quasi_binomial_coeffs():
     c3 = quasi_binomial_coeffs(3)
     assert c3 == [
-        SymPoly.constant(1),
+        SymPoly.term(1, {}),
         symbol(R1).scale(-3),
         symbol(R2).scale(3),
         symbol(R3).scale(-1),
     ]
-    assert quasi_binomial_coeffs(1) == [SymPoly.constant(1), symbol(R1).scale(-1)]
+    assert quasi_binomial_coeffs(1) == [SymPoly.term(1, {}), symbol(R1).scale(-1)]
     c4 = quasi_binomial_coeffs(4)
     assert [str(c) for c in c4] == ["1", "-4 r1", "6 r2", "-4 r3", "1 r4"]
     for D in range(1, 9):

@@ -3,7 +3,9 @@ numeric cross-checks, and sequence mining.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.  Every
 machine-readable artifact records the seed it was produced with; fixed seed
-means byte-identical output regardless of the worker-thread count.
+means byte-identical output regardless of the worker-thread count of the
+dimension sweep and of the number of forked processes a numeric check
+splits its samples across.
 """
 
 from __future__ import annotations
@@ -395,25 +397,23 @@ def cmd_numeric(args) -> int:
     elif args.conjecture == "translation":
         check_degree(args.max_degree, args)
         reports = [numeric.translation_invariance_report(args.max_degree, args.samples, args.seed, args.tol)]
-    elif args.relation:
+    elif args.relation or args.auto:
         if args.D is None:
-            raise ConfigError("--relation needs --D")
+            raise ConfigError(f"{given[0]} needs --D")
         check_degree(args.D, args, args.delta)
-        mapping = parse_relation_spec(args.relation)
-        rho_window(args.D, None, mapping)
-        reports = numeric.check_relations_batch(
-            args.D, args.delta, [mapping], args.samples, args.seed, args.tol
-        )
-    elif args.auto:
-        if args.D is None:
-            raise ConfigError("--auto needs --D")
-        check_degree(args.D, args, args.delta)
-        found = relations.find_relations(args.D, args.delta, minimal_support=False).all_relations()
-        if not found:
-            raise ConfigError(f"nothing to check: no relation at D={args.D}, delta={args.delta}")
-        reports = numeric.check_relations_batch(
-            args.D, args.delta, found, args.samples, args.seed, args.tol
-        )
+        # past D, f^(delta) is identically zero: every mean is exactly 0 and
+        # any relation would pass unchecked (at delta == D, f^(D) = D! still
+        # tests sum(alpha) == 0)
+        if args.delta > args.D:
+            raise ConfigError(f"--delta {args.delta} above --D {args.D} averages f^(delta) = 0: nothing to check")
+        if args.relation:
+            rels = [parse_relation_spec(args.relation)]
+            rho_window(args.D, None, rels[0])
+        else:
+            rels = relations.find_relations(args.D, args.delta, minimal_support=False).all_relations()
+            if not rels:
+                raise ConfigError(f"nothing to check: no relation at D={args.D}, delta={args.delta}")
+        reports = numeric.check_relations_batch(args.D, args.delta, rels, args.samples, args.seed, args.tol)
     else:
         raise ConfigError("nothing to check: pass --relation, --auto, or --conjecture")
 

@@ -21,13 +21,21 @@ a skipped evaluation.  A report passes only if its worst residual is within
 ``tol`` (a non-finite residual counts as infinite) and it evaluated
 something: fewer evaluations were skipped than attempted, so a report that
 attempted nothing fails.
+
+Each check's samples are split across forked worker processes, one per CPU
+this process may run on (``WORKERS``).  Every sample is seeded from its
+index and the reports fold their parts with order-independent maxima and
+sums, so the output does not depend on the number of workers.  The workers
+are separate processes: the peak RSS of this one does not include theirs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass
 
 # perfbench/tracer.py wraps the kernel under the name ``_kernel.aberth_refine``
@@ -42,6 +50,14 @@ ROOT_RESIDUAL_TOL = 1e-10
 RELATION_TOL = 1e-8
 MIN_ROOT_SEPARATION = 1e-6
 MAX_SWEEPS = 160  # Aberth sweeps before find_roots gives up on a root
+
+# processes a check's samples are split across: the CPUs this process may use
+if not hasattr(os, "fork"):
+    WORKERS = 1
+elif hasattr(os, "sched_getaffinity"):
+    WORKERS = len(os.sched_getaffinity(0))
+else:
+    WORKERS = os.cpu_count() or 1
 
 
 class RootFindingError(RuntimeError):
@@ -282,13 +298,76 @@ def sample_rng(seed: int, *streams) -> random.Random:
     return random.Random(x)
 
 
-def _samples(seed: int, degree: int, count: int, *stream):
-    """(rng, roots, f) for sample idx = 0..count-1: rng is sample_rng(seed, *stream, idx)
+def _samples(seed: int, degree: int, indices, *stream):
+    """(rng, roots, f) for each sample idx of ``indices``: rng is sample_rng(seed, *stream, idx)
     after drawing the roots of the monic degree-``degree`` f; the caller may draw on."""
-    for idx in range(count):
+    for idx in indices:
         rng = sample_rng(seed, *stream, idx)
         roots = sample_roots(rng, degree)
         yield rng, roots, monic_from_roots(roots)
+
+
+def _fan_out(work, items) -> list:
+    """[work(part) for each part] in part order, the parts being the
+    n = min(WORKERS, len(items)) strided slices items[k::n].
+
+    The parent runs part 0 itself, and runs everything itself while other
+    threads run.  Each other part runs in a forked child that sends back
+    pickle.dumps((ok, result or exception)) through a pipe and always ends
+    with os._exit, so it never flushes the parent's stdout buffers or runs
+    its atexit handlers.  A child's exception is raised here with its own
+    type; a child that exits non-zero or sends a truncated message raises
+    RuntimeError.  Every child is reaped before this returns or raises.
+    """
+    items = list(items)
+    # a forked child has only the calling thread, and a lock another thread
+    # held at the fork stays held there, so with other threads nothing forks
+    n = min(WORKERS, len(items)) if threading.active_count() == 1 else 1
+    if n <= 1:
+        return [work(items)]
+    import pickle
+
+    children = {}  # pid: read end of its pipe
+    messages, codes = {}, {}
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (read, *children.values()):
+                        os.close(fd)
+                    try:
+                        message = pickle.dumps((True, work(items[k::n])))
+                    except BaseException as exc:
+                        message = pickle.dumps((False, exc))
+                    with os.fdopen(write, "wb") as fh:
+                        fh.write(message)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[pid] = read
+        parts = [work(items[0::n])]
+        for pid, read in children.items():
+            with open(read, "rb", closefd=False) as fh:
+                messages[pid] = fh.read()
+    finally:
+        for pid, read in children.items():
+            os.close(read)
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pid in children:
+        if codes[pid] != 0:
+            raise RuntimeError(f"sample worker {pid} exited with status {codes[pid]}")
+        try:
+            ok, value = pickle.loads(messages[pid])
+        except (pickle.UnpicklingError, EOFError):
+            raise RuntimeError(f"sample worker {pid} sent a truncated message") from None
+        if not ok:
+            raise value
+        parts.append(value)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +431,8 @@ def check_relations_batch(
     function's coefficients c_k, so when den <= tol * S the residual is
     |num| / S, S = sum_rho |alpha_rho| mean_r sum_k |c_k| |r|^(deg-k).  As
     den <= S, that only lowers a residual, so S is computed only for a
-    sample that would otherwise raise the worst one.
+    sample that would otherwise raise the worst one, and the worst residual
+    is the largest lowered one in whatever order the samples run.
 
     rels: RelationVectors, or {rho: alpha} mappings, sharing (D, delta).
     Root families are found once per sample and reused across relations, so a
@@ -361,7 +441,7 @@ def check_relations_batch(
     batch.  Families are solved in ascending rho, and f^(rho), rho >= 1,
     starts from the roots of f^(rho-1) when those are at hand (the sampled
     roots for rho = 1).  A sample whose root finding fails is skipped for
-    every relation.
+    every relation.  The samples are split across ``_fan_out``'s workers.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -376,38 +456,47 @@ def check_relations_batch(
     lowest = min([*support_union, delta])
     highest = max([*support_union, delta])
     deepest = max(0, -lowest)
-    for rng, roots, f in _samples(seed, D, samples, D, delta):
-        constants = [
-            complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            for _ in range(deepest)
-        ]
-        chain = _derived_chain(f.coeffs, lowest, highest, constants)
-        values = chain[delta]
-        fams = {}
-        means = {}
-        try:
-            for rho in support_union:
-                if rho == 0:
-                    fams[0] = roots
-                else:
-                    monic = monicized(chain[rho])
-                    parent = roots if rho == 1 else fams.get(rho - 1)
-                    fams[rho] = find_roots(monic, _derivative_start(monic.coeffs, parent))
-                means[rho] = mean_over_family(values, fams[rho])
-        except RootFindingError:
-            for rep in reports:
-                rep.skipped += 1
-            continue
-        for (_, support, alpha), rep in zip(terms, reports):
-            num = sum(a * means[r] for r, a in zip(support, alpha))
-            den = sum(abs(a * means[r]) for r, a in zip(support, alpha))
-            residual = abs(num) / den if den else 0.0
-            if residual > rep.max_rel_residual:
-                scale = sum(abs(a) * sum(_residual_scale(values, z) for z in fams[r]) / len(fams[r])
-                            for r, a in zip(support, alpha))
-                if den <= tol * scale:
-                    residual = abs(num) / scale
-            rep.max_rel_residual = _worse(rep.max_rel_residual, residual)
+
+    def work(indices):
+        worst = [0.0] * len(terms)
+        skipped = 0
+        for rng, roots, f in _samples(seed, D, indices, D, delta):
+            constants = [
+                complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                for _ in range(deepest)
+            ]
+            chain = _derived_chain(f.coeffs, lowest, highest, constants)
+            values = chain[delta]
+            fams = {}
+            means = {}
+            try:
+                for rho in support_union:
+                    if rho == 0:
+                        fams[0] = roots
+                    else:
+                        monic = monicized(chain[rho])
+                        parent = roots if rho == 1 else fams.get(rho - 1)
+                        fams[rho] = find_roots(monic, _derivative_start(monic.coeffs, parent))
+                    means[rho] = mean_over_family(values, fams[rho])
+            except RootFindingError:
+                skipped += 1
+                continue
+            for i, (_, support, alpha) in enumerate(terms):
+                num = sum(a * means[r] for r, a in zip(support, alpha))
+                den = sum(abs(a * means[r]) for r, a in zip(support, alpha))
+                residual = abs(num) / den if den else 0.0
+                if residual > worst[i]:
+                    scale = sum(abs(a) * sum(_residual_scale(values, z) for z in fams[r]) / len(fams[r])
+                                for r, a in zip(support, alpha))
+                    if den <= tol * scale:
+                        residual = abs(num) / scale
+                worst[i] = _worse(worst[i], residual)
+        return worst, skipped
+
+    for worst, skipped in _fan_out(work, range(samples)):
+        for rep, w in zip(reports, worst):
+            rep.max_rel_residual = _worse(rep.max_rel_residual, w)
+            rep.skipped += skipped
     return reports
 
 
@@ -435,13 +524,21 @@ def relative_rates_report(
 ) -> NumericReport:
     report = NumericReport(label=f"relative-rates degrees 2..{max_degree}", samples=samples, seed=seed,
                            tol=tol, attempted=samples * (max_degree - 1))
-    for D in range(2, max_degree + 1):
-        ks = range(2, D) if D > 2 else (2,)
-        for _, roots, p in _samples(seed, D, samples, 7_001, D):
+
+    def work(part):
+        worst = 0.0
+        for D, idx in part:
+            [(_, roots, p)] = _samples(seed, D, [idx], 7_001, D)
+            ks = range(2, D) if D > 2 else (2,)
             for total, terms in _relative_rates(p, ks, roots):
                 mag = sum(abs(t) for t in terms)
                 residual = abs(total) / mag if mag > 1e-12 else abs(total)
-                report.max_rel_residual = _worse(report.max_rel_residual, residual)
+                worst = _worse(worst, residual)
+        return worst
+
+    pairs = [(D, idx) for D in range(2, max_degree + 1) for idx in range(samples)]
+    for worst in _fan_out(work, pairs):
+        report.max_rel_residual = _worse(report.max_rel_residual, worst)
     return report
 
 
@@ -478,11 +575,22 @@ def translation_invariance_report(
     max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
     report = NumericReport(label=f"translation-invariance degrees 2..{max_degree}", samples=samples, seed=seed, tol=tol)
-    for D in range(2, max_degree + 1):
-        for rng, _, p in _samples(seed, D, samples, 9_001, D):
+
+    def work(part):
+        attempted = skipped = 0
+        worst = 0.0
+        for D, idx in part:
+            [(rng, _, p)] = _samples(seed, D, [idx], 9_001, D)
             dh = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
             sub = check_translation_invariance(p, dh, tol)
-            report.attempted += sub.attempted
-            report.skipped += sub.skipped
-            report.max_rel_residual = _worse(report.max_rel_residual, sub.max_rel_residual)
+            attempted += sub.attempted
+            skipped += sub.skipped
+            worst = _worse(worst, sub.max_rel_residual)
+        return attempted, skipped, worst
+
+    pairs = [(D, idx) for D in range(2, max_degree + 1) for idx in range(samples)]
+    for attempted, skipped, worst in _fan_out(work, pairs):
+        report.attempted += attempted
+        report.skipped += skipped
+        report.max_rel_residual = _worse(report.max_rel_residual, worst)
     return report

@@ -223,7 +223,12 @@ def test_numeric_check_passes_exact_zero_means(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--relation", "1:1,-1:2", "--D", "9", "--delta", "1"), ("--relation", "1:2", "--D", "20", "--delta", "1")],
+    [
+        ("--relation", "1:1,-1:2", "--D", "9", "--delta", "1"),
+        ("--relation", "1:2", "--D", "20", "--delta", "1"),
+        # at delta == D the averaged f^(D) = D! is constant: sum(alpha) != 0 fails
+        ("--relation", "1:1,1:2", "--D", "3", "--delta", "3"),
+    ],
 )
 def test_numeric_check_still_fails_false_relations(capsys, argv):
     code, blob, _ = run_json(capsys, "numeric-check", *argv, "--samples", "20")
@@ -259,6 +264,9 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
          "--relation", "5:1,-6:2,1:3"),
         ("numeric-check", "--auto", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5"),
         ("relations", "--D", "4", "--rho", "1..3", "--extended"),
+        # f^(delta) = 0 past D: every mean is 0 and the check would pass on nothing
+        ("numeric-check", "--relation", "1:1,-1:2", "--D", "3", "--delta", "9"),
+        ("numeric-check", "--auto", "--D", "5", "--delta", "7"),
     ],
     ids=[
         "relation-spec", "rho-window", "negative-samples", "zero-samples", "k-max-below-2",
@@ -267,6 +275,7 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
         "all-zero-relation", "output-path-missing", "bfile-missing", "sweep-too-short-to-fit",
         "auto-no-relation", "tol-inf", "tol-nan", "tol-negative", "repeated-rho",
         "zero-samples-nothing-requested", "three-modes", "auto-and-relation", "rho-and-extended",
+        "relation-delta-above-degree", "auto-delta-above-degree",
     ],
 )
 def test_bad_input_is_a_config_error(capsys, argv):

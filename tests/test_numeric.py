@@ -1,11 +1,16 @@
+import contextlib
+import io
+import json
 import math
+import os
 import random
 import struct
+import subprocess
 import sys
 
 import pytest
 
-from rootmean import numeric
+from rootmean import cli, numeric
 from rootmean.numeric import (
     NumPoly,
     RootFindingError,
@@ -196,7 +201,9 @@ def test_kernel_reports_overflow_as_unconverged():
 
 def record_kernel(monkeypatch, fail_warm=False):
     """Record (start, sweeps, converged) of every kernel call; with fail_warm,
-    a call not started from the circle returns its start unrefined."""
+    a call not started from the circle returns its start unrefined.  The
+    samples stay in this process, where the record is kept."""
+    monkeypatch.setattr(numeric, "WORKERS", 1)
     calls = []
     real = numeric._kernel.aberth_refine
 
@@ -596,3 +603,114 @@ def test_symbolic_numeric_agreement():
                     got = mean_over_family(chain[delta], family)
                     scale = max(1.0, abs(complex(want)))
                     assert abs(complex(want) - got) <= 1e-8 * scale
+
+
+# ---------------------------------------------------------------------------
+# samples split across forked workers
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def numeric_json(monkeypatch, workers, argv):
+    monkeypatch.setattr(numeric, "WORKERS", workers)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["numeric-check", *argv, "--seed", "5", "--format", "json"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--auto", "--D", "5", "--samples", "30"], 0),
+        (["--auto", "--D", "7", "--samples", "12"], 0),
+        (["--conjecture", "relative-rates", "--max-degree", "6", "--samples", "7"], 0),
+        (["--conjecture", "translation", "--max-degree", "5", "--samples", "5"], 0),
+        (["--relation", "1:1,1:2", "--D", "5", "--samples", "10"], 1),
+        (["--auto", "--D", "4", "--samples", "1"], 0),
+    ],
+    ids=["auto-5", "auto-7", "relative-rates", "translation", "false-relation", "one-sample"],
+)
+def test_payload_does_not_depend_on_worker_count(monkeypatch, argv, code):
+    got = [numeric_json(monkeypatch, workers, argv) for workers in (1, 2, 3)]
+    assert got[0][0] == code
+    assert got[1] == got[0] and got[2] == got[0]
+    assert_no_child_left()
+
+
+def test_skipped_samples_do_not_depend_on_worker_count(monkeypatch):
+    # fail every third polynomial by its own coefficients, not by call order,
+    # which differs between processes
+    real_find_roots = numeric.find_roots
+
+    def find_roots_or_fail(p, *args, **kwargs):
+        if int(abs(p.coeffs[-1]) * 1e6) % 3 == 0:
+            raise RootFindingError("forced")
+        return real_find_roots(p, *args, **kwargs)
+
+    monkeypatch.setattr(numeric, "find_roots", find_roots_or_fail)
+    for argv in (["--auto", "--D", "5", "--samples", "30"],
+                 ["--conjecture", "translation", "--max-degree", "4", "--samples", "5"]):
+        got = [numeric_json(monkeypatch, workers, argv) for workers in (1, 2, 3)]
+        skipped = [rep["skipped"] for rep in json.loads(got[0][1])["reports"]]
+        assert all(skipped), skipped
+        assert got[1] == got[0] and got[2] == got[0]
+    assert_no_child_left()
+
+
+def test_fan_out_splits_into_strided_parts_in_order(monkeypatch):
+    monkeypatch.setattr(numeric, "WORKERS", 3)
+    assert numeric._fan_out(list, range(7)) == [[0, 3, 6], [1, 4], [2, 5]]
+    assert numeric._fan_out(list, range(2)) == [[0], [1]]
+    assert numeric._fan_out(list, []) == [[]]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad", [1, 0], ids=["in-child", "in-parent"])
+def test_fan_out_raises_what_a_part_raised(monkeypatch, bad):
+    monkeypatch.setattr(numeric, "WORKERS", 2)
+
+    def work(part):
+        if bad in part:  # part 0 runs in this process, part 1 in a child
+            raise ValueError("bad part")
+        return sum(part)
+
+    with pytest.raises(ValueError, match="bad part"):
+        numeric._fan_out(work, range(4))
+    assert_no_child_left()
+
+
+def test_fan_out_raises_when_a_child_dies(monkeypatch):
+    monkeypatch.setattr(numeric, "WORKERS", 2)
+    parent = os.getpid()
+
+    def work(part):
+        if os.getpid() != parent:
+            os._exit(3)
+        return sum(part)
+
+    with pytest.raises(RuntimeError, match="status 3"):
+        numeric._fan_out(work, range(4))
+    assert_no_child_left()
+
+
+def test_fan_out_raises_on_a_truncated_message(monkeypatch):
+    import pickle
+
+    real_dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda obj: real_dumps(obj)[:-3])  # only children pickle
+    monkeypatch.setattr(numeric, "WORKERS", 2)
+    with pytest.raises(RuntimeError, match="truncated"):
+        numeric._fan_out(sum, range(4))
+    assert_no_child_left()
+
+
+def test_import_does_not_load_pickle():
+    # the workers' pickle is imported on first use, not at start-up
+    code = "import sys, rootmean.cli; print('pickle' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(numeric.__file__))})
+    assert out.stdout.strip() == "False"

@@ -8,9 +8,10 @@ stops updating each root on its own once that root is done (MPSolve
 practice, Bini & Fiorentino 2000), so a sweep costs only the roots still
 moving, and it takes the rounding-level sum of a root's Horner pass only
 once the root is close enough for that sum to decide.  Everything else that
-evaluates a polynomial in the numeric oracle goes through ``horner``; the
-kernel inlines its own fused value-and-derivative Horner pass, because it is
-the one hot loop.
+evaluates a polynomial goes through ``horner``: the numeric oracle on
+floats, and ``rootmean.mining`` on exact integers and Fractions.  The kernel
+inlines its own fused value-and-derivative Horner pass, because it is the one
+hot loop.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ _INF = float("inf")
 
 
 def horner(coeffs, z):
-    """Value at z of the polynomial with descending coefficients coeffs."""
-    p = 0j
+    """Value at z of the polynomial with descending coefficients coeffs.
+
+    It starts from an exact 0, so ints and Fractions evaluate exactly.
+    """
+    p = 0
     for c in coeffs:
         p = p * z + c
     return p

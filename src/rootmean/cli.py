@@ -75,7 +75,7 @@ def check_degree(D: int, args, delta: int = 0) -> None:
     """Cap D and D - delta, the degree of the averaged function (the weight of phi)."""
     if D < 2:
         raise ConfigError("degree must be >= 2")
-    if getattr(args, "unsafe_degree", False):
+    if args.unsafe_degree:
         return
     if D > HARD_DEGREE_CAP:
         raise ConfigError(
@@ -120,7 +120,7 @@ def emit(args, payload: dict, pretty_lines, csv_rows=None, csv_header=None, verd
         text = buf.getvalue()
     else:
         text = "".join(line + "\n" for line in pretty_lines)
-    if not getattr(args, "output", None):
+    if not args.output:
         sys.stdout.write(text)
         return
     try:

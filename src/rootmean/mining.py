@@ -10,8 +10,7 @@ chi = D mod 2, and g_D is monic with integer coefficients of degree
 D - (2 + chi), and the h/g/t/Q pipeline runs on it.
 
 Each g_D is then decided over the integers by ``is_irreducible_int``: Ben-Or's
-test modulo small primes, then one integer-root scan and, at low degree, a
-Kronecker factor search.
+test modulo small primes, then one integer-root scan.
 
 From g_D(n) = sum_k t_k(D) n^(D-(k+chi)) the coefficient polynomials t_k(D)
 are interpolated across degrees, their least common denominators Q_k and the
@@ -27,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._aberth_py import horner
 from .exact import PartitionVector
 from .means import PhiKey, phi_coefficient
 
@@ -37,14 +37,6 @@ MAX_BFILE_OFFSET = 6  # largest index shift tried against a b-file
 def top_parameter_coefficient(D: int, rho: int) -> Fraction:
     """Coefficient of the top-order parameter (weight D, exponent 1) in phi((D, 0, rho))."""
     return phi_coefficient(PhiKey(D, 0, rho), PartitionVector.from_parts({D: 1}))
-
-
-def _horner(coeffs, x):
-    """Value at x of the polynomial with ascending coefficients coeffs."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,7 @@ class RationalPolynomial:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
     def __call__(self, x) -> Fraction:
-        return _horner(self.coeffs, x)
+        return horner(self.coeffs[::-1], x)
 
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self.coeffs):
@@ -170,7 +162,7 @@ class GExtraction:
     g: RationalPolynomial
     chi: int
     M: int
-    irreducible: bool | None  # None = not checked at this degree
+    irreducible: bool | None  # None = undecided by is_irreducible_int
 
     def t_coefficient(self, k: int) -> Fraction:
         """t_k(D): coefficient of n^(D-(k+chi)) in g, zero when out of range."""
@@ -182,8 +174,8 @@ def extract_g(D: int, h: RationalPolynomial) -> GExtraction:
 
     The quotient must be an exact polynomial, monic with integer coefficients,
     of degree M = D - (2 + chi).  Irreducibility over the integers is decided
-    by ``is_irreducible_int``, which leaves it None (unchecked) when none of
-    its tests settles it.
+    by ``is_irreducible_int``, which leaves it None when none of its tests
+    settles it.
     """
     x = chi(D)
     const = Fraction((-1) ** D * D, math.factorial(D))
@@ -196,11 +188,10 @@ def extract_g(D: int, h: RationalPolynomial) -> GExtraction:
         raise StructuralFormError("quotient is not monic")
     if not g.is_integer():
         raise StructuralFormError("quotient has non-integer coefficients")
-    irreducible = is_irreducible_int(g) if M >= 1 else True
-    return GExtraction(D, g, x, M, irreducible)
+    return GExtraction(D, g, x, M, is_irreducible_int(g))
 
 
-_DIVISOR_CAP = 10**12  # beyond this the Kronecker divisor sweep is not attempted
+_DIVISOR_CAP = 10**12  # beyond this |g(0)| the integer-root scan tries only -64..64
 
 
 def _divisors(n: int):
@@ -278,86 +269,32 @@ def _irreducible_mod_p(g_int, p) -> bool:
     return True
 
 
-def _kronecker_factor(g: RationalPolynomial, deg: int) -> bool:
-    """True if a monic integer factor of the given degree exists (deg 2 or 3).
-
-    Candidates are pinned by divisibility of values: a factor q satisfies
-    q(x) | g(x) at x = 0, 1, -1.
-    """
-    g0, g1, gm1 = int(g(0)), int(g(1)), int(g(-1))
-    if g0 == 0 or g1 == 0 or gm1 == 0:
-        return True  # integer root, caught earlier but a factor regardless
-    if any(abs(v) > _DIVISOR_CAP for v in (g0, g1, gm1)):
-        raise FitError("values too large for divisor enumeration")
-    if deg == 2:
-        for c in _divisors(g0):
-            for q1 in _divisors(g1):
-                b = q1 - 1 - c
-                cand = RationalPolynomial.make([c, b, 1])
-                try:
-                    g.divide_exact(cand)
-                    return True
-                except StructuralFormError:
-                    continue
-        return False
-    if deg == 3:
-        for c in _divisors(g0):
-            for q1 in _divisors(g1):
-                for qm1 in _divisors(gm1):
-                    two_a = q1 + qm1 - 2 * c
-                    if two_a % 2:
-                        continue
-                    a = two_a // 2
-                    b = q1 - 1 - a - c
-                    cand = RationalPolynomial.make([c, b, a, 1])
-                    try:
-                        g.divide_exact(cand)
-                        return True
-                    except StructuralFormError:
-                        continue
-        return False
-    raise ValueError("only degree 2 and 3 trial factors supported")
-
-
 _MODP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
 def is_irreducible_int(g: RationalPolynomial) -> bool | None:
     """Irreducibility of a monic integer polynomial over the integers.
 
-    Degree M <= 1 is irreducible.  Otherwise the first test that settles it
-    answers, in this order: Ben-Or's test finding g irreducible modulo one of
-    the 17 ``_MODP_PRIMES`` means irreducible; an integer root means
-    reducible, scanned for among the divisors of g(0), or only in -64..64
-    when |g(0)| is above ``_DIVISOR_CAP`` (then None without one); for
-    M <= 7, the Kronecker search for a monic quadratic or cubic factor
-    decides (None if g(0), g(1) or g(-1) is above the cap).  Otherwise None:
-    D = 15 and 17 in the default ``mine`` sweep, and D = 28 and 29 below the
-    degree cap.  A g with an integer root is reducible modulo every prime,
-    so Ben-Or's test never answers for it, and the scan after it finds it.
+    Degree M <= 1 is irreducible.  Otherwise Ben-Or's test finding g
+    irreducible modulo one of the 17 ``_MODP_PRIMES`` means irreducible, and
+    an integer root means reducible, scanned for among the divisors of g(0),
+    or only in -64..64 when |g(0)| is above ``_DIVISOR_CAP``.  Otherwise
+    None (undecided): D = 15 and 17 in the default ``mine`` sweep, and
+    D = 28 and 29 below the degree cap.  A g with an integer root is
+    reducible modulo every prime, so Ben-Or's test never answers for it, and
+    the scan after it finds it.
     """
-    M = g.degree
-    if M <= 1:
+    if g.degree <= 1:
         return True
     g_int = [int(c) for c in g.coeffs]
     for p in _MODP_PRIMES:
         if _irreducible_mod_p(g_int, p):
             return True
     # g(0) = 0 is the root 0; every other integer root divides g(0)
-    big = abs(g_int[0]) > _DIVISOR_CAP
-    candidates = range(-64, 65) if big else _divisors(g_int[0])
-    if g_int[0] == 0 or any(_horner(g_int, r) == 0 for r in candidates):
+    candidates = range(-64, 65) if abs(g_int[0]) > _DIVISOR_CAP else _divisors(g_int[0])
+    descending = g_int[::-1]
+    if g_int[0] == 0 or any(horner(descending, r) == 0 for r in candidates):
         return False
-    if big:
-        return None
-    if M <= 7:
-        try:
-            for d in range(2, M // 2 + 1):
-                if _kronecker_factor(g, d):
-                    return False
-            return True
-        except FitError:
-            return None
     return None
 
 

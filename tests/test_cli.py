@@ -404,9 +404,9 @@ def test_value_order_degree_cap(capsys, argv):
 
 
 def test_value_order_cap_boundary_and_override():
-    assert check_degree(5, argparse.Namespace(), 5 - HARD_DEGREE_CAP) is None
+    assert check_degree(5, argparse.Namespace(unsafe_degree=False), 5 - HARD_DEGREE_CAP) is None
     with pytest.raises(ConfigError):
-        check_degree(5, argparse.Namespace(), 4 - HARD_DEGREE_CAP)
+        check_degree(5, argparse.Namespace(unsafe_degree=False), 4 - HARD_DEGREE_CAP)
     assert check_degree(5, argparse.Namespace(unsafe_degree=True), -50) is None
 
 

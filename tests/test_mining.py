@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -174,13 +175,39 @@ def test_mine_sequences_integrality_and_stability():
 def test_irreducibility_checks():
     assert is_irreducible_int(RationalPolynomial.make([1, 0, 1])) is True  # x^2 + 1
     assert is_irreducible_int(RationalPolynomial.make([-1, 0, 1])) is False  # (x-1)(x+1)
-    # product of two irreducible quadratics: settled reducible by trial search
+    # product of two irreducible quadratics without an integer root: undecided
     prod = RationalPolynomial.make([2, 2, 3, 1, 1])  # (x^2 + x + 1)(x^2 + 2)
-    assert is_irreducible_int(prod) is False
+    assert is_irreducible_int(prod) is None
     assert is_irreducible_int(RationalPolynomial.make([7, 1])) is True  # linear
     # (x - 7)(x^2 + 10^13): only the small-root scan settles it, g(0) is past the divisor cap
     big = RationalPolynomial.make([-7 * 10**13, 10**13, -7, 1])
     assert is_irreducible_int(big) is False
+
+
+def _times(a, b):
+    """Product of two ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_irreducibility_is_never_claimed_for_a_product():
+    planted = [
+        _times([1, 0, 1], [1, 1, 0, 1]),  # (x^2 + 1)(x^3 + x + 1)
+        _times([1, 1, 1], [1, 0, -1, 1]),  # x^5 + x + 1 = (x^2 + x + 1)(x^3 - x^2 + 1)
+        _times([1, 1, 1], [2, 0, 1]),  # (x^2 + x + 1)(x^2 + 2)
+    ]
+    for coeffs in planted:
+        assert is_irreducible_int(RationalPolynomial.make(coeffs)) is not True, coeffs
+    rng = random.Random(0)
+    for _ in range(400):
+        a, b = ([*(rng.randint(-6, 6) for _ in range(rng.randint(1, 4))), 1] for _ in range(2))
+        verdict = is_irreducible_int(RationalPolynomial.make(_times(a, b)))
+        assert verdict is not True, (a, b)
+        if len(a) == 2 or len(b) == 2:  # a monic linear factor is a small integer root
+            assert verdict is False, (a, b)
 
 
 def _mobius(n):

@@ -34,7 +34,6 @@ KEEP = {
     "sympoly.SymPoly.__repr__": "Python protocol method",
     "exact.PartitionVector.__repr__": "Python protocol method",
     "exact.PartitionVector.as_list": "spells PartitionVector.__repr__",
-    "mining._kronecker_factor": "decides (x^2+x+1)(x^2+2) as reducible until distinct-degree factorisation replaces it",
 }
 
 

@@ -8,17 +8,10 @@ exact nullspace computation, and cross-validates everything against an
 independent floating-point oracle.
 """
 
-from .exact import PartitionVector, binomial, multinomial, partitions
-from .means import PhiKey, PhiResult, phi, phi_table
+from .exact import PartitionVector, partitions
+from .means import PhiKey, PhiResult, phi
 from .powersums import gw_coefficient, power_sum_mean
-from .relations import (
-    RelationVector,
-    check_inheritance,
-    check_odd_binomial,
-    find_relations,
-    nullspace,
-    relation_space_dim,
-)
+from .relations import RelationVector, find_relations, nullspace, relation_space_dim
 from .sympoly import SymPoly
 
 __version__ = "0.1.0"
@@ -29,16 +22,11 @@ __all__ = [
     "PhiResult",
     "RelationVector",
     "SymPoly",
-    "binomial",
-    "check_inheritance",
-    "check_odd_binomial",
     "find_relations",
     "gw_coefficient",
-    "multinomial",
     "nullspace",
     "partitions",
     "phi",
-    "phi_table",
     "power_sum_mean",
     "relation_space_dim",
 ]

@@ -18,8 +18,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import golden, mining, numeric, relations
-from .means import PhiKey, phi, phi_table
-from .powersums import power_sum_table
+from .means import PhiKey, phi
+from .powersums import power_sum_mean
 from .sympoly import part_name
 
 HARD_DEGREE_CAP = 30
@@ -138,7 +138,8 @@ def cmd_gw(args) -> int:
     if n < 1 or max_deg < 1:
         raise ConfigError("--n and --max-deg must be >= 1")
     check_degree(max(2, max_deg), args)
-    table = power_sum_table(n, max_deg)
+    polys = [power_sum_mean(j, n) for j in range(1, max_deg + 1)]
+    table = [(j, p, p.sum_positive()) for j, p in enumerate(polys, 1)]
     payload = {
         "n": n,
         "max_deg": max_deg,
@@ -162,16 +163,16 @@ def cmd_phi(args) -> int:
     check_degree(D, args, args.delta)
     # by default the tables' printed range, n = 1..10
     window = sorted(rho_window(D, args.rho, [D - n for n in range(1, 11)]), reverse=True)
-    results = phi_table(D, args.delta, window)
+    results = [phi(PhiKey(D, args.delta, rho)) for rho in window]
     payload = {
         "D": D,
         "delta": args.delta,
         "rows": [
             {
                 "rho": res.key.rho,
-                "n": res.family_size,
+                "n": res.key.family_size,
                 "terms": res.poly.to_json(D)["terms"],
-                "sum_positive": str(res.sum_positive),
+                "sum_positive": str(res.poly.sum_positive()),
                 "flag": res.flag,
             }
             for res in results
@@ -180,11 +181,11 @@ def cmd_phi(args) -> int:
     pretty = [f"mean values, degree {D}, value order {args.delta}"]
     for res in results:
         pretty.append(
-            f"  n={res.family_size:2d} rho={res.key.rho:3d}: {pretty_poly(res.poly, D)}   [sum+ {res.sum_positive}]"
+            f"  n={res.key.family_size:2d} rho={res.key.rho:3d}: {pretty_poly(res.poly, D)}   [sum+ {res.poly.sum_positive()}]"
         )
     csv_rows = [
-        (D, args.delta, res.key.rho, res.family_size,
-         json.dumps(res.poly.to_json(D)["terms"]), str(res.sum_positive))
+        (D, args.delta, res.key.rho, res.key.family_size,
+         json.dumps(res.poly.to_json(D)["terms"]), str(res.poly.sum_positive()))
         for res in results
     ]
     emit(args, payload, pretty, csv_rows, ("D", "delta", "rho", "n", "terms", "sum_positive"))
@@ -259,7 +260,7 @@ def _verify_odd_binomial(args, payload, pretty):
     ok = True
     results = {}
     for D in range(3, args.max_degree + 1, 2):
-        good = relations.check_odd_binomial(D)
+        good = relations.alternating_binomial_vector(D) is not None
         results[D] = good
         ok = ok and good
         pretty.append(f"  D={D}: {'ok' if good else 'FAIL'}")
@@ -274,15 +275,15 @@ def _verify_inheritance(args, payload, pretty):
     chains = golden.inheritance_chains()
     details = {}
     for label, chain in sorted(chains.items()):
-        chain_ok = True
-        for idx, entry in enumerate(chain):
-            rel = relations.RelationVector.make(entry["D"], entry["delta"], entry["alpha"].items())
-            if idx + 1 < len(chain):
-                nxt = chain[idx + 1]
-                shifted = {r + 1: a for r, a in entry["alpha"].items()}
-                chain_ok = chain_ok and relations.check_inheritance(rel)
-                chain_ok = chain_ok and shifted == nxt["alpha"]
-                chain_ok = chain_ok and (nxt["D"], nxt["delta"]) == (entry["D"] + 1, entry["delta"] + 1)
+        # each link is proved once, and the next link must be its shift by
+        # one in D, delta and every rho
+        for entry in chain:
+            relations.RelationVector.make(entry["D"], entry["delta"], entry["alpha"].items())
+        chain_ok = all(
+            nxt["alpha"] == {r + 1: a for r, a in entry["alpha"].items()}
+            and (nxt["D"], nxt["delta"]) == (entry["D"] + 1, entry["delta"] + 1)
+            for entry, nxt in zip(chain, chain[1:])
+        )
         details[label] = chain_ok
         ok = ok and chain_ok
         pretty.append(f"  chain {label} (length {len(chain)}): {'ok' if chain_ok else 'FAIL'}")
@@ -441,6 +442,8 @@ def cmd_mine(args) -> int:
     check_degree(args.d_sweep, args)
     bfile = None
     if args.oeis_bfile:
+        if not args.oeis_bfile_for:
+            raise ConfigError("--oeis-bfile needs --oeis-bfile-for lcd or leading: a b-file holds one sequence")
         try:
             bfile = mining.read_bfile(args.oeis_bfile)
         except (OSError, ValueError) as exc:
@@ -469,15 +472,14 @@ def cmd_mine(args) -> int:
 
     ok = True
     if bfile is not None:
-        for name, seq in (("lcd", q_seq), ("leading", lead_seq)):
-            if args.oeis_bfile_for in (name, "both"):
-                cmp_res = mining.compare_with_bfile(seq, bfile)
-                payload.setdefault("bfile", {})[name] = cmp_res.to_json()
-                pretty.append(
-                    f"  b-file vs {name}: offset {cmp_res.offset}, matched "
-                    f"{cmp_res.matched}/{cmp_res.total} (abs={cmp_res.absolute_values})"
-                )
-                ok = ok and cmp_res.aligned
+        name = args.oeis_bfile_for
+        cmp_res = mining.compare_with_bfile(q_seq if name == "lcd" else lead_seq, bfile)
+        payload["bfile"] = {name: cmp_res.to_json()}
+        pretty.append(
+            f"  b-file vs {name}: offset {cmp_res.offset}, matched "
+            f"{cmp_res.matched}/{cmp_res.total} (abs={cmp_res.absolute_values})"
+        )
+        ok = cmp_res.aligned
     emit(args, payload, pretty, csv_rows, ("sequence", "k", "value"), verdict=ok)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
@@ -548,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--d-sweep", type=int, default=24)
     p.add_argument("--oeis-bfile", help="b-file to compare against (text: 'index value')")
-    p.add_argument("--oeis-bfile-for", choices=("lcd", "leading", "both"), default="both")
+    p.add_argument("--oeis-bfile-for", choices=("lcd", "leading"),
+                   help="the mined sequence the b-file holds (required with --oeis-bfile)")
     common(p, table_formats)
     p.set_defaults(fn=cmd_mine)
 

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and the combinatorial primitives used everywhere else.
+"""Exact rationals and the integer partitions that key every expansion.
 
 All symbolic coefficients in this package are arbitrary-precision rationals,
 ``fractions.Fraction``: lowest terms, positive denominator, zero stored as 0/1.
@@ -6,37 +6,11 @@ All symbolic coefficients in this package are arbitrary-precision rationals,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 ZERO = Fraction(0)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n or k < 0 (so Pascal's identity holds at k = 0)."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0:
-        return 0
-    return math.comb(n, k)
-
-
-def multinomial(card: int, parts) -> int:
-    """card! / prod(parts!) over a family of nonnegative subindices.
-
-    Raises ValueError unless sum(parts) == card.
-    """
-    parts = list(parts)
-    if card < 0 or any(p < 0 for p in parts):
-        raise ValueError("multinomial requires nonnegative arguments")
-    if sum(parts) != card:
-        raise ValueError(f"multinomial precondition failed: sum{tuple(parts)} != {card}")
-    out = math.factorial(card)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 @dataclass(frozen=True)
@@ -75,9 +49,6 @@ class PartitionVector:
     @property
     def max_part(self) -> int:
         return self.items[0][0] if self.items else 0
-
-    def multiplicities(self):
-        return [k for _, k in self.items]
 
     def as_list(self):
         out = []

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ZERO, PartitionVector, binomial
+from .exact import ZERO, PartitionVector
 from .powersums import gw_coefficient, materialize
 from .sympoly import SymPoly, poly_sum
 
@@ -59,12 +59,7 @@ class PhiKey:
 class PhiResult:
     key: PhiKey
     poly: SymPoly
-    family_size: int
     flag: str = FLAG_OK
-
-    @property
-    def sum_positive(self) -> Fraction:
-        return self.poly.sum_positive()
 
 
 def _term_weight(D: int, delta: int, j: int) -> Fraction:
@@ -75,7 +70,7 @@ def _term_weight(D: int, delta: int, j: int) -> Fraction:
     """
     deg_g = D - delta
     return Fraction(
-        math.factorial(D) * binomial(deg_g, j) * (-1) ** (deg_g - j), math.factorial(deg_g)
+        math.factorial(D) * math.comb(deg_g, j) * (-1) ** (deg_g - j), math.factorial(deg_g)
     )
 
 
@@ -88,7 +83,7 @@ def phi(key: PhiKey) -> PhiResult:
         materialize(j, n, _term_weight(D, delta, j), deg_g - j) for j in range(deg_g + 1)
     )
     flag = FLAG_OK if deg_g > 0 else FLAG_CONSTANT if deg_g == 0 else FLAG_ZERO
-    return PhiResult(key, poly, n, flag)
+    return PhiResult(key, poly, flag)
 
 
 def phi_coefficient(key: PhiKey, m: PartitionVector) -> Fraction:
@@ -119,8 +114,3 @@ def phi_coefficient(key: PhiKey, m: PartitionVector) -> Fraction:
         w = _term_weight(D, delta, deg_g - p)
         total += w * gw_coefficient(rest, n) if rest.items else w
     return total
-
-
-def phi_table(D: int, delta: int, rho_values) -> list:
-    """PhiResults for each rho, ordered as given (tables list rho descending)."""
-    return [phi(PhiKey(D, delta, r)) for r in rho_values]

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import PartitionVector, binomial, multinomial, partitions
+from .exact import PartitionVector, partitions
 from .sympoly import SymPoly
 
 
@@ -33,7 +33,8 @@ def gw_factor(kappa: PartitionVector) -> Fraction:
     j = kappa.j
     card = kappa.card
     sign = 1 if (j + card) % 2 == 0 else -1
-    return Fraction(sign * j * multinomial(card, kappa.multiplicities()), card)
+    multinomial = math.factorial(card) // math.prod(math.factorial(k) for _, k in kappa.items)
+    return Fraction(sign * j * multinomial, card)
 
 
 def gw_coefficient(kappa: PartitionVector, n: int) -> Fraction:
@@ -46,7 +47,7 @@ def gw_coefficient(kappa: PartitionVector, n: int) -> Fraction:
         raise ValueError("family size must be >= 1")
     if not kappa.items:
         raise ValueError("gw_coefficient needs a nonempty partition")
-    prod = math.prod(binomial(n, part) ** mult for part, mult in kappa.items)
+    prod = math.prod(math.comb(n, part) ** mult for part, mult in kappa.items)
     return gw_factor(kappa) * Fraction(prod, n)
 
 
@@ -87,12 +88,3 @@ def power_sum_mean(j: int, n: int) -> SymPoly:
     if j < 1 or n < 1:
         raise ValueError("power_sum_mean requires j >= 1 and n >= 1")
     return materialize(j, n)
-
-
-def power_sum_table(n: int, max_deg: int) -> list:
-    """Rows (j, poly, sum_of_positive_coefficients) for j = 1..max_deg."""
-    rows = []
-    for j in range(1, max_deg + 1):
-        p = power_sum_mean(j, n)
-        rows.append((j, p, p.sum_positive()))
-    return rows

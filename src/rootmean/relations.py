@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import binomial
 from .means import PhiKey, _term_weight, phi
 
 
@@ -161,7 +160,8 @@ class RelationError(ValueError):
 class RelationVector:
     """A primitive integer vector alpha with sum_rho alpha_rho phi(D,delta,rho) = 0.
 
-    The defining identity is proved on construction by ``certify_relations``.
+    ``make`` is the constructor: it proves the defining identity with
+    ``certify_relations``.
     """
 
     D: int
@@ -176,18 +176,11 @@ class RelationVector:
             raise RelationError(f"no nonzero coefficient at D={D}, delta={delta}")
         support = tuple(r for r, _ in items)
         alpha = tuple(primitive([a for _, a in items]))
-        rel = cls(D, delta, support, alpha)
-        if not rel.verify():
+        if not certify_relations(D, [alpha], delta, support):
             raise RelationError(
                 f"alpha {alpha} over rho {support} does not annihilate at D={D}, delta={delta}"
             )
-        return rel
-
-    def verify(self) -> bool:
-        return certify_relations(self.D, [self.alpha], self.delta, self.support)
-
-    def alpha_sum(self) -> int:
-        return sum(self.alpha)
+        return cls(D, delta, support, alpha)
 
     def to_json(self) -> dict:
         return {"support": list(self.support), "alpha": list(self.alpha)}
@@ -224,7 +217,7 @@ class RelationReport:
         return out
 
     def zero_sum_ok(self) -> bool:
-        return all(r.alpha_sum() == 0 for r in self.basis)
+        return all(sum(r.alpha) == 0 for r in self.basis)
 
     def to_json(self) -> dict:
         return {
@@ -268,7 +261,7 @@ def find_relations(
     ncols = len(rho_set)
     basis_vecs = nullspace(matrix.rows, ncols=ncols)
     zero_phis = tuple(rho_set[v.index(1)] for v in basis_vecs if sum(map(bool, v)) == 1)
-    basis = [RelationVector.make(D, delta, zip(rho_set, primitive(v))) for v in basis_vecs]
+    basis = [RelationVector.make(D, delta, zip(rho_set, v)) for v in basis_vecs]
     report = RelationReport(D, delta, rho_set, basis=basis, zero_phis=zero_phis)
 
     if minimal_support:
@@ -408,21 +401,8 @@ def relation_space_dim(D: int) -> int:
 
 def alternating_binomial_vector(D: int) -> RelationVector | None:
     """The primitive form of sum_(0<rho<D) (-1)^rho C(D,rho) phi(D,0,rho), if it annihilates."""
-    pairs = [(r, (-1) ** r * binomial(D, r)) for r in range(1, D)]
+    pairs = [(r, (-1) ** r * math.comb(D, r)) for r in range(1, D)]
     try:
         return RelationVector.make(D, 0, pairs)
     except RelationError:
         return None
-
-
-def check_odd_binomial(D: int) -> bool:
-    """True iff the alternating binomial combination vanishes identically (odd D)."""
-    if D < 3 or D % 2 == 0:
-        raise ValueError("check_odd_binomial needs odd D >= 3")
-    return alternating_binomial_vector(D) is not None
-
-
-def check_inheritance(rel: RelationVector) -> bool:
-    """True iff the shifted relation (D+1, delta+1, support+1) also annihilates."""
-    support = tuple(r + 1 for r in rel.support)
-    return RelationVector(rel.D + 1, rel.delta + 1, support, rel.alpha).verify()

@@ -13,9 +13,10 @@ way to compute what the engine computes, kept next to the tests that use it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from rootmean.exact import ZERO, binomial
+from rootmean.exact import ZERO
 from rootmean.relations import _echelon
 from rootmean.sympoly import SymPoly, poly_sum
 
@@ -57,7 +58,7 @@ def mean_parameters(values) -> dict:
     vals = [Fraction(v) for v in values]
     n = len(vals)
     e = elementary_symmetric(vals)
-    return {i: e[i] / binomial(n, i) for i in range(1, n + 1)}
+    return {i: e[i] / math.comb(n, i) for i in range(1, n + 1)}
 
 
 # ---------------------------------------------------------------------------

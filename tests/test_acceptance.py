@@ -119,7 +119,7 @@ def test_criterion_06_zero_sum():
     for D in range(3, 9):
         rep = relations.find_relations(D)
         for rel in rep.all_relations():
-            ok = ok and rel.alpha_sum() == 0
+            ok = ok and sum(rel.alpha) == 0
     report("6 (zero coefficient sums)", ok, t0, 30)
 
 

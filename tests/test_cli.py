@@ -183,6 +183,20 @@ def test_verify_inheritance_checks_each_delta(monkeypatch, capsys):
     assert blob["inheritance"] == {"b": False}
 
 
+def test_verify_inheritance_rejects_a_link_that_is_no_relation(monkeypatch, capsys):
+    # the second link is the first shifted, but at delta = 0, where 5, -6, 1
+    # over rho = 2..4 does not annihilate
+    chain = [
+        {"D": 4, "delta": 0, "alpha": {1: 5, 2: -6, 3: 1}},
+        {"D": 5, "delta": 0, "alpha": {2: 5, 3: -6, 4: 1}},
+    ]
+    monkeypatch.setattr("rootmean.cli.golden.inheritance_chains", lambda: {"b": chain})
+    code, out, err = run(capsys, "verify", "--conjecture", "inheritance")
+    assert code == EXIT_VERIFY_FAIL
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_numeric_check_auto(capsys):
     code, blob, _ = run_json(
         capsys, "numeric-check", "--auto", "--D", "4", "--samples", "60", "--seed", "7"
@@ -252,7 +266,7 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
         ("numeric-check", "--D", "4", "--relation", "0:1,0:2", "--samples", "10"),
         ("verify", "--conjecture", "dimension", "--max-degree", "5",
          "--output", "/nonexistent/x.json"),
-        ("mine", "--k-max", "2", "--d-sweep", "8", "--oeis-bfile", "/nonexistent"),
+        ("mine", "--k-max", "2", "--d-sweep", "8", "--oeis-bfile", "/nonexistent", "--oeis-bfile-for", "lcd"),
         ("mine", "--k-max", "2", "--d-sweep", "4"),
         ("numeric-check", "--auto", "--D", "2", "--samples", "10"),
         ("numeric-check", "--D", "4", "--relation", "1:1,1:2", "--samples", "20", "--tol", "inf"),
@@ -482,14 +496,37 @@ def test_bfile_matching_nothing_reports_no_offset(tmp_path, capsys):
     # first shift tried
     path = tmp_path / "b.txt"
     path.write_text("5 5\n6 6\n", encoding="utf-8")
-    code, blob, _ = run_json(
-        capsys, "mine", "--k-max", "4", "--d-sweep", "10", "--oeis-bfile", str(path),
-    )
-    assert code == EXIT_VERIFY_FAIL and blob["pass"] is False
     for name in ("lcd", "leading"):
-        assert blob["bfile"][name] == {
+        code, blob, _ = run_json(
+            capsys, "mine", "--k-max", "4", "--d-sweep", "10", "--oeis-bfile", str(path),
+            "--oeis-bfile-for", name,
+        )
+        assert code == EXIT_VERIFY_FAIL and blob["pass"] is False
+        assert blob["bfile"] == {name: {
             "offset": None, "matched": 0, "total": 3, "absolute_values": False, "mismatches": [],
-        }
+        }}
+
+
+def test_bfile_is_compared_with_the_sequence_it_names(tmp_path, capsys):
+    # the lcd sequence at k = 2..7; the leading sequence matches only its first value
+    path = tmp_path / "b.txt"
+    path.write_text("2 1\n3 2\n4 24\n5 48\n6 5760\n7 11520\n", encoding="utf-8")
+    # a b-file holds one sequence, so the call must name which
+    code, out, err = run(capsys, "mine", "--k-max", "7", "--d-sweep", "19", "--oeis-bfile", str(path))
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert out == ""
+    code, blob, _ = run_json(
+        capsys, "mine", "--k-max", "7", "--d-sweep", "19", "--oeis-bfile", str(path),
+        "--oeis-bfile-for", "lcd",
+    )
+    assert code == EXIT_OK and blob["pass"] is True
+    assert list(blob["bfile"]) == ["lcd"] and blob["bfile"]["lcd"]["matched"] == 6
+    code, blob, _ = run_json(
+        capsys, "mine", "--k-max", "7", "--d-sweep", "19", "--oeis-bfile", str(path),
+        "--oeis-bfile-for", "leading",
+    )
+    assert code == EXIT_VERIFY_FAIL and list(blob["bfile"]) == ["leading"]
 
 
 # sha256 of the output of calls whose polynomials carry integration

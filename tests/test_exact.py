@@ -3,46 +3,28 @@ from fractions import Fraction
 
 import pytest
 
-from rootmean.exact import PartitionVector, binomial, multinomial, partitions
-
-
-def test_binomial_basic():
-    assert binomial(3, 2) == 3
-    assert binomial(5, 0) == 1
-    assert binomial(4, 7) == 0  # k > n allowed
-    assert binomial(4, -1) == 0  # k < 0 contributes nothing
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
+from rootmean.exact import PartitionVector, partitions
+from rootmean.means import _term_weight
+from rootmean.powersums import gw_factor
 
 
 def test_binomial_against_pascal_recurrence():
-    # independent oracle: build the triangle additively
+    # independent oracle: build the triangle additively; the package's
+    # binomials are the quasi-binomial weights (-1)^(D-j) C(D, j)
     row = [1]
     for n in range(1, 50):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    assert binomial(49, 24) == row[24]
-    for k in range(50):
-        assert binomial(49, k) == row[k]
-
-
-def test_pascal_identity_to_30():
-    for n in range(1, 31):
         for k in range(n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+            assert _term_weight(n, 0, k) == (-1) ** (n - k) * row[k]
 
 
 def test_multinomial():
-    assert multinomial(2, [1, 1]) == 2
-    assert multinomial(3, [3]) == 1
-    assert multinomial(4, [2, 1, 1]) == 12  # 4!/2! by direct evaluation
-
-
-def test_multinomial_precondition():
-    with pytest.raises(ValueError):
-        multinomial(4, [2, 1])
+    # gw_factor is (-1)^(j+|kappa|) j multinomial(|kappa|; k) / |kappa|,
+    # with the multinomial taken over the multiplicities k
+    for parts, multinomial in (([2, 1], 2), ([1, 1, 1], 1), ([3, 3, 2, 1], 12), ([2, 1, 1], 3)):
+        kappa = PartitionVector.from_list(parts)
+        j, card = kappa.j, kappa.card
+        assert gw_factor(kappa) == Fraction((-1) ** (j + card) * j * multinomial, card)
 
 
 def test_partitions_small():

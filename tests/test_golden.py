@@ -23,8 +23,8 @@ def test_catalog_relations_all_annihilate():
     entries = golden.catalog_relations()
     assert len(entries) > 100
     for entry in entries:
-        rel = RelationVector.make(entry["D"], entry["delta"], entry["alpha"].items())
-        assert rel.verify()
+        # make raises RelationError unless the certificate proves the relation
+        RelationVector.make(entry["D"], entry["delta"], entry["alpha"].items())
 
 
 def test_catalog_covers_all_value_orders():

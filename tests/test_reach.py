@@ -53,7 +53,8 @@ def _matrix(tmp_path):
             (["gw", "--n", "3", "--max-deg", "4", "--format", fmt], 0),
             (["phi", "--D", "4", "--rho=-2..3", "--format", fmt], 0),
             (["relations", "--D", "5", "--format", fmt], 0),
-            (["mine", "--k-max", "2", "--d-sweep", "5", "--oeis-bfile", _bfile(tmp_path), "--format", fmt], 0),
+            (["mine", "--k-max", "2", "--d-sweep", "5", "--oeis-bfile", _bfile(tmp_path),
+              "--oeis-bfile-for", "lcd", "--format", fmt], 0),
         ]
     for fmt in two:
         calls += [(["verify", "--conjecture", c, "--max-degree", "5", "--format", fmt], 0)
@@ -90,7 +91,7 @@ def _matrix(tmp_path):
         (["numeric-check", "--samples", "0", "--auto", "--D", "3"], 2),
         (["numeric-check"], 2),
         (["mine", "--k-max", "1"], 2),
-        (["mine", "--oeis-bfile", str(tmp_path / "missing.txt")], 2),
+        (["mine", "--oeis-bfile", str(tmp_path / "missing.txt"), "--oeis-bfile-for", "lcd"], 2),
         (["gw", "--n", "2", "--max-deg", "2", "--output", str(tmp_path)], 2),
     ]
     return calls

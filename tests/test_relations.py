@@ -15,8 +15,6 @@ from rootmean.relations import (
     RelationVector,
     alternating_binomial_vector,
     certify_relations,
-    check_inheritance,
-    check_odd_binomial,
     _circuits,
     _clear_row_denominators,
     _echelon,
@@ -216,7 +214,7 @@ def test_certificate_matches_symbolic_oracle_property(data):
     if any(alpha):
         pairs = zip(rho_set, alpha)
         if want:
-            assert RelationVector.make(D, delta, pairs).verify()
+            RelationVector.make(D, delta, pairs)
         else:
             with pytest.raises(RelationError):
                 RelationVector.make(D, delta, pairs)
@@ -299,29 +297,29 @@ def test_dependency_structure_d5_d7():
 
 
 def test_odd_binomial():
-    assert check_odd_binomial(3)
-    assert check_odd_binomial(5)
-    assert check_odd_binomial(7)
     assert alternating_binomial_vector(5).alpha == (1, -2, 2, -1)
     assert alternating_binomial_vector(7).alpha == (1, -3, 5, -5, 3, -1)
     assert alternating_binomial_vector(3).alpha == (1, -1)
-    with pytest.raises(ValueError):
-        check_odd_binomial(4)
+    # even degrees have no alternating-binomial relation
+    assert alternating_binomial_vector(4) is None
+
+
+def shifted(rel):
+    """The relation (D+1, delta+1, support+1) with the same alpha, proved by make."""
+    pairs = [(r + 1, a) for r, a in zip(rel.support, rel.alpha)]
+    return RelationVector.make(rel.D + 1, rel.delta + 1, pairs)
 
 
 def test_inheritance_examples():
-    b = RelationVector.make(4, 0, {1: 5, 2: -6, 3: 1}.items())
-    assert check_inheritance(b)
-    a = RelationVector.make(3, 0, {1: 1, 2: -1}.items())
-    assert check_inheritance(a)
-    e = RelationVector.make(3, 1, {0: 1, 2: 1}.items())
-    assert check_inheritance(e)
+    for D, delta, alpha in ((4, 0, {1: 5, 2: -6, 3: 1}), (3, 0, {1: 1, 2: -1}), (3, 1, {0: 1, 2: 1})):
+        rel = RelationVector.make(D, delta, alpha.items())
+        assert shifted(rel).alpha == rel.alpha
 
 
 def test_inheritance_shifted_vector_matches_printed():
     b = RelationVector.make(4, 0, {1: 5, 2: -6, 3: 1}.items())
-    assert check_inheritance(b)
     b_prime = RelationVector.make(5, 1, {2: 5, 3: -6, 4: 1}.items())
+    assert shifted(b) == b_prime
     assert b_prime.alpha == (5, -6, 1)
 
 
@@ -486,5 +484,5 @@ def test_minimal_support_at_the_subset_cap():
         assert not rep.minimal_support_skipped
         assert rep.dim == dim
         assert len(rep.minimal_support) == count
-        assert all(rel.alpha_sum() == 0 for rel in rep.all_relations())
+        assert all(sum(rel.alpha) == 0 for rel in rep.all_relations())
     assert len(rep.rho_set) == MINIMAL_SUPPORT_CAP

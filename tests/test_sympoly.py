@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import rootmean
-from rootmean.exact import PartitionVector, binomial
+from rootmean.exact import PartitionVector
 from rootmean.means import PhiKey, _term_weight, phi
 from rootmean.sympoly import SymPoly, part_name
 
@@ -159,7 +160,7 @@ def test_quasi_binomial_coeffs():
     assert [str(c) for c in c4] == ["1", "-4 r1", "6 r2", "-4 r3", "1 r4"]
     for D in range(1, 9):
         for i in range(D + 1):
-            assert _term_weight(D, 0, D - i) == (-1) ** i * binomial(D, i)
+            assert _term_weight(D, 0, D - i) == (-1) ** i * math.comb(D, i)
     # past degree D the chain holds integration constants, not root parameters
     assert [part_name(p, 4)[0] for p in range(1, 6)] == ["r", "r", "r", "r", "c"]
 
@@ -178,3 +179,6 @@ def test_public_names_resolve():
     # a deleted export must leave no stale name behind in __all__
     for name in rootmean.__all__:
         assert getattr(rootmean, name, None) is not None, name
+    namespace = {}
+    exec("from rootmean import *", namespace)
+    assert set(rootmean.__all__) <= set(namespace)

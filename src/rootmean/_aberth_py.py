@@ -9,8 +9,9 @@ practice, Bini & Fiorentino 2000), so a sweep costs only the roots still
 moving, and it takes the rounding-level sum of a root's Horner pass only
 once the root is close enough for that sum to decide.  Everything else that
 evaluates a polynomial goes through ``horner``: the numeric oracle on
-floats, and ``rootmean.mining`` on exact integers and Fractions.  There are
-two measured exceptions.  The kernel inlines its own fused
+floats, its rounding scale sum_k |a_k| |z|^(deg-k) too (``horner`` over the
+moduli at |z|), and ``rootmean.mining`` on exact integers and Fractions.
+There are two measured exceptions.  The kernel inlines its own fused
 value-and-derivative Horner pass, because it is the hot loop, and
 ``rootmean.numeric._accepted`` runs its own fused value-and-scale pass,
 because the residual test of every solve reads both sums in one sweep.

@@ -392,12 +392,9 @@ def cmd_numeric(args) -> int:
     given = [f"--{mode}" for mode in ("relation", "auto", "conjecture") if getattr(args, mode)]
     if len(given) > 1:
         raise ConfigError(f"pass only one of --relation, --auto and --conjecture, got {' and '.join(given)}")
-    if args.conjecture == "relative-rates":
+    if args.conjecture:
         check_degree(args.max_degree, args)
-        reports = [numeric.relative_rates_report(args.max_degree, args.samples, args.seed, args.tol)]
-    elif args.conjecture == "translation":
-        check_degree(args.max_degree, args)
-        reports = [numeric.translation_invariance_report(args.max_degree, args.samples, args.seed, args.tol)]
+        reports = [numeric.CONJECTURES[args.conjecture](args.max_degree, args.samples, args.seed, args.tol)]
     elif args.relation or args.auto:
         if args.D is None:
             raise ConfigError(f"{given[0]} needs --D")
@@ -440,10 +437,10 @@ def cmd_mine(args) -> int:
             f"need at least {need}"
         )
     check_degree(args.d_sweep, args)
+    if bool(args.oeis_bfile) != bool(args.oeis_bfile_for):
+        raise ConfigError("--oeis-bfile and --oeis-bfile-for go together: a b-file holds one of the two sequences")
     bfile = None
     if args.oeis_bfile:
-        if not args.oeis_bfile_for:
-            raise ConfigError("--oeis-bfile needs --oeis-bfile-for lcd or leading: a b-file holds one sequence")
         try:
             bfile = mining.read_bfile(args.oeis_bfile)
         except (OSError, ValueError) as exc:
@@ -537,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("numeric-check", help="floating-point cross-validation")
     p.add_argument("--relation", help="'alpha:rho,...' e.g. '5:1,-6:2,1:3'")
     p.add_argument("--auto", action="store_true", help="check all discovered relations at --D")
-    p.add_argument("--conjecture", choices=("relative-rates", "translation"))
+    p.add_argument("--conjecture", choices=sorted(numeric.CONJECTURES))
     p.add_argument("--D", type=int)
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=10)

@@ -16,17 +16,17 @@ Otherwise, or when a warm-started solve fails the residual test, it starts
 from a circle around the root centroid whose radius is the geometric-mean
 distance to the roots.
 
-Every check counts a failed root solve, one that fails from the circle, as
-a skipped evaluation.  A report passes only if its worst residual is within
-``tol`` (a non-finite residual counts as infinite) and it evaluated
-something: fewer evaluations were skipped than attempted, so a report that
-attempted nothing fails.
-
-Each check's samples are split across forked worker processes, one per CPU
-this process may run on (``WORKERS``).  Every sample is seeded from its
-index and the reports fold their parts with order-independent maxima and
-sums, so the output does not depend on the number of workers.  The workers
-are separate processes: the peak RSS of this one does not include theirs.
+The three checks share one path, ``_run``: it counts every evaluation as
+attempted and every failed root solve, one that fails from the circle, as
+skipped.  A report passes only if its worst residual is within ``tol`` (a
+non-finite residual counts as infinite) and it evaluated something: fewer
+evaluations were skipped than attempted, so a report that attempted nothing
+fails.  ``_run`` splits a check's samples across forked worker processes,
+one per CPU this process may run on (``WORKERS``).  Every sample is seeded
+from its index and the reports fold their parts with order-independent
+maxima and sums, so the output does not depend on the number of workers.
+The workers are separate processes: the peak RSS of this one does not
+include theirs.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class NumPoly:
             raise ValueError("degree must be >= 1")
         if self.coeffs[0] != 1:
             raise ValueError("leading coefficient must be exactly 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def monic_from_roots(roots) -> NumPoly:
@@ -166,19 +162,11 @@ def _initial_guesses(coeffs) -> list:
     ]
 
 
-def _residual_scale(coeffs, z) -> float:
-    az = abs(z)
-    scale = 0.0
-    for c in coeffs:
-        scale = scale * az + abs(c)
-    return max(scale, 1e-300)
-
-
 def _accepted(coeffs, z) -> bool:
     """True when every root r satisfies |p(r)| <= ROOT_RESIDUAL_TOL * scale(r),
     scale(r) = sum_k |a_k| |r|^(deg-k): one fused value-and-scale pass per
-    root, the same floats as ``horner`` and ``_residual_scale``, stopping at
-    the first root that fails or is not finite."""
+    root, the same floats as ``horner`` on the coefficients and on their
+    moduli at |r|, stopping at the first root that fails or is not finite."""
     abs_coeffs = [abs(c) for c in coeffs]
     for zi in z:
         az = abs(zi)
@@ -298,13 +286,12 @@ def sample_rng(seed: int, *streams) -> random.Random:
     return random.Random(x)
 
 
-def _samples(seed: int, degree: int, indices, *stream):
-    """(rng, roots, f) for each sample idx of ``indices``: rng is sample_rng(seed, *stream, idx)
-    after drawing the roots of the monic degree-``degree`` f; the caller may draw on."""
-    for idx in indices:
-        rng = sample_rng(seed, *stream, idx)
-        roots = sample_roots(rng, degree)
-        yield rng, roots, monic_from_roots(roots)
+def _sample(seed: int, degree: int, *streams):
+    """(rng, roots, f): rng is sample_rng(seed, *streams) after drawing the
+    roots of the monic degree-``degree`` f; the caller may draw on."""
+    rng = sample_rng(seed, *streams)
+    roots = sample_roots(rng, degree)
+    return rng, roots, monic_from_roots(roots)
 
 
 def _fan_out(work, items) -> list:
@@ -406,6 +393,34 @@ def _worse(worst: float, residual: float) -> float:
     return max(worst, residual) if math.isfinite(residual) else math.inf
 
 
+def _run(labels, samples: int, seed: int, tol: float, items, evaluate) -> list:
+    """One NumericReport per label over the outcomes that evaluate(item, worst)
+    yields for each of ``items``, split across ``_fan_out``'s workers.  An
+    outcome is one evaluation: one residual per report, or None for a failed
+    root solve, which every report counts as skipped.  ``worst`` is the
+    worker's running worst residual per report, folded with ``_worse``."""
+
+    def work(part):
+        worst = [0.0] * len(labels)
+        attempted = skipped = 0
+        for item in part:
+            for outcome in evaluate(item, worst):
+                attempted += 1
+                if outcome is None:
+                    skipped += 1
+                else:
+                    worst[:] = [_worse(w, r) for w, r in zip(worst, outcome)]
+        return attempted, skipped, worst
+
+    reports = [NumericReport(label=label, samples=samples, seed=seed, tol=tol) for label in labels]
+    for attempted, skipped, worst in _fan_out(work, items):
+        for rep, w in zip(reports, worst):
+            rep.attempted += attempted
+            rep.skipped += skipped
+            rep.max_rel_residual = _worse(rep.max_rel_residual, w)
+    return reports
+
+
 def _relation_terms(D: int, delta: int, rel):
     """(label, support, alpha) of a RelationVector or a {rho: alpha} mapping."""
     if isinstance(rel, dict):
@@ -441,63 +456,51 @@ def check_relations_batch(
     batch.  Families are solved in ascending rho, and f^(rho), rho >= 1,
     starts from the roots of f^(rho-1) when those are at hand (the sampled
     roots for rho = 1).  A sample whose root finding fails is skipped for
-    every relation.  The samples are split across ``_fan_out``'s workers.
+    every relation.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     terms = [_relation_terms(D, delta, rel) for rel in rels]
-    reports = [
-        NumericReport(label=label, samples=samples, seed=seed, tol=tol, attempted=samples)
-        for label, _, _ in terms
-    ]
     if not terms:
-        return reports
+        return []
     support_union = sorted({r for _, support, _ in terms for r in support})
     lowest = min([*support_union, delta])
     highest = max([*support_union, delta])
     deepest = max(0, -lowest)
 
-    def work(indices):
-        worst = [0.0] * len(terms)
-        skipped = 0
-        for rng, roots, f in _samples(seed, D, indices, D, delta):
-            constants = [
-                complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                for _ in range(deepest)
-            ]
-            chain = _derived_chain(f.coeffs, lowest, highest, constants)
-            values = chain[delta]
-            fams = {}
-            means = {}
-            try:
-                for rho in support_union:
-                    if rho == 0:
-                        fams[0] = roots
-                    else:
-                        monic = monicized(chain[rho])
-                        parent = roots if rho == 1 else fams.get(rho - 1)
-                        fams[rho] = find_roots(monic, _derivative_start(monic.coeffs, parent))
-                    means[rho] = mean_over_family(values, fams[rho])
-            except RootFindingError:
-                skipped += 1
-                continue
-            for i, (_, support, alpha) in enumerate(terms):
-                num = sum(a * means[r] for r, a in zip(support, alpha))
-                den = sum(abs(a * means[r]) for r, a in zip(support, alpha))
-                residual = abs(num) / den if den else 0.0
-                if residual > worst[i]:
-                    scale = sum(abs(a) * sum(_residual_scale(values, z) for z in fams[r]) / len(fams[r])
-                                for r, a in zip(support, alpha))
-                    if den <= tol * scale:
-                        residual = abs(num) / scale
-                worst[i] = _worse(worst[i], residual)
-        return worst, skipped
+    def evaluate(idx, worst):
+        rng, roots, f = _sample(seed, D, D, delta, idx)
+        constants = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deepest)]
+        chain = _derived_chain(f.coeffs, lowest, highest, constants)
+        values = chain[delta]
+        fams, means = {}, {}
+        try:
+            for rho in support_union:
+                if rho == 0:
+                    fams[0] = roots
+                else:
+                    monic = monicized(chain[rho])
+                    parent = roots if rho == 1 else fams.get(rho - 1)
+                    fams[rho] = find_roots(monic, _derivative_start(monic.coeffs, parent))
+                means[rho] = mean_over_family(values, fams[rho])
+        except RootFindingError:
+            yield None
+            return
+        outcome = []
+        for w, (_, support, alpha) in zip(worst, terms):
+            num = sum(a * means[r] for r, a in zip(support, alpha))
+            den = sum(abs(a * means[r]) for r, a in zip(support, alpha))
+            residual = abs(num) / den if den else 0.0
+            if residual > w:
+                moduli = [abs(c) for c in values]
+                scale = sum(abs(a) * sum(horner(moduli, abs(z)) for z in fams[r]) / len(fams[r])
+                            for r, a in zip(support, alpha))
+                if den <= tol * scale:
+                    residual = abs(num) / scale
+            outcome.append(residual)
+        yield outcome
 
-    for worst, skipped in _fan_out(work, range(samples)):
-        for rep, w in zip(reports, worst):
-            rep.max_rel_residual = _worse(rep.max_rel_residual, w)
-            rep.skipped += skipped
-    return reports
+    return _run([label for label, _, _ in terms], samples, seed, tol, range(samples), evaluate)
 
 
 def _relative_rates(p: NumPoly, ks, roots) -> list:
@@ -522,75 +525,59 @@ def _relative_rates(p: NumPoly, ks, roots) -> list:
 def relative_rates_report(
     max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
-    report = NumericReport(label=f"relative-rates degrees 2..{max_degree}", samples=samples, seed=seed,
-                           tol=tol, attempted=samples * (max_degree - 1))
-
-    def work(part):
-        worst = 0.0
-        for D, idx in part:
-            [(_, roots, p)] = _samples(seed, D, [idx], 7_001, D)
-            ks = range(2, D) if D > 2 else (2,)
-            for total, terms in _relative_rates(p, ks, roots):
-                mag = sum(abs(t) for t in terms)
-                residual = abs(total) / mag if mag > 1e-12 else abs(total)
-                worst = _worse(worst, residual)
-        return worst
+    def evaluate(item, worst):
+        D, idx = item
+        _, roots, p = _sample(seed, D, 7_001, D, idx)
+        residual = 0.0
+        for total, terms in _relative_rates(p, range(2, D) if D > 2 else (2,), roots):
+            mag = sum(abs(t) for t in terms)
+            residual = _worse(residual, abs(total) / mag if mag > 1e-12 else abs(total))
+        return [(residual,)]
 
     pairs = [(D, idx) for D in range(2, max_degree + 1) for idx in range(samples)]
-    for worst in _fan_out(work, pairs):
-        report.max_rel_residual = _worse(report.max_rel_residual, worst)
+    [report] = _run([f"relative-rates degrees 2..{max_degree}"], samples, seed, tol, pairs, evaluate)
     return report
 
 
-def check_translation_invariance(p: NumPoly, dh_list, tol: float = RELATION_TOL) -> NumericReport:
-    """Mean slope over the roots of p - dh compared with dh = 0, per dh.
+def _shift_outcomes(p: NumPoly, dh_list):
+    """One outcome per dh: the mean slope over the roots of p - dh compared
+    with dh = 0, as a one-residual tuple, or None when a solve failed.
 
     Each shifted solve starts from the roots of p.  A failed shifted solve
     skips its shift; a failed solve of p skips them all.
     """
-    report = NumericReport(label=f"translation-invariance degree {p.degree}", samples=len(dh_list),
-                           tol=tol, attempted=len(dh_list))
     try:
         base_fam = find_roots(p)
     except RootFindingError:
-        report.skipped = len(dh_list)
-        return report
+        yield from [None] * len(dh_list)
+        return
     slope = differentiate(p.coeffs)
     base = mean_over_family(slope, base_fam)
     scale = max(1.0, abs(base))
     for dh in dh_list:
-        shifted = list(p.coeffs)
-        shifted[-1] = shifted[-1] - dh
         try:
-            fam = find_roots(NumPoly(tuple(shifted)), base_fam)
+            fam = find_roots(NumPoly(p.coeffs[:-1] + (p.coeffs[-1] - dh,)), base_fam)
         except RootFindingError:
-            report.skipped += 1
+            yield None
             continue
-        residual = abs(mean_over_family(slope, fam) - base) / scale
-        report.max_rel_residual = _worse(report.max_rel_residual, residual)
-    return report
+        yield (abs(mean_over_family(slope, fam) - base) / scale,)
 
 
 def translation_invariance_report(
     max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
-    report = NumericReport(label=f"translation-invariance degrees 2..{max_degree}", samples=samples, seed=seed, tol=tol)
-
-    def work(part):
-        attempted = skipped = 0
-        worst = 0.0
-        for D, idx in part:
-            [(rng, _, p)] = _samples(seed, D, [idx], 9_001, D)
-            dh = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-            sub = check_translation_invariance(p, dh, tol)
-            attempted += sub.attempted
-            skipped += sub.skipped
-            worst = _worse(worst, sub.max_rel_residual)
-        return attempted, skipped, worst
+    def evaluate(item, worst):
+        D, idx = item
+        rng, _, p = _sample(seed, D, 9_001, D, idx)
+        return _shift_outcomes(p, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)])
 
     pairs = [(D, idx) for D in range(2, max_degree + 1) for idx in range(samples)]
-    for attempted, skipped, worst in _fan_out(work, pairs):
-        report.attempted += attempted
-        report.skipped += skipped
-        report.max_rel_residual = _worse(report.max_rel_residual, worst)
+    [report] = _run([f"translation-invariance degrees 2..{max_degree}"], samples, seed, tol, pairs, evaluate)
     return report
+
+
+# the --conjecture checks of numeric-check: (max_degree, samples, seed, tol) -> NumericReport
+CONJECTURES = {
+    "relative-rates": relative_rates_report,
+    "translation": translation_invariance_report,
+}

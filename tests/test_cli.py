@@ -268,6 +268,8 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
          "--output", "/nonexistent/x.json"),
         ("mine", "--k-max", "2", "--d-sweep", "8", "--oeis-bfile", "/nonexistent", "--oeis-bfile-for", "lcd"),
         ("mine", "--k-max", "2", "--d-sweep", "4"),
+        # a b-file's sequence named without the b-file would compare nothing
+        ("mine", "--k-max", "2", "--d-sweep", "5", "--oeis-bfile-for", "lcd"),
         ("numeric-check", "--auto", "--D", "2", "--samples", "10"),
         ("numeric-check", "--D", "4", "--relation", "1:1,1:2", "--samples", "20", "--tol", "inf"),
         ("numeric-check", "--D", "4", "--relation", "5:1,-6:2,1:3", "--samples", "5", "--tol", "nan"),
@@ -287,7 +289,7 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
         "relative-rates-degree-1", "relative-rates-degree-0", "translation-degree-1",
         "translation-above-cap", "odd-binomial-nothing-to-check", "prop5-nothing-to-check",
         "all-zero-relation", "output-path-missing", "bfile-missing", "sweep-too-short-to-fit",
-        "auto-no-relation", "tol-inf", "tol-nan", "tol-negative", "repeated-rho",
+        "bfile-for-without-bfile", "auto-no-relation", "tol-inf", "tol-nan", "tol-negative", "repeated-rho",
         "zero-samples-nothing-requested", "three-modes", "auto-and-relation", "rho-and-extended",
         "relation-delta-above-degree", "auto-delta-above-degree",
     ],

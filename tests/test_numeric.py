@@ -15,7 +15,6 @@ from rootmean.numeric import (
     NumPoly,
     RootFindingError,
     check_relations_batch,
-    check_translation_invariance,
     differentiate,
     find_roots,
     horner,
@@ -37,6 +36,13 @@ def sorted_roots(roots):
 def relative_rate(p, k, roots):
     """sum over the simple roots r of p of f^(k)(r) / f'(r)."""
     return numeric._relative_rates(p, (k,), list(roots))[0][0]
+
+
+def check_translation(p, dh_list):
+    """The report of the translation check of p alone over the shifts dh_list."""
+    [rep] = numeric._run(["translation"], len(dh_list), 0, numeric.RELATION_TOL, [p],
+                         lambda p, worst: numeric._shift_outcomes(p, dh_list))
+    return rep
 
 
 def moments(roots):
@@ -248,7 +254,7 @@ def test_failed_warm_start_retries_from_circle(monkeypatch):
     assert chain_reports(samples=10) == circle_only
     warm = [i for i, call in enumerate(calls) if call[1]]
     assert warm and all(not calls[i + 1][1] for i in warm)
-    rep = check_translation_invariance(monic_from_roots([1, 2j, -3, 0.5]), [0.5, -1j, 2])
+    rep = check_translation(monic_from_roots([1, 2j, -3, 0.5]), [0.5, -1j, 2])
     assert rep.passed and rep.skipped == 0 and calls[-1][1] is False
 
 
@@ -280,7 +286,7 @@ def test_start_that_diverges_falls_back_to_circle(monkeypatch):
     assert max(abs(z) for z in calls[0][0]) == 0
     assert sorted_roots(got) == sorted_roots(find_roots(q))
     # the translation check starts z^7 - dh from the seven exact zeros of z^7
-    rep = check_translation_invariance(NumPoly((1,) + (0,) * 7), [0.5, -1j, 0.3 + 0.2j])
+    rep = check_translation(NumPoly((1,) + (0,) * 7), [0.5, -1j, 0.3 + 0.2j])
     assert rep.passed and rep.skipped == 0
 
 
@@ -428,13 +434,41 @@ def test_nan_residual_fails_every_report(monkeypatch):
     [batch] = check_relations_batch(4, 0, [{1: 5, 2: -6, 3: 1}], 5, 1)
     reports = [
         batch,
-        check_translation_invariance(monic_from_roots([1, 2, 3]), [0.5]),
         numeric.relative_rates_report(4, 2, 1),
         numeric.translation_invariance_report(4, 2, 1),
     ]
     for rep in reports:
         assert rep.max_rel_residual == math.inf and rep.skipped == 0, rep
         assert not rep.passed, rep
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_counts_every_outcome(monkeypatch, workers):
+    monkeypatch.setattr(numeric, "WORKERS", workers)
+    outcomes = {0: [(0.5e-9, 1e-9), None], 1: [None], 2: [(2e-9, 0.0)], 3: []}
+    seen = []
+
+    def evaluate(item, worst):
+        # the running worst is the fold of this worker's earlier outcomes
+        seen.append((item, list(worst)))
+        return outcomes[item]
+
+    reports = numeric._run(["a", "b"], 4, 7, 1e-8, range(4), evaluate)
+    assert [(r.label, r.samples, r.seed, r.attempted, r.skipped, r.max_rel_residual) for r in reports] == [
+        ("a", 4, 7, 4, 2, 2e-9),
+        ("b", 4, 7, 4, 2, 1e-9),
+    ]
+    assert all(r.passed for r in reports)
+    for k, (_, worst) in enumerate(seen):
+        earlier = [o for item, _ in seen[:k] for o in outcomes[item] if o is not None]
+        assert worst == ([max(0.0, *col) for col in zip(*earlier)] or [0.0, 0.0])
+    # every evaluation skipped: nothing was checked, so nothing passes
+    reports = numeric._run(["a", "b"], 3, 0, 1e-8, range(3), lambda item, worst: [None])
+    assert [(r.attempted, r.skipped, r.passed) for r in reports] == [(3, 3, False)] * 2
+    # a NaN residual reads inf and fails its own report only
+    reports = numeric._run(["a", "b"], 2, 0, 1e-8, range(2),
+                           lambda item, worst: [(math.nan if item else 0.0, 0.0)])
+    assert [(r.max_rel_residual, r.passed) for r in reports] == [(math.inf, False), (0.0, True)]
 
 
 def test_negative_samples_rejected():
@@ -469,14 +503,14 @@ def test_relative_rates_random():
 
 def test_translation_invariance_zero_shift_exact():
     p = monic_from_roots([1, 2, 3])
-    rep = check_translation_invariance(p, [0.0])
+    rep = check_translation(p, [0.0])
     assert rep.max_rel_residual < 1e-12
 
 
 def test_translation_invariance_quadratic_any_shift():
     # the mean slope of a quadratic equals the slope at the vertex: constant
     p = NumPoly((1, -3, 1))
-    rep = check_translation_invariance(p, [0.5, -2.0, 11.0])
+    rep = check_translation(p, [0.5, -2.0, 11.0])
     assert rep.passed
 
 
@@ -486,7 +520,7 @@ def test_translation_invariance_random():
         roots = sample_roots(rng, rng.randint(2, 7))
         p = monic_from_roots(roots)
         dh = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
-        rep = check_translation_invariance(p, dh)
+        rep = check_translation(p, dh)
         assert rep.passed
 
 
@@ -510,7 +544,7 @@ def fail_shifted_solves(monkeypatch):
 
 def test_translation_invariance_all_shifts_skipped_does_not_pass(monkeypatch):
     fail_shifted_solves(monkeypatch)
-    rep = check_translation_invariance(monic_from_roots([1, 2, 3]), [0.5, -1, 2])
+    rep = check_translation(monic_from_roots([1, 2, 3]), [0.5, -1, 2])
     assert rep.skipped == 3
     assert not rep.passed
 
@@ -527,7 +561,7 @@ def test_translation_failed_base_solve_skips_every_shift(monkeypatch):
         raise RootFindingError("forced")
 
     monkeypatch.setattr(numeric, "find_roots", fail)
-    rep = check_translation_invariance(monic_from_roots([1, 2, 3]), [0.5, -1, 2])
+    rep = check_translation(monic_from_roots([1, 2, 3]), [0.5, -1, 2])
     assert rep.skipped == 3 and not rep.passed
     rep = numeric.translation_invariance_report(4, 3, 42)
     assert rep.skipped == 27

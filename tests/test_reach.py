@@ -5,6 +5,9 @@ format it offers plus config errors, runs in process under a call tracer
 (``sys.settrace`` and ``threading.settrace``).  Each function the package
 defines must be entered by one of them or be on ``KEEP``, which says why it
 stays.  Code that only a test calls belongs in ``tests/``.
+
+The package also has one Horner evaluator: a Horner step ``v = v * z + c``
+may appear only in the functions on ``HORNER_STEPS``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ KEEP = {
     "sympoly.SymPoly.__repr__": "Python protocol method",
     "exact.PartitionVector.__repr__": "Python protocol method",
     "exact.PartitionVector.as_list": "spells PartitionVector.__repr__",
+}
+
+# the functions that may take a Horner step, each with the reason
+HORNER_STEPS = {
+    "_aberth_py.horner": "the evaluator",
+    "_aberth_py.aberth_refine": "the kernel's hot loop fuses value, derivative and rounding scale",
+    "numeric._accepted": "the residual test of every solve fuses value and rounding scale",
 }
 
 
@@ -97,6 +107,15 @@ def _matrix(tmp_path):
     return calls
 
 
+def _modules():
+    """(path, module name, syntax tree) of every module of the package."""
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            path = os.path.join(PACKAGE, filename)
+            with open(path, encoding="utf-8") as fh:
+                yield path, filename[:-3], ast.parse(fh.read())
+
+
 def _defined_functions() -> dict:
     """{(file, first line of the code object): dotted name} of every def in the package."""
     out = {}
@@ -113,11 +132,8 @@ def _defined_functions() -> dict:
             else:
                 visit(child, path, prefix)
 
-    for filename in sorted(os.listdir(PACKAGE)):
-        if filename.endswith(".py"):
-            path = os.path.join(PACKAGE, filename)
-            with open(path, encoding="utf-8") as fh:
-                visit(ast.parse(fh.read()), path, filename[:-3])
+    for path, module, tree in _modules():
+        visit(tree, path, module)
     return out
 
 
@@ -158,3 +174,38 @@ def test_every_function_is_reached_or_kept(tmp_path, monkeypatch):
     reached = {(os.path.realpath(path), line) for path, line in entered}
     unreached = sorted(name for key, name in defined.items() if key not in reached and name not in KEEP)
     assert not unreached, "no CLI call enters: " + ", ".join(unreached)
+
+
+def _horner_steps() -> set:
+    """Dotted names of the package functions with an assignment v = v * z + c
+    (either operand order of the product or the sum)."""
+    found = set()
+
+    def is_step(node):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            return False
+        name, value = node.targets[0].id, node.value
+        return isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add) and any(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+            and any(isinstance(x, ast.Name) and x.id == name for x in (side.left, side.right))
+            for side in (value.left, value.right)
+        )
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if not named and is_step(child):
+                found.add(prefix)
+            visit(child, f"{prefix}.{child.name}" if named else prefix)
+
+    for _, module, tree in _modules():
+        visit(tree, module)
+    return found
+
+
+def test_horner_steps_stay_in_the_evaluator():
+    steps = _horner_steps()
+    assert steps - set(HORNER_STEPS) == set(), "Horner steps outside the evaluator"
+    # an entry that matches nothing would let a step back in unseen
+    assert steps >= set(HORNER_STEPS)

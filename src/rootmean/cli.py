@@ -445,8 +445,8 @@ def cmd_mine(args) -> int:
             bfile = mining.read_bfile(args.oeis_bfile)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read --oeis-bfile {args.oeis_bfile!r}: {exc}") from None
-    sweep = mining.StructureSweep.run(args.d_sweep)
-    q_seq, lead_seq = mining.mine_Q_and_norlund(args.k_max, sweep)
+    extractions = mining.structure_sweep(args.d_sweep)
+    q_seq, lead_seq = mining.mine_Q_and_norlund(args.k_max, extractions)
     payload = {
         "d_sweep": args.d_sweep,
         "k_max": args.k_max,
@@ -458,7 +458,7 @@ def cmd_mine(args) -> int:
                 "degree": gx.M,
                 "irreducible": gx.irreducible,
             }
-            for D, gx in sorted(sweep.extractions.items())
+            for D, gx in extractions.items()
         },
     }
     pretty = [f"structural sweep to degree {args.d_sweep}"]

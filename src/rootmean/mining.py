@@ -1,29 +1,28 @@
 """Coefficient-sequence mining over the mean-value tables.
 
-One coefficient extractor feeds the mining: ``top_parameter_coefficient``
-reads the coefficient of the single top-order parameter (weight D, exponent
-1) in phi(D, 0, rho) through ``means.phi_coefficient``, which sums the at
-most two Girard-Waring terms that reach that monomial without expanding phi.
-As a polynomial in the family size n it has the structural factorization
-h_D(n) = ((-1)^D D / D!) * rho * n^chi * g_D(n), where rho = D - n,
-chi = D mod 2, and g_D is monic with integer coefficients of degree
-D - (2 + chi), and the h/g/t/Q pipeline runs on it.
+The pipeline is fit_h -> extract_g -> structure_sweep -> t_series ->
+mine_Q_and_norlund:
 
-Each g_D is then decided over the integers by ``is_irreducible_int``: Ben-Or's
-test modulo small primes, then one integer-root scan.
-
-From g_D(n) = sum_k t_k(D) n^(D-(k+chi)) the coefficient polynomials t_k(D)
-are interpolated across degrees, their least common denominators Q_k and the
-integer-cleared leading coefficients are collected as integer sequences for
-cross-checking against externally supplied OEIS b-files.  No sequence values
-are ever asserted from memory; the comparator only aligns against a
-user-provided file.
+- ``fit_h`` interpolates h_D(n), the coefficient of the top-order parameter
+  (weight D, exponent 1) in phi(D, 0, D - n), which
+  ``top_parameter_coefficient`` reads without expanding phi.
+- ``extract_g`` divides h_D(n) = ((-1)^D D / D!) * (D - n) * n^chi * g_D(n),
+  chi = D mod 2, checks that g_D is monic and integral of degree
+  D - (2 + chi), and decides it over the integers by ``is_irreducible_int``:
+  Ben-Or's test modulo small primes, then one integer-root scan.
+- ``structure_sweep`` maps every degree D = 2..d_max to its extraction.
+- ``t_series`` fits t_k(D), the coefficient of n^(D-(k+chi)) in g_D, across
+  the degrees of a sweep.
+- ``mine_Q_and_norlund`` collects the least common denominators Q_k of t_k
+  and the leading coefficients of Q_k * t_k as integer sequences.  They are
+  never asserted from memory; ``compare_with_bfile`` aligns them against a
+  user-provided OEIS b-file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._aberth_py import horner
@@ -64,10 +63,6 @@ class RationalPolynomial:
             return self.coeffs[power]
         return Fraction(0)
 
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -76,9 +71,6 @@ class RationalPolynomial:
 
     def lcd(self) -> int:
         return math.lcm(*(c.denominator for c in self.coeffs))
-
-    def scaled(self, s) -> "RationalPolynomial":
-        return RationalPolynomial.make([c * Fraction(s) for c in self.coeffs])
 
     def divide_exact(self, other: "RationalPolynomial") -> "RationalPolynomial":
         """Exact quotient; raises StructuralFormError on a nonzero remainder."""
@@ -152,21 +144,12 @@ def fit_h(D: int) -> RationalPolynomial:
     return fit_polynomial(data)
 
 
-def chi(D: int) -> int:
-    return D % 2
-
-
 @dataclass(frozen=True)
 class GExtraction:
-    D: int
     g: RationalPolynomial
     chi: int
     M: int
     irreducible: bool | None  # None = undecided by is_irreducible_int
-
-    def t_coefficient(self, k: int) -> Fraction:
-        """t_k(D): coefficient of n^(D-(k+chi)) in g, zero when out of range."""
-        return self.g.coefficient(self.D - (k + self.chi))
 
 
 def extract_g(D: int, h: RationalPolynomial) -> GExtraction:
@@ -177,18 +160,18 @@ def extract_g(D: int, h: RationalPolynomial) -> GExtraction:
     by ``is_irreducible_int``, which leaves it None when none of its tests
     settles it.
     """
-    x = chi(D)
+    chi = D % 2
     const = Fraction((-1) ** D * D, math.factorial(D))
-    prefactor = RationalPolynomial.make([0] * x + [const * D, -const])  # const * (D - n) * n^chi
+    prefactor = RationalPolynomial.make([0] * chi + [const * D, -const])  # const * (D - n) * n^chi
     g = h.divide_exact(prefactor)
-    M = D - (2 + x)
+    M = D - (2 + chi)
     if g.degree != M:
         raise StructuralFormError(f"quotient degree {g.degree} != D-(2+chi) = {M}")
     if not g.is_monic():
         raise StructuralFormError("quotient is not monic")
     if not g.is_integer():
         raise StructuralFormError("quotient has non-integer coefficients")
-    return GExtraction(D, g, x, M, is_irreducible_int(g))
+    return GExtraction(g, chi, M, is_irreducible_int(g))
 
 
 _DIVISOR_CAP = 10**12  # beyond this |g(0)| the integer-root scan tries only -64..64
@@ -298,38 +281,21 @@ def is_irreducible_int(g: RationalPolynomial) -> bool | None:
     return None
 
 
-@dataclass
-class StructureSweep:
-    """g_D extraction for every degree in a sweep."""
-
-    extractions: dict = field(default_factory=dict)  # D -> GExtraction
-
-    @classmethod
-    def run(cls, d_max: int) -> "StructureSweep":
-        sweep = cls()
-        for D in range(2, d_max + 1):
-            sweep.extractions[D] = extract_g(D, fit_h(D))
-        return sweep
-
-    def t_data(self, k: int, d_min: int = 2):
-        return [(Fraction(D), gx.t_coefficient(k))
-                for D, gx in sorted(self.extractions.items()) if D >= d_min]
+def structure_sweep(d_max: int) -> dict:
+    """D -> extract_g(D, fit_h(D)) for every degree D = 2..d_max."""
+    return {D: extract_g(D, fit_h(D)) for D in range(2, d_max + 1)}
 
 
-def t_series(k: int, sweep: StructureSweep) -> RationalPolynomial:
+def t_series(k: int, extractions: dict) -> RationalPolynomial:
     """Interpolated coefficient polynomial t_k(D) with held-out verification.
 
-    Only degrees D >= k contribute meaningful data (below that the exponent
-    D-(k+chi) is negative and the coefficient is structurally zero); the
-    vanishing claim for odd k at D <= k is asserted against the data.
+    t_k(D) is the coefficient of n^(D-(k+chi)) in g_D, read for every degree
+    D >= k of the sweep; below D = k the exponent is negative.  For odd k
+    the point D = k has exponent -1, so its value 0 is a fit point like any
+    other, not a check.
     """
-    if k < 2:
-        raise ValueError("k starts at 2")
-    if k % 2 == 1:
-        for D, val in sweep.t_data(k):
-            if D <= k and val != 0:
-                raise StructuralFormError(f"expected t_{k}({D}) = 0, got {val}")
-    return fit_polynomial(sweep.t_data(k, d_min=k))
+    return fit_polynomial([(Fraction(D), gx.g.coefficient(D - k - gx.chi))
+                           for D, gx in sorted(extractions.items()) if D >= k])
 
 
 @dataclass(frozen=True)
@@ -348,22 +314,20 @@ class MinedSequence:
         }
 
 
-def mine_Q_and_norlund(k_max: int, sweep: StructureSweep):
+def mine_Q_and_norlund(k_max: int, extractions: dict):
     """Least common denominators Q_k of t_k and leading coefficients of Q_k * t_k.
 
-    Q_k clears t_k to an integer polynomial u_k (asserted); the leading
-    coefficient of u_k is the k-th mined value of the second sequence.
+    Q_k is the lcm of the denominators of t_k, so Q_k * t_k has integer
+    coefficients; its leading one is the k-th mined value of the second
+    sequence.
     """
     qs, leads = [], []
     for k in range(2, k_max + 1):
-        tk = t_series(k, sweep)
+        tk = t_series(k, extractions)
         q = tk.lcd()
-        uk = tk.scaled(q)
-        if not uk.is_integer():
-            raise StructuralFormError(f"u_{k} is not an integer polynomial")
         qs.append(q)
-        leads.append(int(uk.leading))
-    prov = {"d_sweep": max(sweep.extractions), "k_max": k_max}
+        leads.append(int(q * tk.coeffs[-1]))
+    prov = {"d_sweep": max(extractions), "k_max": k_max}
     return (
         MinedSequence("lcd-of-t_k", 2, tuple(qs), prov),
         MinedSequence("leading-of-cleared-t_k", 2, tuple(leads), prov),

@@ -373,7 +373,9 @@ def test_mine_stable_at_degree_cap(capsys):
     assert {int(D): s["irreducible"] for D, s in blob["structure"].items()} == {
         D: None if D in undecided else True for D in range(2, HARD_DEGREE_CAP + 1)
     }
-    assert len(seqs[0]["lcd"]) == len(seqs[0]["leading"]) == 9
+    # k = 2..10; they agree with the Stirling closed form of t_k(D)
+    assert seqs[0]["lcd"] == [str(v) for v in (1, 2, 24, 48, 5760, 11520, 2903040, 5806080, 1393459200)]
+    assert seqs[0]["leading"] == [str(v) for v in (1, -1, 3, -1, 15, -3, 63, -9, 135)]
 
 
 def test_mine_bfile_comparison(tmp_path, capsys):

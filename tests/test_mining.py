@@ -13,9 +13,7 @@ from rootmean.mining import (
     MinedSequence,
     RationalPolynomial,
     StructuralFormError,
-    StructureSweep,
     _irreducible_mod_p,
-    chi,
     compare_with_bfile,
     extract_g,
     fit_h,
@@ -24,6 +22,7 @@ from rootmean.mining import (
     is_irreducible_int,
     mine_Q_and_norlund,
     read_bfile,
+    structure_sweep,
     t_series,
     top_parameter_coefficient,
 )
@@ -70,6 +69,8 @@ def test_rational_polynomial_basics():
     p = RationalPolynomial.make([3, -2, 1])  # x^2 - 2x + 3
     assert p.degree == 2 and p.is_monic() and p.is_integer()
     assert p(2) == 3
+    # out of range reads zero: t_series leans on it below D = k
+    assert p.coefficient(-1) == 0 and p.coefficient(p.degree + 1) == 0
     q = RationalPolynomial.make([0, 3, -2, 1])  # x * p
     assert q.coeffs == (Fraction(0), Fraction(3), Fraction(-2), Fraction(1))
     assert q.divide_exact(RationalPolynomial.make([0, 1])) == p
@@ -116,60 +117,69 @@ def test_extract_g_quartic():
 
 
 def test_chi_parity_and_degrees():
-    assert chi(5) == 1 and chi(6) == 0
-    h5 = fit_h(5)
-    h6 = fit_h(6)
-    assert extract_g(5, h5).M == 2
-    assert extract_g(6, h6).M == 4
+    g5 = extract_g(5, fit_h(5))
+    g6 = extract_g(6, fit_h(6))
+    assert g5.chi == 1 and g6.chi == 0
+    assert g5.M == 2 and g6.M == 4
 
 
 def test_structure_sweep_roundtrip():
-    sweep = StructureSweep.run(12)
-    for D, gx in sweep.extractions.items():
+    for D, gx in structure_sweep(12).items():
         # the fitted points reproduce through the structural factorization
         const = Fraction((-1) ** D * D, math.factorial(D))
         for n in range(1, D + 4):
             rho = Fraction(D - n)
             assert top_parameter_coefficient(D, D - n) == const * rho * n ** gx.chi * gx.g(n)
-        # g coefficients come back from the t_k extraction
-        for k in range(2, D + 1):
-            e = D - (k + gx.chi)
-            if e >= 0:
-                assert gx.t_coefficient(k) == gx.g.coefficient(e)
-    # monic condition across the sweep
-    for D, gx in sweep.extractions.items():
-        assert gx.t_coefficient(2) == 1
+        assert gx.g.coefficient(D - 2 - gx.chi) == 1  # monic: t_2(D) = 1
 
 
 def test_t_series_values():
-    sweep = StructureSweep.run(16)
-    t2 = t_series(2, sweep)
+    extractions = structure_sweep(16)
+    t2 = t_series(2, extractions)
     assert t2.coeffs == (Fraction(1),)
-    t3 = t_series(3, sweep)
+    t3 = t_series(3, extractions)
     assert t3(3) == 0  # odd-k vanishing at D = k
     assert [t3(D) for D in (4, 5, 6)] == [-2, -5, -9]
 
 
 def test_t_series_reproduces_g_coefficients():
     # recompute g independently at each degree and compare (k = 4)
-    sweep = StructureSweep.run(14)
-    t4 = t_series(4, sweep)
+    t4 = t_series(4, structure_sweep(14))
     for D in range(4, 15):
-        h = fit_h(D)
-        gx = extract_g(D, h)
-        assert t4(D) == gx.t_coefficient(4)
+        gx = extract_g(D, fit_h(D))
+        assert t4(D) == gx.g.coefficient(D - 4 - gx.chi)
 
 
 def test_mine_sequences_integrality_and_stability():
-    sweep_a = StructureSweep.run(18)
-    q_a, lead_a = mine_Q_and_norlund(6, sweep_a)
-    sweep_b = StructureSweep.run(20)
-    q_b, lead_b = mine_Q_and_norlund(6, sweep_b)
+    q_a, lead_a = mine_Q_and_norlund(6, structure_sweep(18))
+    q_b, lead_b = mine_Q_and_norlund(6, structure_sweep(20))
     # values stable once the fit is overdetermined
     assert q_a.values == q_b.values
     assert lead_a.values == lead_b.values
     assert q_a.values[0] == 1  # monic t_2
     assert all(isinstance(v, int) for v in q_a.values + lead_a.values)
+
+
+def _primes_dividing(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def test_lcd_is_the_least_clearing_denominator():
+    # mine_Q_and_norlund reads Q_k * t_k as an integer polynomial without a check
+    extractions = structure_sweep(24)
+    for k in range(2, 9):
+        tk = t_series(k, extractions)
+        q = tk.lcd()
+        assert all((q * c).denominator == 1 for c in tk.coeffs), k
+        for p in _primes_dividing(q):
+            assert any((q // p * c).denominator != 1 for c in tk.coeffs), (k, p)
 
 
 def test_irreducibility_checks():

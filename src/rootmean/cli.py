@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -311,8 +312,6 @@ def _verify_prop4(args, payload, pretty):
 
 
 def _verify_prop5(args, payload, pretty):
-    import math
-
     ok = True
     checked = 0
     for D in range(2, args.max_degree + 1):

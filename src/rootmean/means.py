@@ -15,18 +15,18 @@ exact polynomial over the original parameters.  The family holds one
 parameter per weight, so a monomial is a partition whose part p is the
 weight-p parameter (``sympoly.part_name`` names it r_p or c_(p-D)), and the
 parameters of every derived function are the parts up to its degree.
-``phi_coefficient`` reads a single coefficient from the same terms without
-expanding phi.
+``mean_values`` evaluates the same mean values exactly at a point without
+expanding phi, by Newton's identities.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ZERO, PartitionVector
-from .powersums import gw_coefficient, materialize
+from .powersums import materialize
 from .sympoly import SymPoly, poly_sum
 
 # phi is one sum at every value order; the flag names the sign of D - delta,
@@ -86,31 +86,26 @@ def phi(key: PhiKey) -> PhiResult:
     return PhiResult(key, poly, flag)
 
 
-def phi_coefficient(key: PhiKey, m: PartitionVector) -> Fraction:
-    """Coefficient in phi(key).poly of the monomial m, without expanding phi.
+def mean_values(a: int, ns, s) -> list:
+    """[M(a, n) for n in ns], exactly, at the parameter sequence s.
 
-    m is the same PartitionVector that keys the polynomial's terms: part p
-    is the parameter of weight p, the root parameter r_p when p <= D and the
-    integration constant c_(p-D) beyond it.  So r1^2 r3 is Partition[3+1+1],
-    at D = 4 the monomial c1 r2 is Partition[5+2], and the empty partition is
-    the constant monomial.
-
-    mean(z^j) holds each partition of j once, so m gets at most one term per
-    distinct part plus one: the j = deg_g term, where all of m comes from the
-    mean, and for each distinct part p the j = deg_g - p term, where p is the
-    parameter factor and m - {p} comes from the mean.  mean(z^0) = 1, so an
-    empty remainder, or the empty m at delta = D, contributes the weight
-    alone.  A monomial whose weight is not D - delta gets 0.
+    s = (1, r_1, ..., r_D, c_1, c_2, ...) holds one value per weight, s_0 = 1,
+    and must reach max(a, n).  With A_k(x) = sum_i C(k, i) (-1)^i s_i x^(k-i),
+    M(a, n) is the mean of A_a over the n roots of A_n, and
+    phi(D, delta, rho) = D!/(D-delta)! * M(D - delta, D - rho).  The roots of
+    A_n have e_i = C(n, i) s_i, so Newton's identities give their power sums
+    without division:
+    p_k = sum_(i=1..min(k-1,n)) (-1)^(i-1) e_i p_(k-i) + [k <= n] (-1)^(k-1) k e_k,
+    p_0 = n, and M(a, n) = (1/n) sum_j C(a, j) (-1)^(a-j) s_(a-j) p_j.
     """
-    D, delta = key.D, key.delta
-    deg_g = D - delta
-    if m.j != deg_g:
-        return ZERO
-    n = key.family_size
-    total = _term_weight(D, delta, deg_g) * (gw_coefficient(m, n) if m.items else 1)
-    parts = dict(m.items)
-    for p, mult in m.items:
-        rest = PartitionVector.from_parts({**parts, p: mult - 1})
-        w = _term_weight(D, delta, deg_g - p)
-        total += w * gw_coefficient(rest, n) if rest.items else w
-    return total
+    f = [math.comb(a, j) * (-1) ** (a - j) * s[a - j] for j in range(a + 1)]
+    out = []
+    for n in ns:
+        signed_e = [0] + [(-1) ** (i - 1) * math.comb(n, i) * s[i] for i in range(1, n + 1)]
+        p = [n]
+        for k in range(1, a + 1):
+            m = min(k - 1, n)
+            t = sum(map(operator.mul, signed_e[1:m + 1], reversed(p[k - m:k])))
+            p.append(t + k * signed_e[k] if k <= n else t)
+        out.append(Fraction(sum(map(operator.mul, f, p)), n))
+    return out

@@ -5,7 +5,7 @@ mine_Q_and_norlund:
 
 - ``fit_h`` interpolates h_D(n), the coefficient of the top-order parameter
   (weight D, exponent 1) in phi(D, 0, D - n), which
-  ``top_parameter_coefficient`` reads without expanding phi.
+  ``top_parameter_coefficient`` reads by one exact evaluation.
 - ``extract_g`` divides h_D(n) = ((-1)^D D / D!) * (D - n) * n^chi * g_D(n),
   chi = D mod 2, checks that g_D is monic and integral of degree
   D - (2 + chi), and decides it over the integers by ``is_irreducible_int``:
@@ -26,16 +26,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._aberth_py import horner
-from .exact import PartitionVector
-from .means import PhiKey, phi_coefficient
+from .means import mean_values
 
 HOLDOUT = 2  # held-out points every fit must reproduce
 MAX_BFILE_OFFSET = 6  # largest index shift tried against a b-file
 
 
 def top_parameter_coefficient(D: int, rho: int) -> Fraction:
-    """Coefficient of the top-order parameter (weight D, exponent 1) in phi((D, 0, rho))."""
-    return phi_coefficient(PhiKey(D, 0, rho), PartitionVector.from_parts({D: 1}))
+    """Coefficient of the top-order parameter (weight D, exponent 1) in phi((D, 0, rho)).
+
+    That is M(D, D - rho) (``mean_values``) at r_D = 1, every other parameter
+    0: phi is homogeneous of weight D, so its monomials are partitions of D,
+    none of which holds an integration constant (weight above D), and {D} is
+    the only one that the point does not zero.
+    """
+    n = D - rho
+    point = [0] * (max(D, n) + 1)
+    point[0] = point[D] = 1
+    return mean_values(D, [n], point)[0]
 
 
 @dataclass(frozen=True)

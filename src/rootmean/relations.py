@@ -11,8 +11,8 @@ Every relation, found or given, is proved by one exact check that expands
 no mean value, the coefficient-sum certificate ``certify_relations``.  The
 dimension of the fundamental relation space (delta = 0, rho = 1..D-1) is
 certified by two exact bounds that must meet: phi evaluated at D+1 integer
-points (Newton's identities, ``_phi_values``) gives a matrix whose nullity
-bounds it from above, and the certificate proves each kernel vector.
+points (``means.mean_values``, Newton's identities) gives a matrix whose
+nullity bounds it from above, and the certificate proves each kernel vector.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .means import PhiKey, _term_weight, phi
+from .means import PhiKey, _term_weight, mean_values, phi
 
 
 @dataclass(frozen=True)
@@ -282,29 +282,6 @@ def find_relations(
     return report
 
 
-def _phi_values(D: int, point) -> list:
-    """phi(D, 0, rho) for rho = 1..D-1, exactly, at the parameter values r_i = point[i].
-
-    ``point[0]`` is 1 (r_0).  The rho-th derived function keeps r_1..r_n,
-    n = D - rho, so its roots have e_i = C(n, i) r_i, and Newton's identities
-    give their power sums without division:
-    p_k = sum_(i=1..min(k-1,n)) (-1)^(i-1) e_i p_(k-i) + [k <= n] (-1)^(k-1) k e_k,
-    p_0 = n.  The mean value is (1/n) sum_j C(D,j) (-1)^(D-j) r_(D-j) p_j.
-    """
-    f = [math.comb(D, j) * (-1) ** (D - j) * point[D - j] for j in range(D + 1)]
-    out = []
-    for rho in range(1, D):
-        n = D - rho
-        signed_e = [0] + [(-1) ** (i - 1) * math.comb(n, i) * point[i] for i in range(1, n + 1)]
-        p = [n]
-        for k in range(1, D + 1):
-            m = min(k - 1, n)
-            s = sum(map(operator.mul, signed_e[1:m + 1], reversed(p[k - m:k])))
-            p.append(s + k * signed_e[k] if k <= n else s)
-        out.append(Fraction(sum(map(operator.mul, f, p)), n))
-    return out
-
-
 def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
     """True iff each alpha gives sum_rho alpha_rho phi(D, delta, rho) = 0 exactly.
 
@@ -376,9 +353,10 @@ def relation_space_dim(D: int) -> int:
     """Certified dimension of the relation space of the fundamental family (delta=0, rho=1..D-1).
 
     The upper bound is the nullity of the exact evaluation matrix at D + 1
-    integer points drawn from ``random.Random(D)``: it is the coefficient
-    matrix times an evaluation map, so its kernel contains every relation.
-    The lower bound certifies each kernel basis vector with
+    integer points drawn from ``random.Random(D)``, each row
+    phi(D, 0, rho) = M(D, D - rho) for rho = 1..D-1 (``mean_values``): it is
+    the coefficient matrix times an evaluation map, so its kernel contains
+    every relation.  The lower bound certifies each kernel basis vector with
     ``certify_relations``.  If a vector fails, the bound is loose, and D + 1
     more points are drawn once; if the bounds still do not meet, RelationError.
     """
@@ -389,7 +367,7 @@ def relation_space_dim(D: int) -> int:
     for npoints in (D + 1, 2 * (D + 1)):
         while len(rows) < npoints:
             point = [1] + [rng.randint(-EVALUATION_RANGE, EVALUATION_RANGE) for _ in range(D)]
-            rows.append(_phi_values(D, point))
+            rows.append(mean_values(D, range(D - 1, 0, -1), point))
         basis = nullspace(rows, ncols=D - 1)
         if certify_relations(D, basis):
             return len(basis)

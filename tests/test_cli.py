@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootmean import cli, numeric, relations
+from rootmean import cli, means, mining, numeric, relations
 from rootmean.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -115,7 +115,7 @@ def test_verify_dimension_independent_of_threads(capsys):
 
 def test_uncertified_dimension_exits_one(monkeypatch, capsys):
     # bounds that cannot meet are a verification failure, never a reported dim
-    monkeypatch.setattr(relations, "_phi_values", lambda D, point: [Fraction(0)] * (D - 1))
+    monkeypatch.setattr(relations, "mean_values", lambda a, ns, s: [Fraction(0)] * len(ns))
     for threads in ("1", "2"):
         code, out, err = run(
             capsys, "verify", "--conjecture", "dimension", "--max-degree", "6", "--threads", threads
@@ -126,6 +126,25 @@ def test_uncertified_dimension_exits_one(monkeypatch, capsys):
         assert "not certified" in err
     with pytest.raises(relations.RelationError):
         relations.relation_space_dim(6)
+
+
+PLANTED_EVALUATOR_FAULTS = {
+    "no 1/n": lambda a, ns, s: [v * n for v, n in zip(means.mean_values(a, ns, s), ns)],
+    "family one degree too large": lambda a, ns, s: means.mean_values(
+        a, [n + 1 for n in ns], list(s) + [0]
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_EVALUATOR_FAULTS)
+def test_planted_evaluator_faults_are_caught(monkeypatch, capsys, fault):
+    # both callers of the one exact evaluator must fail loudly when it is wrong
+    monkeypatch.setattr(relations, "mean_values", PLANTED_EVALUATOR_FAULTS[fault])
+    monkeypatch.setattr(mining, "mean_values", PLANTED_EVALUATOR_FAULTS[fault])
+    code, _, _ = run(capsys, "verify", "--conjecture", "dimension", "--max-degree", "9")
+    assert code == EXIT_VERIFY_FAIL
+    code, _, _ = run(capsys, "mine", "--k-max", "3", "--d-sweep", "7")
+    assert code == EXIT_VERIFY_FAIL
 
 
 def test_dimension_sweep_sequential_by_default(monkeypatch, capsys):

@@ -9,8 +9,8 @@ from rootmean.means import (
     FLAG_CONSTANT,
     FLAG_ZERO,
     PhiKey,
+    mean_values,
     phi,
-    phi_coefficient,
 )
 from rootmean.powersums import materialize, power_sum_mean
 from rootmean.sympoly import SymPoly, part_name
@@ -219,24 +219,26 @@ def test_phi_matches_ring_assembly():
                 assert phi(key).poly == phi_by_ring(key), key
 
 
-def test_phi_coefficient_matches_expansion():
+def test_mean_values_match_expansion():
+    # phi(D, delta, rho) = D!/(D-delta)! * M(D - delta, D - rho), constants included
+    rng = random.Random(26)
     count = 0
-    for D in range(2, 11):
-        for delta in range(-2, D + 2):
-            for rho in range(-3, D):
+    for D in range(2, 10):
+        for delta in range(-2, D + 1):
+            for rho in range(-4, D):
                 key = PhiKey(D, delta, rho)
-                poly = phi(key).poly
-                for mono, c in poly.terms():
-                    assert phi_coefficient(key, mono) == poly.coefficient(mono) == c, (key, mono)
-                    count += 1
-    assert count == 7976
+                a, n = D - delta, key.family_size
+                s = [1] + [rng.randint(-10, 10) for _ in range(max(a, n))]
+                scale = Fraction(math.factorial(D), math.factorial(a))
+                want = evaluate(phi(key).poly, dict(enumerate(s)))
+                assert scale * mean_values(a, [n], s)[0] == want, key
+                count += 1
+    assert count == 688
 
 
-def test_phi_coefficient_zero_where_phi_lacks_the_monomial():
+def test_phi_zero_where_it_lacks_the_monomial():
     def lacking(key, parts):
-        m = PartitionVector.from_parts(parts)
-        assert phi_coefficient(key, m) == 0
-        assert phi(key).poly.coefficient(m) == 0
+        assert phi(key).poly.coefficient(PartitionVector.from_parts(parts)) == 0
 
     lacking(PhiKey(5, 0, 1), {5: 1, 1: 1})  # weight 6, phi is homogeneous of weight 5
     lacking(PhiKey(5, 0, 1), {})
@@ -244,4 +246,4 @@ def test_phi_coefficient_zero_where_phi_lacks_the_monomial():
     lacking(PhiKey(4, 5, 1), {1: 1})  # delta > D: phi vanishes
     lacking(PhiKey(4, 5, 1), {})
     lacking(PhiKey(4, 4, 1), {2: 2})  # delta = D: only the constant survives
-    assert phi_coefficient(PhiKey(4, 4, 1), PartitionVector.from_parts({})) == 24
+    assert phi(PhiKey(4, 4, 1)).poly.coefficient(PartitionVector.from_parts({})) == 24

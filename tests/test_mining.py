@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rootmean.exact import PartitionVector
-from rootmean.means import PhiKey, phi_coefficient
+from rootmean.means import PhiKey, mean_values, phi
 from rootmean.mining import (
     BfileComparison,
     FitError,
@@ -29,15 +29,17 @@ from rootmean.mining import (
 from rootmean.powersums import power_sum_mean
 
 
-def leading_phi_coefficient(D, rho):
-    """Coefficient of r1^D in phi(D, 0, rho), read without expanding phi."""
-    return phi_coefficient(PhiKey(D, 0, rho), PartitionVector.from_parts({1: D}))
+def leading_coefficient(D, rho):
+    """Coefficient of r1^D in phi(D, 0, rho): its value at r_1 = 1, every other parameter 0."""
+    n = D - rho
+    point = [1, 1] + [0] * (max(D, n) - 1)
+    return mean_values(D, [n], point)[0]
 
 
 def test_leading_coefficient_examples():
-    assert leading_phi_coefficient(4, 1) == -9
-    assert leading_phi_coefficient(4, 0) == 0
-    assert leading_phi_coefficient(5, -1) == 216
+    assert leading_coefficient(4, 1) == -9
+    assert leading_coefficient(4, 0) == 0
+    assert leading_coefficient(5, -1) == 216
 
 
 def test_leading_coefficient_closed_form():
@@ -45,7 +47,7 @@ def test_leading_coefficient_closed_form():
     for D in range(2, 9):
         for n in range(1, 11):
             rho = D - n
-            assert leading_phi_coefficient(D, rho) == Fraction(-rho) * n ** (D - 2)
+            assert leading_coefficient(D, rho) == Fraction(-rho) * n ** (D - 2)
 
 
 def test_closed_form_oracles_to_the_degree_cap():
@@ -54,7 +56,14 @@ def test_closed_form_oracles_to_the_degree_cap():
         for n in range(1, D + 4):
             rho = D - n
             assert top_parameter_coefficient(D, rho) == (-1) ** D * (1 - math.comb(n - 1, D - 1))
-            assert leading_phi_coefficient(D, rho) == -rho * n ** (D - 2)
+            assert leading_coefficient(D, rho) == -rho * n ** (D - 2)
+
+
+def test_top_parameter_coefficient_matches_expansion():
+    for D in range(2, 10):
+        for rho in range(-3, D):
+            want = phi(PhiKey(D, 0, rho)).poly.coefficient(PartitionVector.from_parts({D: 1}))
+            assert top_parameter_coefficient(D, rho) == want, (D, rho)
 
 
 def test_top_parameter_examples():
@@ -93,7 +102,7 @@ def test_interpolation_and_holdout():
 
 def _leading_h(D):
     # n = 1..D+1 to fit, then the held-out points n = D+2 and D+3
-    return fit_polynomial([(Fraction(n), leading_phi_coefficient(D, D - n)) for n in range(1, D + 4)])
+    return fit_polynomial([(Fraction(n), leading_coefficient(D, D - n)) for n in range(1, D + 4)])
 
 
 def test_fit_h_leading_extractor_reproduces_printed_values():

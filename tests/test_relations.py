@@ -18,7 +18,6 @@ from rootmean.relations import (
     _circuits,
     _clear_row_denominators,
     _echelon,
-    _phi_values,
     find_relations,
     nullspace,
     primitive,
@@ -163,7 +162,7 @@ def test_evaluator_matches_expanded_phi(data):
     point = [1] + data.draw(st.lists(st.integers(-30, 30), min_size=D, max_size=D))
     values = {i: Fraction(point[i]) for i in range(1, D + 1)}
     want = [evaluate(phi(PhiKey(D, 0, rho)).poly, values) for rho in range(1, D)]
-    assert _phi_values(D, point) == want
+    assert relations.mean_values(D, range(D - 1, 0, -1), point) == want
 
 
 PRINTED_RELATIONS = [
@@ -235,7 +234,7 @@ def test_certificate_rejects_invalid_keys():
 
 def test_uncertified_degree_raises(monkeypatch):
     # a wrong evaluator loosens the upper bound past what the certificate proves
-    monkeypatch.setattr(relations, "_phi_values", lambda D, point: [Fraction(0)] * (D - 1))
+    monkeypatch.setattr(relations, "mean_values", lambda a, ns, s: [Fraction(0)] * len(ns))
     for D in (2, 6, 7):
         with pytest.raises(RelationError, match=f"D={D}"):
             relation_space_dim(D)
@@ -243,14 +242,15 @@ def test_uncertified_degree_raises(monkeypatch):
 
 def test_loose_bound_retries_with_more_points(monkeypatch):
     calls = []
+    mean_values = relations.mean_values
 
-    def first_points_lost(D, point):
-        calls.append(point)
-        if len(calls) <= D + 1:
-            return [Fraction(0)] * (D - 1)
-        return _phi_values(D, point)
+    def first_points_lost(a, ns, s):
+        calls.append(s)
+        if len(calls) <= a + 1:
+            return [Fraction(0)] * len(ns)
+        return mean_values(a, ns, s)
 
-    monkeypatch.setattr(relations, "_phi_values", first_points_lost)
+    monkeypatch.setattr(relations, "mean_values", first_points_lost)
     assert relation_space_dim(9) == 2
     assert len(calls) == 2 * (9 + 1)
 

@@ -24,6 +24,7 @@ from .powersums import power_sum_mean
 from .sympoly import part_name
 
 HARD_DEGREE_CAP = 30
+DIMENSION_DEGREE_CAP = 49  # verify --conjecture dimension reaches the paper's stated range
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -72,20 +73,18 @@ def rho_window(D: int, text: str | None, default, extended: bool = False) -> lis
     return window
 
 
-def check_degree(D: int, args, delta: int = 0) -> None:
+def check_degree(D: int, args, delta: int = 0, cap: int = HARD_DEGREE_CAP) -> None:
     """Cap D and D - delta, the degree of the averaged function (the weight of phi)."""
     if D < 2:
         raise ConfigError("degree must be >= 2")
     if args.unsafe_degree:
         return
-    if D > HARD_DEGREE_CAP:
-        raise ConfigError(
-            f"degree {D} above the cap {HARD_DEGREE_CAP}; pass --unsafe-degree to override"
-        )
-    if D - delta > HARD_DEGREE_CAP:
+    if D > cap:
+        raise ConfigError(f"degree {D} above the cap {cap}; pass --unsafe-degree to override")
+    if D - delta > cap:
         raise ConfigError(
             f"value order {delta} averages a function of degree {D - delta}, above the cap "
-            f"{HARD_DEGREE_CAP}; pass --unsafe-degree to override"
+            f"{cap}; pass --unsafe-degree to override"
         )
 
 
@@ -354,7 +353,8 @@ VERIFIERS = {
 
 
 def cmd_verify(args) -> int:
-    check_degree(args.max_degree, args)
+    cap = DIMENSION_DEGREE_CAP if args.conjecture == "dimension" else HARD_DEGREE_CAP
+    check_degree(args.max_degree, args, cap=cap)
     payload = {"conjecture": args.conjecture, "max_degree": args.max_degree}
     pretty = [f"verify {args.conjecture} up to degree {args.max_degree}"]
     ok = VERIFIERS[args.conjecture](args, payload, pretty)
@@ -498,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to a file instead of stdout")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--unsafe-degree", action="store_true",
-                       help=f"lift the degree cap of {HARD_DEGREE_CAP}")
+                       help=f"lift the degree cap of {HARD_DEGREE_CAP} "
+                            f"({DIMENSION_DEGREE_CAP} for verify --conjecture dimension)")
 
     p = sub.add_parser("gw", help="mean power-sum tables for an n-element family")
     p.add_argument("--n", type=int, required=True)

@@ -97,15 +97,21 @@ def mean_values(a: int, ns, s) -> list:
     without division:
     p_k = sum_(i=1..min(k-1,n)) (-1)^(i-1) e_i p_(k-i) + [k <= n] (-1)^(k-1) k e_k,
     p_0 = n, and M(a, n) = (1/n) sum_j C(a, j) (-1)^(a-j) s_(a-j) p_j.
+
+    The history of power sums is kept newest first, rev = [p_(k-1), ..., p_0],
+    so p_k is one dot product of the signed e_1, e_2, ... with rev, which
+    stops at whichever runs out first: sum_(i=1..min(k,n)) (-1)^(i-1) e_i p_(k-i).
+    For k <= n that sum holds the i = k term with p_0 = n in place of k, so
+    (k - n) (-1)^(k-1) e_k is added.  The final sum reads rev against
+    C(a, i) (-1)^i s_i, the weight of p_(a-i).
     """
-    f = [math.comb(a, j) * (-1) ** (a - j) * s[a - j] for j in range(a + 1)]
+    f = [math.comb(a, i) * (-1) ** i * s[i] for i in range(a + 1)]  # f[i] weighs p_(a-i)
     out = []
     for n in ns:
-        signed_e = [0] + [(-1) ** (i - 1) * math.comb(n, i) * s[i] for i in range(1, n + 1)]
-        p = [n]
+        signed_e = [(-1) ** (i - 1) * math.comb(n, i) * s[i] for i in range(1, n + 1)]
+        rev = [n]  # p_(k-1), ..., p_0
         for k in range(1, a + 1):
-            m = min(k - 1, n)
-            t = sum(map(operator.mul, signed_e[1:m + 1], reversed(p[k - m:k])))
-            p.append(t + k * signed_e[k] if k <= n else t)
-        out.append(Fraction(sum(map(operator.mul, f, p)), n))
+            t = sum(map(operator.mul, signed_e, rev))
+            rev.insert(0, t + (k - n) * signed_e[k - 1] if k <= n else t)
+        out.append(Fraction(sum(map(operator.mul, f, rev)), n))
     return out

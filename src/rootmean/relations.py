@@ -9,7 +9,11 @@ form (entry gcd 1, first nonzero entry positive).
 
 Every relation, found or given, is proved by one exact check that expands
 no mean value, the coefficient-sum certificate ``certify_relations``.  The
-dimension of the fundamental relation space (delta = 0, rho = 1..D-1) is
+certificate is centred: mean values are translation invariant, so it checks
+the identity on the slice r_1 = 0 and walks only the partitions without the
+part 1.
+
+The dimension of the fundamental relation space (delta = 0, rho = 1..D-1) is
 certified by two exact bounds that must meet: phi evaluated at D+1 integer
 points (``means.mean_values``, Newton's identities) gives a matrix whose
 nullity bounds it from above, and the certificate proves each kernel vector.
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .means import PhiKey, _term_weight, mean_values, phi
+from .means import PhiKey, mean_values, phi
 
 
 @dataclass(frozen=True)
@@ -118,8 +122,8 @@ def nullspace(rows, ncols: int | None = None) -> list:
 
 
 def primitive(vector) -> list:
-    """Scale a rational vector to integers with gcd 1 and first nonzero > 0."""
-    ints = _clear_row_denominators([Fraction(x) for x in vector])
+    """Scale a vector of ints or Fractions to integers with gcd 1 and first nonzero > 0."""
+    ints = _clear_row_denominators(vector)
     g = math.gcd(*ints)
     if g:
         ints = [x // g for x in ints]
@@ -295,20 +299,41 @@ def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
     w_j c(kappa) sum_rho alpha_rho (L/n) prod_i C(n,i)^(k_i)
     to the coefficient of exactly one monomial, kappa + {deg_g - j} (a part
     p > D stands for the integration constant c_(p-D), a part 0 for none),
-    and the empty partition adds w_0 L sum(alpha) to {deg_g}.  One
-    depth-first walk over the partitions adds each term straight into its
-    total, carrying the per-rho products, |kappa| and the multinomial; every
-    total must end at 0.  c(kappa) is an integer (j (|kappa|-1)!/prod_i k_i!
-    is a sum of multinomials), so scaling the weights by their common
-    denominator keeps the arithmetic integral.  At delta = D the walk is
-    empty and only the constant term, D! L sum(alpha), remains; past D, phi
-    is zero.
+    and the empty partition adds w_0 L sum(alpha) to {deg_g}.  The factor
+    D!/(D-delta)! of every w_j (``means._term_weight``) cannot make a total
+    zero, so the walk weighs by C(deg_g, j) (-1)^(deg_g - j) alone.
+
+    The walk is centred: it checks only the monomials without the part 1,
+    the restriction of the combination to the slice r_1 = 0.  That proves
+    the whole identity, because every mean value is translation invariant.
+    A shift x -> x + c maps the original polynomial and each of its derived
+    functions onto the same derived function of another member of the
+    family; for an antiderivative this holds because every integration
+    constant is a free parameter of the family.  The shift moves the roots
+    of the rho-th derived function and the values of the delta-th together,
+    so phi(D, delta, rho) is the same polynomial in the shifted parameters,
+    for every delta and rho.  Choosing c = r_1 moves any point onto r_1 = 0,
+    so a combination vanishes identically iff it vanishes there, that is,
+    iff every coefficient of a monomial without the part 1 is 0.  The walk
+    therefore visits only partitions with parts >= 2 and drops each term
+    whose added part deg_g - j is 1.  At delta = D - 1 no monomial is left
+    and every alpha is proved: the derived function f^(D-1) is linear and
+    vanishes at the centroid r_1 of every root family.
+
+    One depth-first walk over those partitions adds each term straight into
+    its total, carrying the per-rho products, |kappa| and the multinomial;
+    every total must end at 0.  c(kappa) is an integer
+    (j (|kappa|-1)!/prod_i k_i! is a sum of multinomials), so the arithmetic
+    stays integral.  At delta = D the walk is empty and only the constant
+    term, L sum(alpha), remains; past D, phi is zero.
     """
     if rho_set is None:
         rho_set = range(1, D)
-    ns = [PhiKey(D, delta, rho).family_size for rho in rho_set]
+    ns = [D - rho for rho in rho_set]
     if any(a <= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"rho_set {tuple(rho_set)} is not strictly ascending")
+    for rho in rho_set[-1:]:
+        PhiKey(D, delta, rho)  # checks D, and the smallest family, which comes last
     alphas = [primitive(alpha) for alpha in alphas]
     if any(len(alpha) != len(ns) for alpha in alphas):
         raise ValueError(f"every alpha needs {len(ns)} entries, one per rho")
@@ -320,25 +345,27 @@ def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
     # C(n, part) over the n >= part, a prefix of the descending ns: parts only
     # shrink along a walk, so the first part fixes which rho stay live
     cols = [[math.comb(n, part) for n in ns if n >= part] for part in range(deg_g + 1)]
-    w = _clear_row_denominators([_term_weight(D, delta, j) for j in range(deg_g + 1)])
+    w = [math.comb(deg_g, j) * (-1) ** (deg_g - j) for j in range(deg_g + 1)]
     # a multiset of parts is keyed by the sum of B^part, B = deg_g + 1 > any
     # multiplicity; part 0 adds nothing
     power = [0] + [(deg_g + 1) ** part for part in range(1, deg_g + 1)]
-    totals = {power[deg_g]: [w[0] * L * sum(alpha) for alpha in alphas]}
+    # the empty partition feeds {deg_g}, which holds r_1 when deg_g = 1
+    totals = {} if deg_g == 1 else {power[deg_g]: [w[0] * L * sum(alpha) for alpha in alphas]}
 
     def walk(j, top, mult, card, multinomial, prods, key):
         # kappa, a partition of j keyed by key, has card parts, the smallest
         # top with multiplicity mult, and multinomial(card; k) = multinomial
-        for part in range(min(deg_g - j, top), 0, -1):
+        for part in range(min(deg_g - j, top), 1, -1):
             # the child kappa + {part}, where part has multiplicity k
             k = mult + 1 if part == top else 1
             child_multinomial = multinomial * (card + 1) // k
             child_prods = list(map(operator.mul, prods, cols[part]))
-            c = (-1) ** (j + part + card + 1) * (j + part) * child_multinomial // (card + 1)
-            term = [c * w[j + part] * sum(map(operator.mul, child_prods, a)) for a in scaled]
-            m = key + power[part] + power[deg_g - j - part]
-            total = totals.get(m)
-            totals[m] = term if total is None else list(map(operator.add, total, term))
+            if deg_g - j - part != 1:
+                c = (-1) ** (j + part + card + 1) * (j + part) * child_multinomial // (card + 1)
+                term = [c * w[j + part] * sum(map(operator.mul, child_prods, a)) for a in scaled]
+                m = key + power[part] + power[deg_g - j - part]
+                total = totals.get(m)
+                totals[m] = term if total is None else list(map(operator.add, total, term))
             if j + part < deg_g:
                 walk(j + part, part, k, card + 1, child_multinomial, child_prods, key + power[part])
 

@@ -9,15 +9,19 @@ way to compute what the engine computes, kept next to the tests that use it.
   ``add``, ``sub``, ``mul`` and ``symbol`` (the ring product phi is
   checked against), ``weights``, ``evaluate`` and ``from_json``.
 * ``rank`` of a relation report, from the dense relation vectors.
+* ``full_walk_verdicts``: the coefficient-sum certificate over every
+  monomial, parts of 1 included, which the centred certificate must match.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from rootmean.exact import ZERO
-from rootmean.relations import _echelon
+from rootmean.means import PhiKey, _term_weight
+from rootmean.relations import _clear_row_denominators, _echelon, primitive
 from rootmean.sympoly import SymPoly, poly_sum
 
 # ---------------------------------------------------------------------------
@@ -146,3 +150,38 @@ def rank(report) -> int:
     """Rank of every relation a ``RelationReport`` lists, over its rho window."""
     rows = [[as_mapping(rel).get(rho, 0) for rho in report.rho_set] for rel in report.all_relations()]
     return len(_echelon(rows, len(report.rho_set)))
+
+
+def full_walk_verdicts(D: int, alphas, delta: int = 0, rho_set=None) -> list:
+    """``relations.certify_relations``'s verdict on each alpha, without the
+    centring: every partition is walked, parts of 1 included, and alpha is a
+    relation iff each of its monomial totals ends at 0."""
+    if rho_set is None:
+        rho_set = range(1, D)
+    ns = [PhiKey(D, delta, rho).family_size for rho in rho_set]
+    alphas = [primitive(alpha) for alpha in alphas]
+    if delta > D:
+        return [True] * len(alphas)
+    deg_g = D - delta
+    L = math.lcm(*ns)
+    scaled = [[a * (L // n) for a, n in zip(alpha, ns)] for alpha in alphas]
+    cols = [[math.comb(n, part) for n in ns if n >= part] for part in range(deg_g + 1)]
+    w = _clear_row_denominators([_term_weight(D, delta, j) for j in range(deg_g + 1)])
+    power = [0] + [(deg_g + 1) ** part for part in range(1, deg_g + 1)]
+    totals = {power[deg_g]: [w[0] * L * sum(alpha) for alpha in alphas]}
+
+    def walk(j, top, mult, card, multinomial, prods, key):
+        for part in range(min(deg_g - j, top), 0, -1):
+            k = mult + 1 if part == top else 1
+            child_multinomial = multinomial * (card + 1) // k
+            child_prods = list(map(operator.mul, prods, cols[part]))
+            c = (-1) ** (j + part + card + 1) * (j + part) * child_multinomial // (card + 1)
+            term = [c * w[j + part] * sum(map(operator.mul, child_prods, a)) for a in scaled]
+            m = key + power[part] + power[deg_g - j - part]
+            total = totals.get(m)
+            totals[m] = term if total is None else list(map(operator.add, total, term))
+            if j + part < deg_g:
+                walk(j + part, part, k, card + 1, child_multinomial, child_prods, key + power[part])
+
+    walk(0, deg_g, 0, 0, 1, [1] * len(ns), 0)
+    return [not any(total[i] for total in totals.values()) for i in range(len(alphas))]

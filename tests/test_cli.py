@@ -421,6 +421,24 @@ def test_degree_cap(capsys):
     assert "cap" in err
 
 
+def test_dimension_suite_reaches_the_paper_range(monkeypatch, capsys):
+    # the paper states the pattern for all dimensions up to 49; a stand-in
+    # for relation_space_dim keeps D=49 out of the test run
+    def paper_pattern(D):
+        return 0 if D == 2 else 2 if D % 2 and D >= 5 else 1
+
+    monkeypatch.setattr(relations, "relation_space_dim", paper_pattern)
+    code, blob, _ = run_json(capsys, "verify", "--conjecture", "dimension", "--max-degree", "49")
+    assert code == EXIT_OK and blob["pass"]
+    assert blob["dims"] == [paper_pattern(D) for D in range(2, 50)]
+    code, out, err = run(capsys, "verify", "--conjecture", "dimension", "--max-degree", "50")
+    assert code == EXIT_CONFIG and out == ""
+    assert "above the cap 49" in err and err.count("\n") == 1
+    for argv in (("verify", "--conjecture", "prop4", "--max-degree", "31"), ("relations", "--D", "31")):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG and "above the cap 30" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

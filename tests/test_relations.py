@@ -24,7 +24,7 @@ from rootmean.relations import (
     relation_space_dim,
 )
 
-from oracles import add, as_mapping, evaluate, rank
+from oracles import add, as_mapping, evaluate, full_walk_verdicts, rank
 
 
 def plain_rank(vectors) -> int:
@@ -217,6 +217,45 @@ def test_certificate_matches_symbolic_oracle_property(data):
         else:
             with pytest.raises(RelationError):
                 RelationVector.make(D, delta, pairs)
+
+
+@pytest.fixture(scope="module")
+def lemma_windows():
+    """(D, delta, rho_set, PhiMatrix, kernel basis) on every window the centring
+    lemma is checked on: D=2..7, delta=-3..D, the extended rho=-(D+2)..D-1."""
+    out = []
+    for D in range(2, 8):
+        for delta in range(-3, D + 1):
+            rho_set = tuple(range(-(D + 2), D))
+            m = PhiMatrix.build(D, delta, rho_set)
+            out.append((D, delta, rho_set, m, nullspace(list(m.rows), ncols=len(rho_set))))
+    assert len(out) == 51
+    return out
+
+
+def test_kernel_is_read_off_the_slice_without_r1(lemma_windows):
+    # translation invariance: the monomials without the part 1 carry the whole kernel
+    for D, delta, rho_set, m, basis in lemma_windows:
+        centred = [row for mono, row in zip(m.monomials, m.rows) if 1 not in dict(mono.items)]
+        assert nullspace(centred, ncols=len(rho_set)) == basis, (D, delta)
+
+
+def test_centred_certificate_matches_the_full_walk(lemma_windows):
+    # each basis vector and each of its +-1 perturbations, on every lemma window
+    checks = 0
+    for D, delta, rho_set, _, basis in lemma_windows:
+        for v in basis:
+            alphas = [primitive(v)]
+            for i in range(len(rho_set)):
+                for step in (1, -1):
+                    moved = list(alphas[0])
+                    moved[i] += step
+                    if any(moved):
+                        alphas.append(moved)
+            for alpha, want in zip(alphas, full_walk_verdicts(D, alphas, delta, rho_set)):
+                assert certify_relations(D, [alpha], delta, rho_set) == want, (D, delta, alpha)
+                checks += 1
+    assert checks == 12507
 
 
 def test_certificate_rejects_invalid_keys():

@@ -3,9 +3,8 @@ numeric cross-checks, and sequence mining.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.  Every
 machine-readable artifact records the seed it was produced with; fixed seed
-means byte-identical output regardless of the worker-thread count of the
-dimension sweep and of the number of forked processes a numeric check
-splits its samples across.
+means byte-identical output regardless of the number of forked processes a
+numeric check splits its samples across.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import golden, mining, numeric, relations
 from .means import PhiKey, phi
@@ -35,13 +33,14 @@ class ConfigError(ValueError):
     pass
 
 
-def worker_map(fn, items, threads: int):
-    """Map preserving order; results do not depend on the thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def worker_map(fn, items):
+    """[fn(x) for x in items], in the calling thread.
+
+    It stays a named function only because perfbench/tracer.py wraps it as
+    the dimension sweep's span, and the tracer's probe requires every
+    relations.relation_space_dim call to run under it.
+    """
+    return [fn(x) for x in items]
 
 
 def parse_rho_window(text: str):
@@ -242,8 +241,7 @@ def cmd_relations(args) -> int:
 
 def _verify_dimension(args, payload, pretty):
     cap = args.max_degree
-    threads = max(1, args.threads or 1)
-    dims = worker_map(relations.relation_space_dim, range(2, cap + 1), threads)
+    dims = worker_map(relations.relation_space_dim, range(2, cap + 1))
     ok = True
     for D, dim in zip(range(2, cap + 1), dims):
         # one relation in even degrees past 2, a 2-dimensional family in odd
@@ -527,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="symbolic verification suites")
     p.add_argument("--conjecture", choices=sorted(VERIFIERS), required=True)
     p.add_argument("--max-degree", type=int, default=9)
-    p.add_argument("--threads", type=int, help="worker threads for the dimension sweep (default 1)")
+    p.add_argument("--threads", type=int, help="ignored: the dimension sweep runs in one thread")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

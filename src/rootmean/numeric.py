@@ -32,6 +32,7 @@ include theirs.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 import random
@@ -262,15 +263,7 @@ def sample_roots(rng: random.Random, degree: int):
             r = 2.0 * math.sqrt(rng.random())
             th = rng.uniform(0.0, 2.0 * math.pi)
             roots.append(r * cmath.exp(1j * th))
-        ok = True
-        for i in range(degree):
-            for k in range(i + 1, degree):
-                if abs(roots[i] - roots[k]) < MIN_ROOT_SEPARATION:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(abs(a - b) >= MIN_ROOT_SEPARATION for a, b in itertools.combinations(roots, 2)):
             return roots
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -101,29 +102,14 @@ def test_relations_mixed_order(capsys):
     assert supports[(0, 3)] == (1, 5)
 
 
-def test_verify_dimension_independent_of_threads(capsys):
-    outs = []
-    for threads in ("1", "2"):
-        code, out, _ = run(
-            capsys, "verify", "--conjecture", "dimension", "--max-degree", "12",
-            "--threads", threads, "--format", "json",
-        )
-        assert code == EXIT_OK
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
 def test_uncertified_dimension_exits_one(monkeypatch, capsys):
     # bounds that cannot meet are a verification failure, never a reported dim
     monkeypatch.setattr(relations, "mean_values", lambda a, ns, s: [Fraction(0)] * len(ns))
-    for threads in ("1", "2"):
-        code, out, err = run(
-            capsys, "verify", "--conjecture", "dimension", "--max-degree", "6", "--threads", threads
-        )
-        assert code == EXIT_VERIFY_FAIL
-        assert out == ""
-        assert err.startswith("verification failure: ") and err.count("\n") == 1
-        assert "not certified" in err
+    code, out, err = run(capsys, "verify", "--conjecture", "dimension", "--max-degree", "6")
+    assert code == EXIT_VERIFY_FAIL
+    assert out == ""
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
+    assert "not certified" in err
     with pytest.raises(relations.RelationError):
         relations.relation_space_dim(6)
 
@@ -147,17 +133,21 @@ def test_planted_evaluator_faults_are_caught(monkeypatch, capsys, fault):
     assert code == EXIT_VERIFY_FAIL
 
 
-def test_dimension_sweep_sequential_by_default(monkeypatch, capsys):
-    # no pool is started unless --threads asks for more than one thread
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started")
+def test_dimension_sweep_starts_no_thread_and_ignores_threads(monkeypatch, capsys):
+    # --threads is still parsed, but the sweep runs in the calling thread
+    def no_thread(self):
+        raise AssertionError("thread started")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    for extra in ((), ("--threads", "0")):
-        code, blob, _ = run_json(
-            capsys, "verify", "--conjecture", "dimension", "--max-degree", "8", *extra
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    outs = []
+    for extra in ((), ("--threads", "4")):
+        code, out, _ = run(
+            capsys, "verify", "--conjecture", "dimension", "--max-degree", "8", *extra, "--format", "json"
         )
-        assert code == EXIT_OK and blob["dims"] == [0, 1, 1, 2, 1, 2, 1]
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["dims"] == [0, 1, 1, 2, 1, 2, 1]
 
 
 def test_threads_only_on_verify():

@@ -213,10 +213,19 @@ def _times(a, b):
 
 
 def test_irreducibility_is_never_claimed_for_a_product():
+    """A product may be left undecided (None) but is never called irreducible.
+
+    (x - 100)(x^2 + 10^13) is left undecided: its integer root 100 lies
+    outside the -64..64 window that the root scan falls back to once |g(0)|
+    is above ``_DIVISOR_CAP``.  g_17 of the default ``mine`` sweep is
+    undecided too, and |g_17(0)| = 4,160,840,140,800 is above the cap, so
+    its verdict that no integer root exists rests on that window alone.
+    """
     planted = [
         _times([1, 0, 1], [1, 1, 0, 1]),  # (x^2 + 1)(x^3 + x + 1)
         _times([1, 1, 1], [1, 0, -1, 1]),  # x^5 + x + 1 = (x^2 + x + 1)(x^3 - x^2 + 1)
         _times([1, 1, 1], [2, 0, 1]),  # (x^2 + x + 1)(x^2 + 2)
+        _times([-100, 1], [10**13, 0, 1]),  # (x - 100)(x^2 + 10^13)
     ]
     for coeffs in planted:
         assert is_irreducible_int(RationalPolynomial.make(coeffs)) is not True, coeffs

@@ -2,12 +2,15 @@
 
 A cheap matrix of ``rootmean`` calls, one per subcommand and mode in each
 format it offers plus config errors, runs in process under a call tracer
-(``sys.settrace`` and ``threading.settrace``).  Each function the package
+(``sys.settrace``: the package starts no thread).  Each function the package
 defines must be entered by one of them or be on ``KEEP``, which says why it
 stays.  Code that only a test calls belongs in ``tests/``.
 
 The package also has one Horner evaluator: a Horner step ``v = v * z + c``
-may appear only in the functions on ``HORNER_STEPS``.
+may appear only in the functions on ``HORNER_STEPS``.  And it has one way to
+run work in parallel, forked worker processes: no module imports one of
+``PARALLEL_MODULES`` or makes a ``threading.Thread``, and ``os.fork`` is
+called only in the functions on ``FORKS``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import contextlib
 import io
 import os
 import sys
-import threading
 
 import rootmean
 from rootmean import cli
@@ -44,6 +46,14 @@ HORNER_STEPS = {
     "_aberth_py.horner": "the evaluator",
     "_aberth_py.aberth_refine": "the kernel's hot loop fuses value, derivative and rounding scale",
     "numeric._accepted": "the residual test of every solve fuses value and rounding scale",
+}
+
+# modules that run work on threads or in processes other than by os.fork
+PARALLEL_MODULES = ("_thread", "concurrent", "multiprocessing")
+
+# the functions that may fork, each with the reason
+FORKS = {
+    "numeric._fan_out": "splits a numeric check's samples across worker processes",
 }
 
 
@@ -159,9 +169,8 @@ def test_every_function_is_reached_or_kept(tmp_path, monkeypatch):
         entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     _clear_caches()
-    old, old_thread = sys.gettrace(), threading.gettrace()
+    old = sys.gettrace()
     sys.settrace(tracer)
-    threading.settrace(tracer)
     try:
         codes = []
         for argv, want in _matrix(tmp_path):
@@ -169,33 +178,21 @@ def test_every_function_is_reached_or_kept(tmp_path, monkeypatch):
                 codes.append((argv, cli.main(argv), want))
     finally:
         sys.settrace(old)
-        threading.settrace(old_thread)
     assert [c for c in codes if c[1] != c[2]] == []
     reached = {(os.path.realpath(path), line) for path, line in entered}
     unreached = sorted(name for key, name in defined.items() if key not in reached and name not in KEEP)
     assert not unreached, "no CLI call enters: " + ", ".join(unreached)
 
 
-def _horner_steps() -> set:
-    """Dotted names of the package functions with an assignment v = v * z + c
-    (either operand order of the product or the sum)."""
+def _functions_where(matches) -> set:
+    """Dotted names of the package functions (or modules, for module-level
+    code) with a syntax node for which ``matches`` is true."""
     found = set()
-
-    def is_step(node):
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)):
-            return False
-        name, value = node.targets[0].id, node.value
-        return isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add) and any(
-            isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
-            and any(isinstance(x, ast.Name) and x.id == name for x in (side.left, side.right))
-            for side in (value.left, value.right)
-        )
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            if not named and is_step(child):
+            if not named and matches(child):
                 found.add(prefix)
             visit(child, f"{prefix}.{child.name}" if named else prefix)
 
@@ -204,8 +201,48 @@ def _horner_steps() -> set:
     return found
 
 
+def _is_horner_step(node) -> bool:
+    """An assignment v = v * z + c (either operand order of the product or the sum)."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)):
+        return False
+    name, value = node.targets[0].id, node.value
+    return isinstance(value, ast.BinOp) and isinstance(value.op, ast.Add) and any(
+        isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+        and any(isinstance(x, ast.Name) and x.id == name for x in (side.left, side.right))
+        for side in (value.left, value.right)
+    )
+
+
 def test_horner_steps_stay_in_the_evaluator():
-    steps = _horner_steps()
+    steps = _functions_where(_is_horner_step)
     assert steps - set(HORNER_STEPS) == set(), "Horner steps outside the evaluator"
     # an entry that matches nothing would let a step back in unseen
     assert steps >= set(HORNER_STEPS)
+
+
+def _imported(node) -> list:
+    """The modules an import statement names, and for ``from m import n`` also m.n."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+    return []
+
+
+def _imports_parallel_module(node) -> bool:
+    return any(name.split(".")[0] in PARALLEL_MODULES for name in _imported(node))
+
+
+def _names(node, module, attrs) -> bool:
+    """``module.attr`` or ``from module import attr``, for an attr in ``attrs``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in attrs and isinstance(node.value, ast.Name) and node.value.id == module
+    return any(name in {f"{module}.{attr}" for attr in attrs} for name in _imported(node))
+
+
+def test_forked_workers_are_the_one_parallel_mechanism():
+    assert _functions_where(_imports_parallel_module) == set()
+    assert _functions_where(lambda node: _names(node, "threading", ("Thread", "Timer"))) == set()
+    # an entry that matches nothing would let a fork back in unseen
+    assert _functions_where(lambda node: _names(node, "os", ("fork", "forkpty"))) == set(FORKS)

@@ -133,21 +133,29 @@ def test_planted_evaluator_faults_are_caught(monkeypatch, capsys, fault):
     assert code == EXIT_VERIFY_FAIL
 
 
-def test_dimension_sweep_starts_no_thread_and_ignores_threads(monkeypatch, capsys):
-    # --threads is still parsed, but the sweep runs in the calling thread
+def test_dimension_sweep_sequential_by_default(monkeypatch, capsys):
+    # the sweep runs in the calling thread, whatever --threads says
     def no_thread(self):
         raise AssertionError("thread started")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for extra in ((), ("--threads", "0"), ("--threads", "4")):
+        code, blob, _ = run_json(
+            capsys, "verify", "--conjecture", "dimension", "--max-degree", "8", *extra
+        )
+        assert code == EXIT_OK and blob["dims"] == [0, 1, 1, 2, 1, 2, 1]
+
+
+def test_verify_dimension_independent_of_threads(capsys):
+    # --threads is still parsed and is ignored: the output is byte-identical
     outs = []
-    for extra in ((), ("--threads", "4")):
+    for extra in ((), ("--threads", "1"), ("--threads", "2")):
         code, out, _ = run(
-            capsys, "verify", "--conjecture", "dimension", "--max-degree", "8", *extra, "--format", "json"
+            capsys, "verify", "--conjecture", "dimension", "--max-degree", "12", *extra, "--format", "json"
         )
         assert code == EXIT_OK
         outs.append(out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["dims"] == [0, 1, 1, 2, 1, 2, 1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_threads_only_on_verify():

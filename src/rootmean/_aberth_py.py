@@ -3,18 +3,18 @@ one Horner evaluator.
 
 ``rootmean.numeric.find_roots`` starts ``aberth_refine`` from roots already
 found for a nearby polynomial, or on a circle around the root centroid, and
-accepts the result only if every root passes its residual test.  The kernel
-stops updating each root on its own once that root is done (MPSolve
-practice, Bini & Fiorentino 2000), so a sweep costs only the roots still
-moving, and it takes the rounding-level sum of a root's Horner pass only
-once the root is close enough for that sum to decide.  Everything else that
-evaluates a polynomial goes through ``horner``: the numeric oracle on
-floats, its rounding scale sum_k |a_k| |z|^(deg-k) too (``horner`` over the
-moduli at |z|), and ``rootmean.mining`` on exact integers and Fractions.
-There are two measured exceptions.  The kernel inlines its own fused
-value-and-derivative Horner pass, because it is the hot loop, and
-``rootmean.numeric._accepted`` runs its own fused value-and-scale pass,
-because the residual test of every solve reads both sums in one sweep.
+takes the result only if the kernel accepts it: every root passes the
+residual test.  The kernel stops updating each root on its own once that
+root is done (MPSolve practice, Bini & Fiorentino 2000), so a sweep costs
+only the roots still moving, and it takes the rounding-level sum of a root's
+Horner pass only once the root is close enough for that sum to decide.  A
+root stopped at the rounding level passes the residual test by construction,
+so only the other roots are evaluated a second time.  Everything else that
+evaluates a polynomial goes through ``horner``: the numeric oracle on floats,
+its rounding scale sum_k |a_k| |z|^(deg-k) too (``horner`` over the moduli at
+|z|), and ``rootmean.mining`` on exact integers and Fractions.  There is one
+measured exception: the kernel's hot loop inlines its own fused
+value-and-derivative Horner pass and its rounding-level sum.
 """
 
 from __future__ import annotations
@@ -40,24 +40,27 @@ def horner(coeffs, z):
     return p
 
 
-def aberth_refine(coeffs, z0, max_sweeps):
-    """Refine all roots of the monic polynomial simultaneously.
+def aberth_refine(coeffs, z0, max_sweeps, tol):
+    """Refine all roots of the monic polynomial simultaneously, then test them.
 
     coeffs: descending complex coefficients, coeffs[0] == 1.
     z0: initial guesses, one per root: a circle, or roots already found for
     a nearby polynomial.
     A root stops being updated once its own relative correction
     |w| / (1 + |z|) falls below CORRECTION_TOL, or once |p(z)| is at the
-    rounding level of the Horner sum sum_k |a_k| |z|^(deg-k), where no
-    further step can be told from noise.  That sum is computed only when
-    |p(z)| is within twice the rounding level of sum_k |a_k| max(1, |z|)^deg,
-    which bounds it, so it costs nothing while a root is far from done and
-    every decision is the same as with the sum taken at every step.
-    Stopped roots still enter the Aberth sums of the roots that are moving.
-    A root whose |p(z)| is not finite can only turn into NaN, so it ends the
-    solve at once, unconverged.
-    Returns (roots list, sweeps used, converged flag); converged means every
-    root stopped within max_sweeps sweeps.
+    rounding level of the Horner sum scale(z) = sum_k |a_k| |z|^(deg-k),
+    where no further step can be told from noise.  That sum is computed only
+    when |p(z)| is within twice the rounding level of
+    sum_k |a_k| max(1, |z|)^deg, which bounds it, so it costs nothing while
+    a root is far from done and every decision is the same as with the sum
+    taken at every step.  Stopped roots still enter the Aberth sums of the
+    roots that are moving.
+    Returns (roots list, sweeps used, accepted); accepted means every root
+    passes the residual test |p(z)| <= tol * scale(z).  A root stopped at
+    the rounding level 4 deg eps passes it by construction, as tol must
+    exceed that level (1e-10 does below degree 10^5); every other root gets
+    one closing test through ``horner``.  A root whose |p(z)| is not finite
+    can only turn into NaN, so it ends the solve at once, rejected.
     """
     z = list(z0)
     tail = coeffs[1:]
@@ -74,7 +77,10 @@ def aberth_refine(coeffs, z0, max_sweeps):
     # the sum itself
     huge = 0.5 * (sys.float_info.max / max(near, 1.0)) ** (1.0 / deg)
     active = list(range(len(z)))
-    for it in range(max_sweeps):
+    unsure = []  # the roots the correction test stopped
+    sweeps = 0
+    while active and sweeps < max_sweeps:
+        sweeps += 1
         moving = []
         for i in active:
             zi = z[i]
@@ -86,13 +92,13 @@ def aberth_refine(coeffs, z0, max_sweeps):
                 p = p * zi + c
             ap = abs(p)
             if not ap < _INF:  # inf or NaN
-                return z, it + 1, False
+                return z, sweeps, False
             if az >= huge or ap <= near * (az**deg if az > 1.0 else 1.0):
                 scale = abs_lead
                 for ac in abs_tail:
                     scale = scale * az + ac
                 if ap <= rounding * scale:
-                    continue
+                    continue  # below tol: it passes the closing test
             if dp == 0:
                 # nudge off the stationary point
                 z[i] = zi + (1e-8 + 1e-8j) * (1.0 + az)
@@ -110,7 +116,10 @@ def aberth_refine(coeffs, z0, max_sweeps):
             z[i] = zi
             if abs(w) >= CORRECTION_TOL * (1.0 + abs(zi)):
                 moving.append(i)
+            else:
+                unsure.append(i)
         active = moving
-        if not active:
-            return z, it + 1, True
-    return z, max_sweeps, False
+    abs_coeffs = [abs_lead] + abs_tail
+    # written to fail on NaN: a root that ran off to infinity has |p| / scale = inf / inf
+    return z, sweeps, all(abs(horner(coeffs, z[i])) / max(horner(abs_coeffs, abs(z[i])), 1e-300) <= tol
+                          for i in unsure + active)

@@ -5,16 +5,16 @@ it can cross-validate it: polynomials are plain complex coefficient lists,
 root families come from a simultaneous-iteration root finder, and means are
 computed by Horner evaluation and averaging.
 
-The root-refinement inner loop and the Horner evaluator live in
-``rootmean._aberth_py``; this module adds the starting points and the
-residual test that accepts or rejects the kernel's roots, in one pass per
-root.  The kernel stops each root on its own once it has converged.  A solve
-starts from roots already found where there are some: the roots of f^(rho)
-from those of f^(rho-1), whose critical points they are, and each shifted
-polynomial of the translation check from the roots of the unshifted one.
-Otherwise, or when a warm-started solve fails the residual test, it starts
-from a circle around the root centroid whose radius is the geometric-mean
-distance to the roots.
+The root-refinement inner loop, the residual test that accepts or rejects
+its roots and the Horner evaluator live in ``rootmean._aberth_py``; this
+module adds the starting points.  The kernel stops each root on its own once
+it has converged, and evaluates a root a second time only when its residual
+is not already at the rounding level.  A solve starts from roots already
+found where there are some: the roots of f^(rho) from those of f^(rho-1),
+whose critical points they are, and each shifted polynomial of the
+translation check from the roots of the unshifted one.  Otherwise, or when
+the kernel rejects a warm-started solve, it starts from a circle around the
+root centroid whose radius is the geometric-mean distance to the roots.
 
 The three checks share one path, ``_run``: it counts every evaluation as
 attempted and every failed root solve, one that fails from the circle, as
@@ -50,7 +50,7 @@ KERNEL_BACKEND = "python"
 ROOT_RESIDUAL_TOL = 1e-10
 RELATION_TOL = 1e-8
 MIN_ROOT_SEPARATION = 1e-6
-MAX_SWEEPS = 160  # Aberth sweeps before find_roots gives up on a root
+MAX_SWEEPS = 160  # Aberth sweeps before the kernel tests the roots still moving
 
 # processes a check's samples are split across: the CPUs this process may use
 if not hasattr(os, "fork"):
@@ -163,26 +163,6 @@ def _initial_guesses(coeffs) -> list:
     ]
 
 
-def _accepted(coeffs, z) -> bool:
-    """True when every root r satisfies |p(r)| <= ROOT_RESIDUAL_TOL * scale(r),
-    scale(r) = sum_k |a_k| |r|^(deg-k): one fused value-and-scale pass per
-    root, the same floats as ``horner`` on the coefficients and on their
-    moduli at |r|, stopping at the first root that fails or is not finite."""
-    abs_coeffs = [abs(c) for c in coeffs]
-    for zi in z:
-        az = abs(zi)
-        p = 0j
-        scale = 0.0
-        for c, ac in zip(coeffs, abs_coeffs):
-            p = p * zi + c
-            scale = scale * az + ac
-        # written to fail on NaN: a root that ran off to infinity has
-        # |p| / scale = inf / inf
-        if not abs(p) / max(scale, 1e-300) <= ROOT_RESIDUAL_TOL:
-            return False
-    return True
-
-
 def find_roots(p: NumPoly, start=None) -> tuple:
     """All complex roots of p, repeated by multiplicity, by Aberth's
     simultaneous iteration.
@@ -190,15 +170,16 @@ def find_roots(p: NumPoly, start=None) -> tuple:
     Exact trailing zero coefficients are exact roots 0: they are stripped and
     returned as 0j after the other roots, because the residual scale below
     vanishes with |r| when a_deg == 0.  The rest is solved by the kernel,
-    each root stopping on its own once converged.  The kernel starts from
-    ``start`` (approximations of p's roots, such as the roots of a nearby
-    polynomial) when one is given, no zero was stripped, it has one point
-    per root and its result passes the residual test; otherwise it starts
-    from the circle of ``_initial_guesses``.  The roots are accepted
-    when every residual satisfies |p(r)| <= ROOT_RESIDUAL_TOL * scale(r) with
-    scale(r) = sum_k |a_k| |r|^(deg-k).  Only a solve from the circle that
-    fails raises RootFindingError.  A multiple root comes back as that many
-    separate approximations, and close distinct roots stay apart.
+    each root stopping on its own once converged, and the kernel accepts
+    the roots when every residual satisfies |p(r)| <= ROOT_RESIDUAL_TOL *
+    scale(r) with scale(r) = sum_k |a_k| |r|^(deg-k).  The kernel starts
+    from ``start`` (approximations of p's roots, such as the roots of a
+    nearby polynomial) when one is given, no zero was stripped and it has
+    one point per root; when there is no such start, or the kernel rejects
+    its roots, it starts from the circle of ``_initial_guesses``.  Only a
+    solve from the circle that the kernel rejects raises RootFindingError.
+    A multiple root comes back as that many separate approximations, and
+    close distinct roots stay apart.
     """
     coeffs = list(p.coeffs)
     zeros = 0
@@ -211,12 +192,12 @@ def find_roots(p: NumPoly, start=None) -> tuple:
     elif deg == 1:
         z = [-coeffs[1]]
     else:
-        z = None
+        ok = False
         if start is not None and not zeros and len(start) == deg:
-            z, _, _ = _kernel.aberth_refine(coeffs, start, MAX_SWEEPS)
-        if z is None or not _accepted(coeffs, z):
-            z, _, _ = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), MAX_SWEEPS)
-            if not _accepted(coeffs, z):
+            z, _, ok = _kernel.aberth_refine(coeffs, start, MAX_SWEEPS, ROOT_RESIDUAL_TOL)
+        if not ok:
+            z, _, ok = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), MAX_SWEEPS, ROOT_RESIDUAL_TOL)
+            if not ok:
                 raise RootFindingError(f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}")
     return tuple(z) + (0j,) * zeros
 

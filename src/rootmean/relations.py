@@ -238,7 +238,9 @@ class RelationReport:
         }
 
 
-MINIMAL_SUPPORT_CAP = 12  # bounds the circuits to certify: 1,263 at D=6 --extended
+# most live columns (window columns whose phi is not 0) searched for circuits:
+# --D 5 --extended has 11 and 157 circuits, --D 6 --extended 13 and is skipped
+MINIMAL_SUPPORT_CAP = 12
 
 
 def find_relations(

@@ -92,7 +92,8 @@ def test_find_roots_exact_zero_roots():
 
 def kernel_solve(p):
     coeffs = list(p.coeffs)
-    return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs), numeric.MAX_SWEEPS)
+    return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs), numeric.MAX_SWEEPS,
+                                         numeric.ROOT_RESIDUAL_TOL)
 
 
 # clusters, Wilkinson's degree-10 polynomial and two close roots
@@ -103,8 +104,8 @@ def test_kernel_stops_early_on_multiple_and_close_roots():
     # started on the centroid circle and stopped per root, the kernel settles
     # clusters at the rounding level instead of running out of sweeps
     for planted in KERNEL_HARD_CASES:
-        _, sweeps, converged = kernel_solve(monic_from_roots(planted))
-        assert converged and sweeps <= 30, (planted, sweeps)
+        _, sweeps, accepted = kernel_solve(monic_from_roots(planted))
+        assert accepted and sweeps <= 30, (planted, sweeps)
 
 
 def test_kernel_sweeps_on_sampled_families():
@@ -117,16 +118,33 @@ def test_kernel_sweeps_on_sampled_families():
         for _ in range(20):
             f = monic_from_roots(sample_roots(rng, D))
             for rho in range(D - 1):
-                _, n, converged = kernel_solve(monicized(differentiate(f.coeffs, rho)))
-                assert converged
+                _, n, accepted = kernel_solve(monicized(differentiate(f.coeffs, rho)))
+                assert accepted
                 sweeps.append(n)
     assert sum(sweeps) / len(sweeps) < 6.5
 
 
-def reference_aberth_refine(coeffs, z0, max_sweeps):
+def plainly_accepted(coeffs, z, tol):
+    """True when every root r satisfies |p(r)| <= tol * scale(r), scale(r) =
+    sum_k |a_k| |r|^(deg-k), each sum taken in its own plain Horner pass; a
+    NaN ratio, as from inf / inf, fails."""
+    abs_coeffs = [abs(c) for c in coeffs]
+    for zi in z:
+        p = 0j
+        for c in coeffs:
+            p = p * zi + c
+        scale = 0.0
+        for ac in abs_coeffs:
+            scale = scale * abs(zi) + ac
+        if not abs(p) / max(scale, 1e-300) <= tol:
+            return False
+    return True
+
+
+def reference_aberth_refine(coeffs, z0, max_sweeps, tol):
     """The kernel's loop written plainly, with the rounding-level sum taken
-    at every step and float operands in the Aberth sum: the kernel must
-    reproduce it bit for bit."""
+    at every step, float operands in the Aberth sum and the verdict from a
+    test of every root: the kernel must reproduce it bit for bit."""
     z = list(z0)
     tail = coeffs[1:]
     abs_tail = [abs(c) for c in tail]
@@ -147,7 +165,7 @@ def reference_aberth_refine(coeffs, z0, max_sweeps):
                 p = p * zi + c
                 scale = scale * az + ac
             if not abs(p) < math.inf:  # inf or NaN: the root can only turn into NaN
-                return z, it + 1, False
+                return z, it + 1, plainly_accepted(coeffs, z, tol)
             if abs(p) <= rounding * scale:
                 continue
             if dp == 0:
@@ -168,14 +186,14 @@ def reference_aberth_refine(coeffs, z0, max_sweeps):
                 moving.append(i)
         active = moving
         if not active:
-            return z, it + 1, True
-    return z, max_sweeps, False
+            return z, it + 1, plainly_accepted(coeffs, z, tol)
+    return z, max_sweeps, plainly_accepted(coeffs, z, tol)
 
 
 def float_bits(result):
     # NaN != NaN, so compare the bytes of every root
-    z, sweeps, converged = result
-    return [struct.pack("dd", r.real, r.imag) for r in z], sweeps, converged
+    z, sweeps, accepted = result
+    return [struct.pack("dd", r.real, r.imag) for r in z], sweeps, accepted
 
 
 def test_kernel_is_bit_identical_to_reference():
@@ -191,33 +209,54 @@ def test_kernel_is_bit_identical_to_reference():
         # modulus 1e200 overflows |z|^deg: every start, and one among the circle
         starts = [circle, [1e200 * z / abs(z) for z in circle], [1e200j] + circle[1:]]
         for z0 in starts:
-            want = reference_aberth_refine(coeffs, z0, numeric.MAX_SWEEPS)
-            got = numeric._kernel.aberth_refine(coeffs, z0, numeric.MAX_SWEEPS)
+            want = reference_aberth_refine(coeffs, z0, numeric.MAX_SWEEPS, numeric.ROOT_RESIDUAL_TOL)
+            got = numeric._kernel.aberth_refine(coeffs, z0, numeric.MAX_SWEEPS, numeric.ROOT_RESIDUAL_TOL)
             assert float_bits(got) == float_bits(want), (p, z0[0])
+
+
+def test_kernel_closing_test_rejects():
+    # one sweep from the circle leaves the roots of sampled degree-8 families
+    # finite but far from done; two starts 1e-14 apart, far from any root,
+    # shrink each other's Aberth corrections below CORRECTION_TOL at once.
+    # Only the closing residual test rejects these roots.
+    rng = random.Random(8)
+    cases = []
+    for _ in range(5):
+        coeffs = list(monic_from_roots(sample_roots(rng, 8)).coeffs)
+        cases.append((coeffs, numeric._initial_guesses(coeffs), 1))
+    cases += [([1 + 0j, 0j, -1 + 0j], [5, 5 + 1e-14], numeric.MAX_SWEEPS),
+              ([1 + 0j, 0j, 0j, -1 + 0j], [5 + 0j, 5 + 1e-14j, -3j], numeric.MAX_SWEEPS)]
+    for coeffs, z0, max_sweeps in cases:
+        got = numeric._kernel.aberth_refine(coeffs, z0, max_sweeps, numeric.ROOT_RESIDUAL_TOL)
+        want = reference_aberth_refine(coeffs, z0, max_sweeps, numeric.ROOT_RESIDUAL_TOL)
+        assert float_bits(got) == float_bits(want)
+        z, _, accepted = got
+        assert not accepted and all(math.isfinite(abs(r)) for r in z)
 
 
 def test_kernel_reports_overflow_as_unconverged():
     # seven coinciding starts on z^7 - 1/2 throw the roots to about 9e45j,
-    # where |p(z)| overflows: that solve has not converged
+    # where |p(z)| overflows: the kernel rejects that solve
     coeffs = [1 + 0j] + [0j] * 6 + [-0.5 + 0j]
-    z, _, converged = numeric._kernel.aberth_refine(coeffs, [0j] * 7, numeric.MAX_SWEEPS)
-    assert not converged
-    assert not numeric._accepted(coeffs, z)
+    z, _, accepted = numeric._kernel.aberth_refine(coeffs, [0j] * 7, numeric.MAX_SWEEPS, numeric.ROOT_RESIDUAL_TOL)
+    assert not accepted
+    assert not plainly_accepted(coeffs, z, numeric.ROOT_RESIDUAL_TOL)
 
 
 def record_kernel(monkeypatch, fail_warm=False):
-    """Record (start, sweeps, converged) of every kernel call; with fail_warm,
-    a call not started from the circle returns its start unrefined.  The
-    samples stay in this process, where the record is kept."""
+    """Record (start, warm, sweeps, accepted) of every kernel call; with
+    fail_warm, a call not started from the circle returns its start unrefined
+    and rejected.  The samples stay in this process, where the record is
+    kept."""
     monkeypatch.setattr(numeric, "WORKERS", 1)
     calls = []
     real = numeric._kernel.aberth_refine
 
-    def kernel(coeffs, z0, max_sweeps):
+    def kernel(coeffs, z0, max_sweeps, tol):
         warm = list(z0) != numeric._initial_guesses(coeffs)
-        z, sweeps, converged = (list(z0), 1, False) if fail_warm and warm else real(coeffs, z0, max_sweeps)
-        calls.append((list(z0), warm, sweeps, converged))
-        return z, sweeps, converged
+        z, sweeps, accepted = (list(z0), 1, False) if fail_warm and warm else real(coeffs, z0, max_sweeps, tol)
+        calls.append((list(z0), warm, sweeps, accepted))
+        return z, sweeps, accepted
 
     monkeypatch.setattr(numeric._kernel, "aberth_refine", kernel)
     return calls
@@ -239,7 +278,7 @@ def test_warm_starts_cut_sweeps_on_derivative_chains(monkeypatch):
     calls = record_kernel(monkeypatch)
     reports = chain_reports()
     assert all(rep["pass"] and rep["skipped"] == 0 for rep in reports)
-    assert all(converged for _, _, _, converged in calls)
+    assert all(accepted for _, _, _, accepted in calls)
     assert sum(warm for _, warm, _, _ in calls) == 30 * sum(D - 2 for D in range(3, 10))
     assert sum(sweeps for _, _, sweeps, _ in calls) / len(calls) < 4.8
 

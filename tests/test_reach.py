@@ -44,8 +44,8 @@ KEEP = {
 # the functions that may take a Horner step, each with the reason
 HORNER_STEPS = {
     "_aberth_py.horner": "the evaluator",
-    "_aberth_py.aberth_refine": "the kernel's hot loop fuses value, derivative and rounding scale",
-    "numeric._accepted": "the residual test of every solve fuses value and rounding scale",
+    "_aberth_py.aberth_refine": "the kernel's hot loop fuses value and derivative, and takes the rounding "
+                                "scale near a root; its closing residual test calls horner",
 }
 
 # modules that run work on threads or in processes other than by os.fork

@@ -22,6 +22,7 @@ from __future__ import annotations
 import sys
 
 CORRECTION_TOL = 1e-13
+ROOT_RESIDUAL_TOL = 1e-10
 _EPS = sys.float_info.epsilon
 # complex operands spare the hot loop float's NotImplemented round trip in
 # 1.0 / d and 1.0 - x; the floats are the same
@@ -40,7 +41,7 @@ def horner(coeffs, z):
     return p
 
 
-def aberth_refine(coeffs, z0, max_sweeps, tol):
+def aberth_refine(coeffs, z0, max_sweeps):
     """Refine all roots of the monic polynomial simultaneously, then test them.
 
     coeffs: descending complex coefficients, coeffs[0] == 1.
@@ -56,11 +57,12 @@ def aberth_refine(coeffs, z0, max_sweeps, tol):
     taken at every step.  Stopped roots still enter the Aberth sums of the
     roots that are moving.
     Returns (roots list, sweeps used, accepted); accepted means every root
-    passes the residual test |p(z)| <= tol * scale(z).  A root stopped at
-    the rounding level 4 deg eps passes it by construction, as tol must
-    exceed that level (1e-10 does below degree 10^5); every other root gets
-    one closing test through ``horner``.  A root whose |p(z)| is not finite
-    can only turn into NaN, so it ends the solve at once, rejected.
+    passes the residual test |p(z)| <= ROOT_RESIDUAL_TOL * scale(z).  A root
+    stopped at the rounding level 4 deg eps passes it by construction, as
+    that level is below ROOT_RESIDUAL_TOL for every degree below 10^5; every
+    other root gets one closing test through ``horner``.  A root whose |p(z)|
+    is not finite can only turn into NaN, so it ends the solve at once,
+    rejected.
     """
     z = list(z0)
     tail = coeffs[1:]
@@ -98,7 +100,9 @@ def aberth_refine(coeffs, z0, max_sweeps, tol):
                 for ac in abs_tail:
                     scale = scale * az + ac
                 if ap <= rounding * scale:
-                    continue  # below tol: it passes the closing test
+                    # at the rounding level, below ROOT_RESIDUAL_TOL: passes
+                    # the residual test by construction, no closing test
+                    continue
             if dp == 0:
                 # nudge off the stationary point
                 z[i] = zi + (1e-8 + 1e-8j) * (1.0 + az)
@@ -120,6 +124,8 @@ def aberth_refine(coeffs, z0, max_sweeps, tol):
                 unsure.append(i)
         active = moving
     abs_coeffs = [abs_lead] + abs_tail
-    # written to fail on NaN: a root that ran off to infinity has |p| / scale = inf / inf
-    return z, sweeps, all(abs(horner(coeffs, z[i])) / max(horner(abs_coeffs, abs(z[i])), 1e-300) <= tol
-                          for i in unsure + active)
+    # written to fail on NaN: a root that ran off to infinity has
+    # |p| / scale = inf / inf
+    return z, sweeps, all(
+        abs(horner(coeffs, z[i])) / max(horner(abs_coeffs, abs(z[i])), 1e-300) <= ROOT_RESIDUAL_TOL
+        for i in unsure + active)

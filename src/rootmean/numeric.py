@@ -41,13 +41,12 @@ from dataclasses import dataclass
 
 # perfbench/tracer.py wraps the kernel under the name ``_kernel.aberth_refine``
 from . import _aberth_py as _kernel
-from ._aberth_py import horner
+from ._aberth_py import ROOT_RESIDUAL_TOL, horner
 
 # recorded in benchmark provenance; perfbench/compare.py refuses to compare
 # results whose backends differ
 KERNEL_BACKEND = "python"
 
-ROOT_RESIDUAL_TOL = 1e-10
 RELATION_TOL = 1e-8
 MIN_ROOT_SEPARATION = 1e-6
 MAX_SWEEPS = 160  # Aberth sweeps before the kernel tests the roots still moving
@@ -194,9 +193,9 @@ def find_roots(p: NumPoly, start=None) -> tuple:
     else:
         ok = False
         if start is not None and not zeros and len(start) == deg:
-            z, _, ok = _kernel.aberth_refine(coeffs, start, MAX_SWEEPS, ROOT_RESIDUAL_TOL)
+            z, _, ok = _kernel.aberth_refine(coeffs, start, MAX_SWEEPS)
         if not ok:
-            z, _, ok = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), MAX_SWEEPS, ROOT_RESIDUAL_TOL)
+            z, _, ok = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), MAX_SWEEPS)
             if not ok:
                 raise RootFindingError(f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}")
     return tuple(z) + (0j,) * zeros

@@ -92,8 +92,7 @@ def test_find_roots_exact_zero_roots():
 
 def kernel_solve(p):
     coeffs = list(p.coeffs)
-    return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs), numeric.MAX_SWEEPS,
-                                         numeric.ROOT_RESIDUAL_TOL)
+    return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs), numeric.MAX_SWEEPS)
 
 
 # clusters, Wilkinson's degree-10 polynomial and two close roots
@@ -124,8 +123,8 @@ def test_kernel_sweeps_on_sampled_families():
     assert sum(sweeps) / len(sweeps) < 6.5
 
 
-def plainly_accepted(coeffs, z, tol):
-    """True when every root r satisfies |p(r)| <= tol * scale(r), scale(r) =
+def plainly_accepted(coeffs, z):
+    """True when every root r satisfies |p(r)| <= ROOT_RESIDUAL_TOL * scale(r), scale(r) =
     sum_k |a_k| |r|^(deg-k), each sum taken in its own plain Horner pass; a
     NaN ratio, as from inf / inf, fails."""
     abs_coeffs = [abs(c) for c in coeffs]
@@ -136,12 +135,12 @@ def plainly_accepted(coeffs, z, tol):
         scale = 0.0
         for ac in abs_coeffs:
             scale = scale * abs(zi) + ac
-        if not abs(p) / max(scale, 1e-300) <= tol:
+        if not abs(p) / max(scale, 1e-300) <= numeric.ROOT_RESIDUAL_TOL:
             return False
     return True
 
 
-def reference_aberth_refine(coeffs, z0, max_sweeps, tol):
+def reference_aberth_refine(coeffs, z0, max_sweeps):
     """The kernel's loop written plainly, with the rounding-level sum taken
     at every step, float operands in the Aberth sum and the verdict from a
     test of every root: the kernel must reproduce it bit for bit."""
@@ -165,7 +164,7 @@ def reference_aberth_refine(coeffs, z0, max_sweeps, tol):
                 p = p * zi + c
                 scale = scale * az + ac
             if not abs(p) < math.inf:  # inf or NaN: the root can only turn into NaN
-                return z, it + 1, plainly_accepted(coeffs, z, tol)
+                return z, it + 1, plainly_accepted(coeffs, z)
             if abs(p) <= rounding * scale:
                 continue
             if dp == 0:
@@ -186,8 +185,8 @@ def reference_aberth_refine(coeffs, z0, max_sweeps, tol):
                 moving.append(i)
         active = moving
         if not active:
-            return z, it + 1, plainly_accepted(coeffs, z, tol)
-    return z, max_sweeps, plainly_accepted(coeffs, z, tol)
+            return z, it + 1, plainly_accepted(coeffs, z)
+    return z, max_sweeps, plainly_accepted(coeffs, z)
 
 
 def float_bits(result):
@@ -209,8 +208,8 @@ def test_kernel_is_bit_identical_to_reference():
         # modulus 1e200 overflows |z|^deg: every start, and one among the circle
         starts = [circle, [1e200 * z / abs(z) for z in circle], [1e200j] + circle[1:]]
         for z0 in starts:
-            want = reference_aberth_refine(coeffs, z0, numeric.MAX_SWEEPS, numeric.ROOT_RESIDUAL_TOL)
-            got = numeric._kernel.aberth_refine(coeffs, z0, numeric.MAX_SWEEPS, numeric.ROOT_RESIDUAL_TOL)
+            want = reference_aberth_refine(coeffs, z0, numeric.MAX_SWEEPS)
+            got = numeric._kernel.aberth_refine(coeffs, z0, numeric.MAX_SWEEPS)
             assert float_bits(got) == float_bits(want), (p, z0[0])
 
 
@@ -227,8 +226,8 @@ def test_kernel_closing_test_rejects():
     cases += [([1 + 0j, 0j, -1 + 0j], [5, 5 + 1e-14], numeric.MAX_SWEEPS),
               ([1 + 0j, 0j, 0j, -1 + 0j], [5 + 0j, 5 + 1e-14j, -3j], numeric.MAX_SWEEPS)]
     for coeffs, z0, max_sweeps in cases:
-        got = numeric._kernel.aberth_refine(coeffs, z0, max_sweeps, numeric.ROOT_RESIDUAL_TOL)
-        want = reference_aberth_refine(coeffs, z0, max_sweeps, numeric.ROOT_RESIDUAL_TOL)
+        got = numeric._kernel.aberth_refine(coeffs, z0, max_sweeps)
+        want = reference_aberth_refine(coeffs, z0, max_sweeps)
         assert float_bits(got) == float_bits(want)
         z, _, accepted = got
         assert not accepted and all(math.isfinite(abs(r)) for r in z)
@@ -238,9 +237,9 @@ def test_kernel_reports_overflow_as_unconverged():
     # seven coinciding starts on z^7 - 1/2 throw the roots to about 9e45j,
     # where |p(z)| overflows: the kernel rejects that solve
     coeffs = [1 + 0j] + [0j] * 6 + [-0.5 + 0j]
-    z, _, accepted = numeric._kernel.aberth_refine(coeffs, [0j] * 7, numeric.MAX_SWEEPS, numeric.ROOT_RESIDUAL_TOL)
+    z, _, accepted = numeric._kernel.aberth_refine(coeffs, [0j] * 7, numeric.MAX_SWEEPS)
     assert not accepted
-    assert not plainly_accepted(coeffs, z, numeric.ROOT_RESIDUAL_TOL)
+    assert not plainly_accepted(coeffs, z)
 
 
 def record_kernel(monkeypatch, fail_warm=False):
@@ -252,9 +251,9 @@ def record_kernel(monkeypatch, fail_warm=False):
     calls = []
     real = numeric._kernel.aberth_refine
 
-    def kernel(coeffs, z0, max_sweeps, tol):
+    def kernel(coeffs, z0, max_sweeps):
         warm = list(z0) != numeric._initial_guesses(coeffs)
-        z, sweeps, accepted = (list(z0), 1, False) if fail_warm and warm else real(coeffs, z0, max_sweeps, tol)
+        z, sweeps, accepted = (list(z0), 1, False) if fail_warm and warm else real(coeffs, z0, max_sweeps)
         calls.append((list(z0), warm, sweeps, accepted))
         return z, sweeps, accepted
 

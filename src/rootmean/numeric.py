@@ -16,8 +16,9 @@ translation check from the roots of the unshifted one.  Otherwise, or when
 the kernel rejects a warm-started solve, it starts from a circle around the
 root centroid whose radius is the geometric-mean distance to the roots.
 
-The three checks share one path, ``_run``: it counts every evaluation as
-attempted and every failed root solve, one that fails from the circle, as
+The three checks share one path, ``_run``, which hands each evaluation only
+its item, so every residual is judged per sample; it counts each evaluation
+as attempted and each failed root solve, one that fails from the circle, as
 skipped.  A report passes only if its worst residual is within ``tol`` (a
 non-finite residual counts as infinite) and it evaluated something: fewer
 evaluations were skipped than attempted, so a report that attempted nothing
@@ -367,22 +368,22 @@ def _worse(worst: float, residual: float) -> float:
 
 
 def _run(labels, samples: int, seed: int, tol: float, items, evaluate) -> list:
-    """One NumericReport per label over the outcomes that evaluate(item, worst)
+    """One NumericReport per label over the outcomes that evaluate(item)
     yields for each of ``items``, split across ``_fan_out``'s workers.  An
     outcome is one evaluation: one residual per report, or None for a failed
-    root solve, which every report counts as skipped.  ``worst`` is the
-    worker's running worst residual per report, folded with ``_worse``."""
+    root solve, which every report counts as skipped.  Each report keeps the
+    worst residual, folded with ``_worse``."""
 
     def work(part):
         worst = [0.0] * len(labels)
         attempted = skipped = 0
         for item in part:
-            for outcome in evaluate(item, worst):
+            for outcome in evaluate(item):
                 attempted += 1
                 if outcome is None:
                     skipped += 1
                 else:
-                    worst[:] = [_worse(w, r) for w, r in zip(worst, outcome)]
+                    worst = [_worse(w, r) for w, r in zip(worst, outcome)]
         return attempted, skipped, worst
 
     reports = [NumericReport(label=label, samples=samples, seed=seed, tol=tol) for label in labels]
@@ -416,11 +417,11 @@ def check_relations_batch(
     random monic degree-D polynomials f and report, per relation, the worst
     relative residual |num| / den, den = sum_rho |alpha_rho mean_rho|.  An
     exactly-zero mean leaves only rounding, which grows with the averaged
-    function's coefficients c_k, so when den <= tol * S the residual is
-    |num| / S, S = sum_rho |alpha_rho| mean_r sum_k |c_k| |r|^(deg-k).  As
-    den <= S, that only lowers a residual, so S is computed only for a
-    sample that would otherwise raise the worst one, and the worst residual
-    is the largest lowered one in whatever order the samples run.
+    function's coefficients c_k, so a sample whose residual exceeds tol is
+    read against the rounding scale S = sum_rho |alpha_rho| mean_r
+    sum_k |c_k| |r|^(deg-k): when den <= tol * S its residual is |num| / S.
+    As den <= S, that only lowers a residual, and a sample at or below tol
+    passes either way, so S is computed only for the samples above tol.
 
     rels: RelationVectors, or {rho: alpha} mappings, sharing (D, delta).
     Root families are found once per sample and reused across relations, so a
@@ -441,7 +442,7 @@ def check_relations_batch(
     highest = max([*support_union, delta])
     deepest = max(0, -lowest)
 
-    def evaluate(idx, worst):
+    def evaluate(idx):
         rng, roots, f = _sample(seed, D, D, delta, idx)
         constants = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deepest)]
         chain = _derived_chain(f.coeffs, lowest, highest, constants)
@@ -460,11 +461,11 @@ def check_relations_batch(
             yield None
             return
         outcome = []
-        for w, (_, support, alpha) in zip(worst, terms):
+        for _, support, alpha in terms:
             num = sum(a * means[r] for r, a in zip(support, alpha))
             den = sum(abs(a * means[r]) for r, a in zip(support, alpha))
             residual = abs(num) / den if den else 0.0
-            if residual > w:
+            if residual > tol:
                 moduli = [abs(c) for c in values]
                 scale = sum(abs(a) * sum(horner(moduli, abs(z)) for z in fams[r]) / len(fams[r])
                             for r, a in zip(support, alpha))
@@ -498,7 +499,7 @@ def _relative_rates(p: NumPoly, ks, roots) -> list:
 def relative_rates_report(
     max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
-    def evaluate(item, worst):
+    def evaluate(item):
         D, idx = item
         _, roots, p = _sample(seed, D, 7_001, D, idx)
         residual = 0.0
@@ -539,7 +540,7 @@ def _shift_outcomes(p: NumPoly, dh_list):
 def translation_invariance_report(
     max_degree: int, samples: int, seed: int, tol: float = RELATION_TOL
 ) -> NumericReport:
-    def evaluate(item, worst):
+    def evaluate(item):
         D, idx = item
         rng, _, p = _sample(seed, D, 9_001, D, idx)
         return _shift_outcomes(p, [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)])

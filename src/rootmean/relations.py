@@ -25,7 +25,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from .means import PhiKey, mean_values, phi
@@ -94,30 +93,30 @@ def _echelon(int_rows, ncols: int) -> list:
 
 
 def nullspace(rows, ncols: int | None = None) -> list:
-    """Exact right-nullspace basis of a matrix of ints or Fractions.
+    """Exact right-nullspace basis of a matrix of ints or Fractions, as
+    primitive integer vectors: one per free column, 0 in the other ones.
 
-    Denominators are cleared row by row, the integer matrix is reduced by
-    ``_echelon``, and rational back-substitution gives the reduced echelon
-    parametrization: one basis vector per free column, with a 1 in that free
-    column and 0 in the other free columns.  The result depends only on the
-    row space, so any matrix with the same row space (its echelon rows, say)
-    gives the same basis.  Deterministic.  ``ncols`` is only needed when the
-    matrix has no rows at all.
+    Denominators are cleared row by row, and the integer matrix is reduced
+    by ``_echelon``.  Back-substitution sets the free entry to the last
+    Bareiss pivot, the determinant of the pivot rows on the pivot columns,
+    so by Cramer's rule every entry is an integer and each division exact.
+    Each vector is the primitive form of the reduced echelon one (1 in its
+    free column), which depends only on the row space, so any matrix with
+    the same row space (its echelon rows, say) gives the same basis.
+    ``ncols`` is only needed when the matrix has no rows at all.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     mat = _echelon([_clear_row_denominators(row) for row in rows], ncols)
     pivot_cols = [next(c for c, x in enumerate(row) if x) for row in mat]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    last_pivot = mat[-1][pivot_cols[-1]] if mat else 1
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i in range(len(pivot_cols) - 1, -1, -1):
-            c = pivot_cols[i]
-            s = sum((mat[i][jc] * v[jc] for jc in range(c + 1, ncols)), Fraction(0))
-            v[c] = -s / mat[i][c]
-        basis.append(v)
+    for f in (c for c in range(ncols) if c not in pivot_cols):
+        v = [0] * ncols
+        v[f] = last_pivot
+        for row, c in zip(reversed(mat), reversed(pivot_cols)):
+            v[c] = -sum(map(operator.mul, row, v)) // row[c]
+        basis.append(primitive(v))
     return basis
 
 
@@ -150,8 +149,7 @@ def _circuits(vecs) -> list:
         null = nullspace([[vec[t] for vec in vecs] for t in T], ncols=k)
         if len(null) != 1:
             continue
-        lam = primitive(null[0])
-        vec = [sum(c * v[j] for c, v in zip(lam, vecs)) for j in range(ncols)]
+        vec = [sum(c * v[j] for c, v in zip(null[0], vecs)) for j in range(ncols)]
         found.setdefault(tuple(j for j, a in enumerate(vec) if a), vec)
     return list(found.values())
 
@@ -251,9 +249,9 @@ def find_relations(
 ) -> RelationReport:
     """Primitive basis of the relation space plus the minimal-support relations.
 
-    The basis is the reduced-echelon nullspace basis of the ``PhiMatrix``,
-    denominator-cleared.  A mean value is zero exactly when its unit vector
-    is a basis vector.
+    The basis is the primitive nullspace basis of the ``PhiMatrix``
+    (``nullspace``), one integer vector per free column.  A mean value is
+    zero exactly when its unit vector is a basis vector.
 
     The minimal-support relations are the circuits of the column matroid: the
     minimal-support vectors of the relation space restricted to the live
@@ -276,7 +274,7 @@ def find_relations(
             report.minimal_support_skipped = True
             live = []
         # a zero column's free vector is its unit vector, which vanishes on live
-        vecs = [primitive([v[i] for i in live]) for v in basis_vecs if any(v[i] for i in live)]
+        vecs = [[v[i] for i in live] for v in basis_vecs if any(v[i] for i in live)]
         rhos = [rho_set[i] for i in live]
         found = [RelationVector.make(D, delta, zip(rhos, vec)) for vec in _circuits(vecs)]
         report.minimal_support = sorted(found, key=lambda rel: (len(rel.support), rel.support, rel.alpha))
@@ -291,8 +289,9 @@ def find_relations(
 def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
     """True iff each alpha gives sum_rho alpha_rho phi(D, delta, rho) = 0 exactly.
 
-    Each alpha is aligned with ``rho_set``, strictly ascending (default
-    1..D-1); an invalid key raises ValueError (``PhiKey``).  With
+    Each alpha is an integer vector aligned with ``rho_set``, strictly
+    ascending (default 1..D-1); an invalid key raises ValueError
+    (``PhiKey``).  Scaling an alpha changes no verdict.  With
     deg_g = D - delta and n = D - rho, phi is sum_j w_j (order deg_g - j
     parameter) mean(z^j), and a partition kappa of j contributes
     c(kappa) prod_i C(n,i)^(k_i) / n to mean(z^j) (Girard-Waring), with
@@ -336,7 +335,6 @@ def certify_relations(D: int, alphas, delta: int = 0, rho_set=None) -> bool:
         raise ValueError(f"rho_set {tuple(rho_set)} is not strictly ascending")
     for rho in rho_set[-1:]:
         PhiKey(D, delta, rho)  # checks D, and the smallest family, which comes last
-    alphas = [primitive(alpha) for alpha in alphas]
     if any(len(alpha) != len(ns) for alpha in alphas):
         raise ValueError(f"every alpha needs {len(ns)} entries, one per rho")
     if delta > D:

@@ -9,6 +9,9 @@ way to compute what the engine computes, kept next to the tests that use it.
   ``add``, ``sub``, ``mul`` and ``symbol`` (the ring product phi is
   checked against), ``weights``, ``evaluate`` and ``from_json``.
 * ``rank`` of a relation report, from the dense relation vectors.
+* ``rational_nullspace``: the reduced echelon nullspace basis by back-
+  substitution in Fractions, which ``relations.nullspace`` must equal up to
+  ``primitive``.
 * ``full_walk_verdicts``: the coefficient-sum certificate over every
   monomial, parts of 1 included, which the centred certificate must match.
 """
@@ -150,6 +153,24 @@ def rank(report) -> int:
     """Rank of every relation a ``RelationReport`` lists, over its rho window."""
     rows = [[as_mapping(rel).get(rho, 0) for rho in report.rho_set] for rel in report.all_relations()]
     return len(_echelon(rows, len(report.rho_set)))
+
+
+def rational_nullspace(rows, ncols: int) -> list:
+    """Right-nullspace basis of a matrix of ints or Fractions: ``_echelon``'s
+    rows, then back-substitution in Fractions with a 1 in each free column
+    and 0 in the other free columns."""
+    mat = _echelon([_clear_row_denominators(row) for row in rows], ncols)
+    pivot_cols = [next(c for c, x in enumerate(row) if x) for row in mat]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_cols):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i in range(len(pivot_cols) - 1, -1, -1):
+            c = pivot_cols[i]
+            s = sum((mat[i][jc] * v[jc] for jc in range(c + 1, ncols)), Fraction(0))
+            v[c] = -s / mat[i][c]
+        basis.append(v)
+    return basis
 
 
 def full_walk_verdicts(D: int, alphas, delta: int = 0, rho_set=None) -> list:

@@ -41,7 +41,7 @@ def relative_rate(p, k, roots):
 def check_translation(p, dh_list):
     """The report of the translation check of p alone over the shifts dh_list."""
     [rep] = numeric._run(["translation"], len(dh_list), 0, numeric.RELATION_TOL, [p],
-                         lambda p, worst: numeric._shift_outcomes(p, dh_list))
+                         lambda p: numeric._shift_outcomes(p, dh_list))
     return rep
 
 
@@ -480,32 +480,33 @@ def test_nan_residual_fails_every_report(monkeypatch):
         assert not rep.passed, rep
 
 
+def test_rounding_scale_reads_only_samples_above_tol(monkeypatch):
+    # the 3 roots of f' and the 2 of f'' average to means 1e-9 apart in
+    # relative terms: the plain residual 5e-10 is within tol, so it is
+    # reported as is, not lowered against the rounding scale
+    monkeypatch.setattr(numeric, "mean_over_family",
+                        lambda coeffs, roots: 1e-20 if len(roots) == 3 else 1e-20 * (1 + 1e-9))
+    [rep] = check_relations_batch(4, 0, [{1: 1, 2: -1}], samples=3, seed=0)
+    assert rep.max_rel_residual == pytest.approx(5e-10, rel=1e-6)
+    assert rep.passed
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_counts_every_outcome(monkeypatch, workers):
     monkeypatch.setattr(numeric, "WORKERS", workers)
     outcomes = {0: [(0.5e-9, 1e-9), None], 1: [None], 2: [(2e-9, 0.0)], 3: []}
-    seen = []
-
-    def evaluate(item, worst):
-        # the running worst is the fold of this worker's earlier outcomes
-        seen.append((item, list(worst)))
-        return outcomes[item]
-
-    reports = numeric._run(["a", "b"], 4, 7, 1e-8, range(4), evaluate)
+    reports = numeric._run(["a", "b"], 4, 7, 1e-8, range(4), outcomes.get)
     assert [(r.label, r.samples, r.seed, r.attempted, r.skipped, r.max_rel_residual) for r in reports] == [
         ("a", 4, 7, 4, 2, 2e-9),
         ("b", 4, 7, 4, 2, 1e-9),
     ]
     assert all(r.passed for r in reports)
-    for k, (_, worst) in enumerate(seen):
-        earlier = [o for item, _ in seen[:k] for o in outcomes[item] if o is not None]
-        assert worst == ([max(0.0, *col) for col in zip(*earlier)] or [0.0, 0.0])
     # every evaluation skipped: nothing was checked, so nothing passes
-    reports = numeric._run(["a", "b"], 3, 0, 1e-8, range(3), lambda item, worst: [None])
+    reports = numeric._run(["a", "b"], 3, 0, 1e-8, range(3), lambda item: [None])
     assert [(r.attempted, r.skipped, r.passed) for r in reports] == [(3, 3, False)] * 2
     # a NaN residual reads inf and fails its own report only
     reports = numeric._run(["a", "b"], 2, 0, 1e-8, range(2),
-                           lambda item, worst: [(math.nan if item else 0.0, 0.0)])
+                           lambda item: [(math.nan if item else 0.0, 0.0)])
     assert [(r.max_rel_residual, r.passed) for r in reports] == [(math.inf, False), (0.0, True)]
 
 

@@ -24,7 +24,7 @@ from rootmean.relations import (
     relation_space_dim,
 )
 
-from oracles import add, as_mapping, evaluate, full_walk_verdicts, rank
+from oracles import add, as_mapping, evaluate, full_walk_verdicts, rank, rational_nullspace
 
 
 def plain_rank(vectors) -> int:
@@ -60,16 +60,12 @@ def test_nullspace_identity():
 
 def test_nullspace_duplicate_columns():
     rows = [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(2), Fraction(2), Fraction(5)]]
-    basis = nullspace(rows)
-    assert len(basis) == 1
-    assert primitive(basis[0]) == [1, -1, 0]
+    assert nullspace(rows) == [[1, -1, 0]]
 
 
 def test_nullspace_of_quartic_columns():
     m = PhiMatrix.build(4, 0, (1, 2, 3))
-    basis = nullspace(list(m.rows))
-    assert len(basis) == 1
-    assert primitive(basis[0]) == [5, -6, 1]
+    assert nullspace(list(m.rows)) == [[5, -6, 1]]
 
 
 def test_nullspace_wide_zero_matrix():
@@ -490,6 +486,38 @@ def test_nullspace_of_echelon_rows_property(matrix, data):
                 full = nullspace([[row[i] for i in subset] for row in mat], ncols=size)
                 reduced = nullspace([[row[i] for i in subset] for row in echelon], ncols=size)
                 assert reduced == full
+
+
+@st.composite
+def wide_matrices(draw):
+    """Integer or Fraction matrices up to 5 x 7, often wider than tall, with
+    zero rows and rows that combine earlier ones."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])  # rank deficient
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    if draw(st.booleans()):
+        dens = draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)))
+        rows = [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_matrices())
+def test_nullspace_is_primitive_rational_back_substitution_property(matrix):
+    rows, ncols = matrix
+    basis = nullspace(rows, ncols=ncols)
+    assert basis == [primitive(v) for v in rational_nullspace(rows, ncols)]
+    for v in basis:
+        assert all(type(a) is int for a in v) and primitive(v) == v
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, v)) == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -23,6 +23,7 @@ import sys
 
 CORRECTION_TOL = 1e-13
 ROOT_RESIDUAL_TOL = 1e-10
+MAX_SWEEPS = 160  # Aberth sweeps before the roots still moving are tested
 _EPS = sys.float_info.epsilon
 # complex operands spare the hot loop float's NotImplemented round trip in
 # 1.0 / d and 1.0 - x; the floats are the same
@@ -41,10 +42,11 @@ def horner(coeffs, z):
     return p
 
 
-def aberth_refine(coeffs, z0, max_sweeps):
+def aberth_refine(coeffs, z0):
     """Refine all roots of the monic polynomial simultaneously, then test them.
 
-    coeffs: descending complex coefficients, coeffs[0] == 1.
+    coeffs: descending complex coefficients, coeffs[0] == 1: ``find_roots``
+    divides by the leading coefficient before it calls the kernel.
     z0: initial guesses, one per root: a circle, or roots already found for
     a nearby polynomial.
     A root stops being updated once its own relative correction
@@ -55,7 +57,8 @@ def aberth_refine(coeffs, z0, max_sweeps):
     sum_k |a_k| max(1, |z|)^deg, which bounds it, so it costs nothing while
     a root is far from done and every decision is the same as with the sum
     taken at every step.  Stopped roots still enter the Aberth sums of the
-    roots that are moving.
+    roots that are moving.  After MAX_SWEEPS sweeps the roots still moving
+    stop where they are.
     Returns (roots list, sweeps used, accepted); accepted means every root
     passes the residual test |p(z)| <= ROOT_RESIDUAL_TOL * scale(z).  A root
     stopped at the rounding level 4 deg eps passes it by construction, as
@@ -81,7 +84,7 @@ def aberth_refine(coeffs, z0, max_sweeps):
     active = list(range(len(z)))
     unsure = []  # the roots the correction test stopped
     sweeps = 0
-    while active and sweeps < max_sweeps:
+    while active and sweeps < MAX_SWEEPS:
         sweeps += 1
         moving = []
         for i in active:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the exact symbolic engine so
 it can cross-validate it: polynomials are plain complex coefficient lists,
-root families come from a simultaneous-iteration root finder, and means are
-computed by Horner evaluation and averaging.
+root families come from a simultaneous-iteration root finder, which divides
+each list by its leading coefficient itself, and means are computed by
+Horner evaluation and averaging.
 
 The root-refinement inner loop, the residual test that accepts or rejects
 its roots and the Horner evaluator live in ``rootmean._aberth_py``; this
@@ -50,7 +51,6 @@ KERNEL_BACKEND = "python"
 
 RELATION_TOL = 1e-8
 MIN_ROOT_SEPARATION = 1e-6
-MAX_SWEEPS = 160  # Aberth sweeps before the kernel tests the roots still moving
 
 # processes a check's samples are split across: the CPUs this process may use
 if not hasattr(os, "fork"):
@@ -65,20 +65,7 @@ class RootFindingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class NumPoly:
-    """Monic polynomial with complex double coefficients, descending powers."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
-            raise ValueError("degree must be >= 1")
-        if self.coeffs[0] != 1:
-            raise ValueError("leading coefficient must be exactly 1")
-
-
-def monic_from_roots(roots) -> NumPoly:
+def monic_from_roots(roots) -> list:
     coeffs = [1 + 0j]
     for r in roots:
         nxt = [1 + 0j] * (len(coeffs) + 1)
@@ -87,26 +74,20 @@ def monic_from_roots(roots) -> NumPoly:
             nxt[i] = coeffs[i] - r * coeffs[i - 1]
         nxt[len(coeffs)] = -r * coeffs[-1]
         coeffs = nxt
-    return NumPoly(tuple(coeffs))
+    return coeffs
 
 
-def differentiate(coeffs, order=1) -> list:
-    out = list(coeffs)
-    for _ in range(order):
-        deg = len(out) - 1
-        if deg == 0:
-            return [0j]
-        out = [out[k] * (deg - k) for k in range(deg)]
-    return out
+def differentiate(coeffs) -> list:
+    deg = len(coeffs) - 1
+    if deg == 0:
+        return [0j]
+    return [coeffs[k] * (deg - k) for k in range(deg)]
 
 
-def integrate(coeffs, constants) -> list:
-    """Iterated antiderivative; constants[k] is the additive constant of the k-th integration."""
-    out = list(coeffs)
-    for c in constants:
-        deg = len(out) - 1
-        out = [out[k] / (deg - k + 1) for k in range(deg + 1)] + [complex(c)]
-    return out
+def integrate(coeffs, constant) -> list:
+    """Antiderivative whose constant term is ``constant``."""
+    deg = len(coeffs) - 1
+    return [coeffs[k] / (deg - k + 1) for k in range(deg + 1)] + [complex(constant)]
 
 
 def _derived_chain(coeffs, lowest: int, highest: int, constants) -> dict:
@@ -114,23 +95,13 @@ def _derived_chain(coeffs, lowest: int, highest: int, constants) -> dict:
     in lowest..highest, each one step from its neighbour towards order 0.
 
     Negative orders integrate with constants[k - 1] at the k-th step down.
-    Stepping gives the same floats as ``differentiate`` or ``integrate``
-    applied from order 0.
     """
     chain = {0: list(coeffs)}
     for k in range(1, highest + 1):
         chain[k] = differentiate(chain[k - 1])
     for k in range(1, 1 - lowest):
-        chain[-k] = integrate(chain[1 - k], [constants[k - 1]])
+        chain[-k] = integrate(chain[1 - k], constants[k - 1])
     return chain
-
-
-def monicized(coeffs) -> NumPoly:
-    """NumPoly with the same roots: divide through by the leading coefficient."""
-    lead = coeffs[0]
-    if lead == 0:
-        raise ValueError("zero leading coefficient")
-    return NumPoly((1 + 0j,) + tuple(c / lead for c in coeffs[1:]))
 
 
 def _fujiwara_radius(coeffs) -> float:
@@ -163,13 +134,15 @@ def _initial_guesses(coeffs) -> list:
     ]
 
 
-def find_roots(p: NumPoly, start=None) -> tuple:
-    """All complex roots of p, repeated by multiplicity, by Aberth's
-    simultaneous iteration.
+def find_roots(coeffs, start=None) -> tuple:
+    """All complex roots of p, the polynomial with descending coefficients
+    ``coeffs``, repeated by multiplicity, by Aberth's simultaneous iteration.
 
-    Exact trailing zero coefficients are exact roots 0: they are stripped and
-    returned as 0j after the other roots, because the residual scale below
-    vanishes with |r| when a_deg == 0.  The rest is solved by the kernel,
+    p must have degree >= 1 and a nonzero leading coefficient (else
+    ValueError); it is divided by that coefficient, and the a_k below are
+    the monic coefficients.  Exact trailing zero coefficients are exact
+    roots 0: they are stripped and returned as 0j after the other roots,
+    because the residual scale below vanishes with |r| when a_deg == 0.  The rest is solved by the kernel,
     each root stopping on its own once converged, and the kernel accepts
     the roots when every residual satisfies |p(r)| <= ROOT_RESIDUAL_TOL *
     scale(r) with scale(r) = sum_k |a_k| |r|^(deg-k).  The kernel starts
@@ -181,7 +154,10 @@ def find_roots(p: NumPoly, start=None) -> tuple:
     A multiple root comes back as that many separate approximations, and
     close distinct roots stay apart.
     """
-    coeffs = list(p.coeffs)
+    if len(coeffs) < 2 or coeffs[0] == 0:
+        raise ValueError("need degree >= 1 and a nonzero leading coefficient")
+    lead = coeffs[0]
+    coeffs = [1 + 0j] + [c / lead for c in coeffs[1:]]
     zeros = 0
     while coeffs[-1] == 0:
         coeffs.pop()
@@ -194,19 +170,19 @@ def find_roots(p: NumPoly, start=None) -> tuple:
     else:
         ok = False
         if start is not None and not zeros and len(start) == deg:
-            z, _, ok = _kernel.aberth_refine(coeffs, start, MAX_SWEEPS)
+            z, _, ok = _kernel.aberth_refine(coeffs, start)
         if not ok:
-            z, _, ok = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs), MAX_SWEEPS)
+            z, _, ok = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs))
             if not ok:
                 raise RootFindingError(f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}")
     return tuple(z) + (0j,) * zeros
 
 
 def _derivative_start(coeffs, parent):
-    """Aberth start for the roots of the monic ``coeffs`` from the roots of
-    the polynomial it is the (scaled) derivative of, or None without them.
+    """Aberth start for the roots of ``coeffs`` from the roots of the
+    polynomial it is the derivative of, or None without them.
 
-    Both share the centroid c = -a_1 / n, and the critical points of a
+    Both share the centroid c = -(a_1 / a_0) / n, and the critical points of a
     random polynomial pair up with its roots (Kabluchko 2015, Hanin 2017).
     So the n + 1 parent roots less the one nearest c start the n roots
     sought, each moved toward c by the factor n / (n + 1).
@@ -214,7 +190,7 @@ def _derivative_start(coeffs, parent):
     n = len(coeffs) - 1
     if parent is None or n < 2:  # find_roots solves degree 1 without a start
         return None
-    c = -coeffs[1] / n
+    c = -(coeffs[1] / coeffs[0]) / n
     gaps = [abs(r - c) for r in parent]
     shrink = n / (n + 1)
     start = [c + (r - c) * shrink for r in parent]
@@ -445,7 +421,7 @@ def check_relations_batch(
     def evaluate(idx):
         rng, roots, f = _sample(seed, D, D, delta, idx)
         constants = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deepest)]
-        chain = _derived_chain(f.coeffs, lowest, highest, constants)
+        chain = _derived_chain(f, lowest, highest, constants)
         values = chain[delta]
         fams, means = {}, {}
         try:
@@ -453,9 +429,8 @@ def check_relations_batch(
                 if rho == 0:
                     fams[0] = roots
                 else:
-                    monic = monicized(chain[rho])
                     parent = roots if rho == 1 else fams.get(rho - 1)
-                    fams[rho] = find_roots(monic, _derivative_start(monic.coeffs, parent))
+                    fams[rho] = find_roots(chain[rho], _derivative_start(chain[rho], parent))
                 means[rho] = mean_over_family(values, fams[rho])
         except RootFindingError:
             yield None
@@ -477,14 +452,14 @@ def check_relations_batch(
     return _run([label for label, _, _ in terms], samples, seed, tol, range(samples), evaluate)
 
 
-def _relative_rates(p: NumPoly, ks, roots) -> list:
-    """[(sum, terms)] of f^(k)(r) / f'(r) over the roots r of p, in root order,
+def _relative_rates(f, ks, roots) -> list:
+    """[(sum, terms)] of f^(k)(r) / f'(r) over the roots r of f, in root order,
     for each k of the ascending ks; needs simple roots, as ``sample_roots``
     draws them.
 
     f' at the roots and the derivative chain are built once for all ks.
     """
-    chain = _derived_chain(p.coeffs, 0, max(ks), ())
+    chain = _derived_chain(f, 0, max(ks), ())
     slopes = [horner(chain[1], r) for r in roots]
     out = []
     for k in ks:
@@ -513,7 +488,7 @@ def relative_rates_report(
     return report
 
 
-def _shift_outcomes(p: NumPoly, dh_list):
+def _shift_outcomes(p, dh_list):
     """One outcome per dh: the mean slope over the roots of p - dh compared
     with dh = 0, as a one-residual tuple, or None when a solve failed.
 
@@ -525,12 +500,12 @@ def _shift_outcomes(p: NumPoly, dh_list):
     except RootFindingError:
         yield from [None] * len(dh_list)
         return
-    slope = differentiate(p.coeffs)
+    slope = differentiate(p)
     base = mean_over_family(slope, base_fam)
     scale = max(1.0, abs(base))
     for dh in dh_list:
         try:
-            fam = find_roots(NumPoly(p.coeffs[:-1] + (p.coeffs[-1] - dh,)), base_fam)
+            fam = find_roots(p[:-1] + [p[-1] - dh], base_fam)
         except RootFindingError:
             yield None
             continue

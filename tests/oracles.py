@@ -11,7 +11,9 @@ way to compute what the engine computes, kept next to the tests that use it.
 * ``rank`` of a relation report, from the dense relation vectors.
 * ``rational_nullspace``: the reduced echelon nullspace basis by back-
   substitution in Fractions, which ``relations.nullspace`` must equal up to
-  ``primitive``.
+  ``primitive``.  It and ``rank`` eliminate with this module's own copy of
+  the Bareiss forward elimination, ``echelon``, so a fault in the engine's
+  elimination cannot hide in both sides of a comparison.
 * ``full_walk_verdicts``: the coefficient-sum certificate over every
   monomial, parts of 1 included, which the centred certificate must match.
 """
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from rootmean.exact import ZERO
 from rootmean.means import PhiKey, _term_weight
-from rootmean.relations import _clear_row_denominators, _echelon, primitive
+from rootmean.relations import primitive
 from rootmean.sympoly import SymPoly, poly_sum
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,46 @@ def from_json(data: dict, D: int | None = None) -> SymPoly:
 # relations
 
 
+def clear_row_denominators(row) -> list:
+    """Integer multiple of a row of ints or Fractions; an integral row is read as is."""
+    lcm = 1
+    for x in row:
+        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    if lcm == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (lcm // x.denominator) for x in row]
+
+
+def echelon(int_rows, ncols: int) -> list:
+    """Nonzero rows of a fraction-free (Bareiss) forward elimination.
+
+    Reduces ``int_rows`` (lists of ints, modified in place) to row echelon
+    form with the same row space; at most ``ncols`` rows remain.
+    """
+    mat = [r for r in int_rows if any(r)]
+    nrows = len(mat)
+    prev_piv = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            mat[r], mat[pr] = mat[pr], mat[r]
+        piv = mat[r][c]
+        for i in range(r + 1, nrows):
+            if not any(mat[i][c:]):
+                continue
+            fi = mat[i][c]
+            for jc in range(c, ncols):
+                mat[i][jc] = (mat[i][jc] * piv - fi * mat[r][jc]) // prev_piv
+        prev_piv = piv
+        r += 1
+    return mat[:r]
+
+
 def as_mapping(rel) -> dict:
     return dict(zip(rel.support, rel.alpha))
 
@@ -152,14 +194,14 @@ def as_mapping(rel) -> dict:
 def rank(report) -> int:
     """Rank of every relation a ``RelationReport`` lists, over its rho window."""
     rows = [[as_mapping(rel).get(rho, 0) for rho in report.rho_set] for rel in report.all_relations()]
-    return len(_echelon(rows, len(report.rho_set)))
+    return len(echelon(rows, len(report.rho_set)))
 
 
 def rational_nullspace(rows, ncols: int) -> list:
-    """Right-nullspace basis of a matrix of ints or Fractions: ``_echelon``'s
+    """Right-nullspace basis of a matrix of ints or Fractions: ``echelon``'s
     rows, then back-substitution in Fractions with a 1 in each free column
     and 0 in the other free columns."""
-    mat = _echelon([_clear_row_denominators(row) for row in rows], ncols)
+    mat = echelon([clear_row_denominators(row) for row in rows], ncols)
     pivot_cols = [next(c for c, x in enumerate(row) if x) for row in mat]
     basis = []
     for f in (c for c in range(ncols) if c not in pivot_cols):
@@ -187,7 +229,7 @@ def full_walk_verdicts(D: int, alphas, delta: int = 0, rho_set=None) -> list:
     L = math.lcm(*ns)
     scaled = [[a * (L // n) for a, n in zip(alpha, ns)] for alpha in alphas]
     cols = [[math.comb(n, part) for n in ns if n >= part] for part in range(deg_g + 1)]
-    w = _clear_row_denominators([_term_weight(D, delta, j) for j in range(deg_g + 1)])
+    w = clear_row_denominators([_term_weight(D, delta, j) for j in range(deg_g + 1)])
     power = [0] + [(deg_g + 1) ** part for part in range(1, deg_g + 1)]
     totals = {power[deg_g]: [w[0] * L * sum(alpha) for alpha in alphas]}
 

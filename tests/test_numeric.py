@@ -12,7 +12,6 @@ import pytest
 
 from rootmean import cli, numeric
 from rootmean.numeric import (
-    NumPoly,
     RootFindingError,
     check_relations_batch,
     differentiate,
@@ -21,7 +20,6 @@ from rootmean.numeric import (
     integrate,
     mean_over_family,
     monic_from_roots,
-    monicized,
     sample_rng,
     sample_roots,
 )
@@ -52,21 +50,64 @@ def moments(roots):
     return mean, sum((r - mean) ** 2 for r in roots) / n, sum((r - mean) ** 3 for r in roots) / n
 
 
-def test_numpoly_requires_monic():
-    with pytest.raises(ValueError):
-        NumPoly((2, 0, -1))
-    with pytest.raises(ValueError):
-        NumPoly((1,))
-    assert monicized([2, 0, -2]).coeffs == (1, 0, -1)
+def monicized(coeffs):
+    """coeffs divided through by the leading coefficient, as find_roots divides them."""
+    return [1 + 0j] + [c / coeffs[0] for c in coeffs[1:]]
+
+
+def derivative(coeffs, order):
+    """The order-th derivative, one differentiation step at a time."""
+    out = list(coeffs)
+    for _ in range(order):
+        deg = len(out) - 1
+        if deg == 0:
+            return [0j]
+        out = [out[k] * (deg - k) for k in range(deg)]
+    return out
+
+
+def antiderivative(coeffs, constants):
+    """The len(constants)-fold antiderivative, one integration at a time;
+    constants[k] is the constant term of the (k + 1)-th."""
+    out = list(coeffs)
+    for c in constants:
+        deg = len(out) - 1
+        out = [out[k] / (deg - k + 1) for k in range(deg + 1)] + [complex(c)]
+    return out
+
+
+def test_find_roots_needs_a_leading_coefficient_and_degree():
+    for bad in ([0, 2, -1], (0j, 1), [1], [3 + 0j], []):
+        with pytest.raises(ValueError):
+            find_roots(bad)
+
+
+def test_find_roots_divides_by_the_leading_coefficient():
+    r = sorted_roots(find_roots([2, 0, -2]))
+    assert abs(r[0] + 1) < 1e-12 and abs(r[1] - 1) < 1e-12
+    # on derivative chains the solve is the solve of the monic polynomial,
+    # float for float, from the circle and from the parent's roots alike
+    for D in range(3, 10):
+        rng = random.Random(200 + D)
+        for _ in range(5):
+            roots = sample_roots(rng, D)
+            chain = numeric._derived_chain(monic_from_roots(roots), 0, D - 1, ())
+            parent = roots
+            for rho in range(1, D):
+                start = numeric._derivative_start(chain[rho], parent)
+                got = find_roots(chain[rho], start)
+                assert got == find_roots(monicized(chain[rho]), start), (D, rho)
+                assert find_roots(chain[rho]) == find_roots(monicized(chain[rho])), (D, rho)
+                parent = got
 
 
 def test_find_roots_quadratic():
-    r = sorted_roots(find_roots(NumPoly((1, 0, -1))))
+    r = sorted_roots(find_roots((1, 0, -1)))
     assert abs(r[0] + 1) < 1e-12 and abs(r[1] - 1) < 1e-12
 
 
 def test_find_roots_triple_root():
-    roots = find_roots(NumPoly((1, -3, 3, -1)))  # (x-1)^3
+    roots = find_roots((1, -3, 3, -1))  # (x-1)^3
     assert len(roots) == 3
     for z in roots:
         assert abs(z - 1) < 1e-3
@@ -87,12 +128,11 @@ def test_find_roots_exact_zero_roots():
         for a, b in zip(got, sorted_roots(planted)):
             assert abs(a - b) < 1e-9
     for k in range(1, 13):
-        assert find_roots(NumPoly((1,) + (0,) * k)) == (0j,) * k
+        assert find_roots((1,) + (0,) * k) == (0j,) * k
 
 
-def kernel_solve(p):
-    coeffs = list(p.coeffs)
-    return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs), numeric.MAX_SWEEPS)
+def kernel_solve(coeffs):
+    return numeric._kernel.aberth_refine(coeffs, numeric._initial_guesses(coeffs))
 
 
 # clusters, Wilkinson's degree-10 polynomial and two close roots
@@ -117,7 +157,7 @@ def test_kernel_sweeps_on_sampled_families():
         for _ in range(20):
             f = monic_from_roots(sample_roots(rng, D))
             for rho in range(D - 1):
-                _, n, accepted = kernel_solve(monicized(differentiate(f.coeffs, rho)))
+                _, n, accepted = kernel_solve(monicized(derivative(f, rho)))
                 assert accepted
                 sweeps.append(n)
     assert sum(sweeps) / len(sweeps) < 6.5
@@ -140,10 +180,11 @@ def plainly_accepted(coeffs, z):
     return True
 
 
-def reference_aberth_refine(coeffs, z0, max_sweeps):
+def reference_aberth_refine(coeffs, z0):
     """The kernel's loop written plainly, with the rounding-level sum taken
     at every step, float operands in the Aberth sum and the verdict from a
     test of every root: the kernel must reproduce it bit for bit."""
+    max_sweeps = numeric._kernel.MAX_SWEEPS
     z = list(z0)
     tail = coeffs[1:]
     abs_tail = [abs(c) for c in tail]
@@ -201,19 +242,18 @@ def test_kernel_is_bit_identical_to_reference():
         rng = random.Random(100 + D)
         for _ in range(10):
             f = monic_from_roots(sample_roots(rng, D))
-            polys += [monicized(differentiate(f.coeffs, rho)) for rho in range(D - 1)]
-    for p in polys:
-        coeffs = list(p.coeffs)
+            polys += [monicized(derivative(f, rho)) for rho in range(D - 1)]
+    for coeffs in polys:
         circle = numeric._initial_guesses(coeffs)
         # modulus 1e200 overflows |z|^deg: every start, and one among the circle
         starts = [circle, [1e200 * z / abs(z) for z in circle], [1e200j] + circle[1:]]
         for z0 in starts:
-            want = reference_aberth_refine(coeffs, z0, numeric.MAX_SWEEPS)
-            got = numeric._kernel.aberth_refine(coeffs, z0, numeric.MAX_SWEEPS)
-            assert float_bits(got) == float_bits(want), (p, z0[0])
+            want = reference_aberth_refine(coeffs, z0)
+            got = numeric._kernel.aberth_refine(coeffs, z0)
+            assert float_bits(got) == float_bits(want), (coeffs, z0[0])
 
 
-def test_kernel_closing_test_rejects():
+def test_kernel_closing_test_rejects(monkeypatch):
     # one sweep from the circle leaves the roots of sampled degree-8 families
     # finite but far from done; two starts 1e-14 apart, far from any root,
     # shrink each other's Aberth corrections below CORRECTION_TOL at once.
@@ -221,13 +261,14 @@ def test_kernel_closing_test_rejects():
     rng = random.Random(8)
     cases = []
     for _ in range(5):
-        coeffs = list(monic_from_roots(sample_roots(rng, 8)).coeffs)
+        coeffs = monic_from_roots(sample_roots(rng, 8))
         cases.append((coeffs, numeric._initial_guesses(coeffs), 1))
-    cases += [([1 + 0j, 0j, -1 + 0j], [5, 5 + 1e-14], numeric.MAX_SWEEPS),
-              ([1 + 0j, 0j, 0j, -1 + 0j], [5 + 0j, 5 + 1e-14j, -3j], numeric.MAX_SWEEPS)]
+    cases += [([1 + 0j, 0j, -1 + 0j], [5, 5 + 1e-14], numeric._kernel.MAX_SWEEPS),
+              ([1 + 0j, 0j, 0j, -1 + 0j], [5 + 0j, 5 + 1e-14j, -3j], numeric._kernel.MAX_SWEEPS)]
     for coeffs, z0, max_sweeps in cases:
-        got = numeric._kernel.aberth_refine(coeffs, z0, max_sweeps)
-        want = reference_aberth_refine(coeffs, z0, max_sweeps)
+        monkeypatch.setattr(numeric._kernel, "MAX_SWEEPS", max_sweeps)
+        got = numeric._kernel.aberth_refine(coeffs, z0)
+        want = reference_aberth_refine(coeffs, z0)
         assert float_bits(got) == float_bits(want)
         z, _, accepted = got
         assert not accepted and all(math.isfinite(abs(r)) for r in z)
@@ -237,7 +278,7 @@ def test_kernel_reports_overflow_as_unconverged():
     # seven coinciding starts on z^7 - 1/2 throw the roots to about 9e45j,
     # where |p(z)| overflows: the kernel rejects that solve
     coeffs = [1 + 0j] + [0j] * 6 + [-0.5 + 0j]
-    z, _, accepted = numeric._kernel.aberth_refine(coeffs, [0j] * 7, numeric.MAX_SWEEPS)
+    z, _, accepted = numeric._kernel.aberth_refine(coeffs, [0j] * 7)
     assert not accepted
     assert not plainly_accepted(coeffs, z)
 
@@ -251,9 +292,9 @@ def record_kernel(monkeypatch, fail_warm=False):
     calls = []
     real = numeric._kernel.aberth_refine
 
-    def kernel(coeffs, z0, max_sweeps):
+    def kernel(coeffs, z0):
         warm = list(z0) != numeric._initial_guesses(coeffs)
-        z, sweeps, accepted = (list(z0), 1, False) if fail_warm and warm else real(coeffs, z0, max_sweeps)
+        z, sweeps, accepted = (list(z0), 1, False) if fail_warm and warm else real(coeffs, z0)
         calls.append((list(z0), warm, sweeps, accepted))
         return z, sweeps, accepted
 
@@ -309,7 +350,7 @@ def test_unusable_start_falls_back_to_circle(monkeypatch):
     ]:
         got = find_roots(q, start=start)
         # the cubic's circle: for q with a zero root, after the zero is stripped
-        assert calls[-1][0] == numeric._initial_guesses(list(q.coeffs[:4]))
+        assert calls[-1][0] == numeric._initial_guesses(q[:4])
         assert sorted_roots(got) == sorted_roots(find_roots(q))
 
 
@@ -318,13 +359,13 @@ def test_start_that_diverges_falls_back_to_circle(monkeypatch):
     # past 1e45, where |p| / scale is inf / inf; no NaN passes the residual
     # test, so the solve is retried from the circle
     calls = record_kernel(monkeypatch)
-    q = NumPoly((1,) + (0,) * 6 + (-0.5,))
+    q = (1,) + (0,) * 6 + (-0.5,)
     got = find_roots(q, start=[0j] * 7)
     assert len(calls) == 2 and not calls[-1][1]
     assert max(abs(z) for z in calls[0][0]) == 0
     assert sorted_roots(got) == sorted_roots(find_roots(q))
     # the translation check starts z^7 - dh from the seven exact zeros of z^7
-    rep = check_translation(NumPoly((1,) + (0,) * 7), [0.5, -1j, 0.3 + 0.2j])
+    rep = check_translation([1] + [0] * 7, [0.5, -1j, 0.3 + 0.2j])
     assert rep.passed and rep.skipped == 0
 
 
@@ -347,19 +388,19 @@ def test_find_roots_rational_roots_degree8():
 
 
 def test_find_roots_error_carries_residual(monkeypatch):
-    monkeypatch.setattr(numeric, "MAX_SWEEPS", 1)
+    monkeypatch.setattr(numeric._kernel, "MAX_SWEEPS", 1)
     with pytest.raises(RootFindingError):
-        find_roots(NumPoly(tuple([1] + [0] * 7 + [-1])))
+        find_roots([1] + [0] * 7 + [-1])
 
 
 def test_derivative_and_integral_coefficients():
-    p = NumPoly((1, -2, 3, -4))
-    assert differentiate(p.coeffs) == [3, -4, 3]
-    assert differentiate(p.coeffs, 3) == [6]
-    anti = integrate(p.coeffs, [5.0])
+    p = (1, -2, 3, -4)
+    assert differentiate(p) == [3, -4, 3]
+    assert differentiate([7]) == [0j]
+    anti = integrate(p, 5.0)
     assert anti == [0.25, -2 / 3, 1.5, -4, 5.0]
-    assert numeric._derived_chain(p.coeffs, -1, 0, [5.0])[-1] == anti
-    assert numeric._derived_chain(p.coeffs, 0, 0, ())[0] == list(p.coeffs)
+    assert numeric._derived_chain(p, -1, 0, [5.0])[-1] == anti
+    assert numeric._derived_chain(p, 0, 0, ())[0] == list(p)
 
 
 def test_derived_chain_is_bit_identical():
@@ -371,15 +412,15 @@ def test_derived_chain_is_bit_identical():
         roots = sample_roots(rng, D)
         p = monic_from_roots(roots)
         constants = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
-        chain = numeric._derived_chain(p.coeffs, -3, D + 1, constants)
+        chain = numeric._derived_chain(p, -3, D + 1, constants)
         for order in range(D + 2):
-            assert chain[order] == differentiate(p.coeffs, order)
+            assert chain[order] == derivative(p, order)
         for depth in range(1, 4):
-            assert chain[-depth] == integrate(p.coeffs, constants[:depth])
-        d1 = differentiate(p.coeffs)
+            assert chain[-depth] == antiderivative(p, constants[:depth])
+        d1 = differentiate(p)
         ks = range(2, D + 1)
         for k, (total, terms) in zip(ks, numeric._relative_rates(p, ks, roots)):
-            dk = differentiate(p.coeffs, k)
+            dk = derivative(p, k)
             assert terms == [horner(dk, r) / horner(d1, r) for r in roots]
             assert total == relative_rate(p, k, roots)
 
@@ -389,7 +430,7 @@ def test_mean_over_own_roots_is_zero():
     for _ in range(10):
         roots = sample_roots(rng, rng.randint(2, 7))
         p = monic_from_roots(roots)
-        assert abs(mean_over_family(p.coeffs, roots)) < 1e-9 * (1 + max(abs(r) for r in roots))
+        assert abs(mean_over_family(p, roots)) < 1e-9 * (1 + max(abs(r) for r in roots))
 
 
 def test_mean_over_empty_family_rejected():
@@ -401,8 +442,8 @@ def test_quartic_relation_direct():
     p = monic_from_roots([1, 2, 3, 4])
     means = {}
     for rho in (1, 2, 3):
-        roots = find_roots(monicized(differentiate(p.coeffs, rho)))
-        means[rho] = mean_over_family(p.coeffs, roots)
+        roots = find_roots(derivative(p, rho))
+        means[rho] = mean_over_family(p, roots)
     assert abs(5 * means[1] - 6 * means[2] + means[3]) < 1e-10
 
 
@@ -411,7 +452,7 @@ def test_cubic_mean_slope_is_three_halves_variance():
     for _ in range(10):
         roots = sample_roots(rng, 3)
         p = monic_from_roots(roots)
-        mean_slope = mean_over_family(differentiate(p.coeffs), roots)
+        mean_slope = mean_over_family(differentiate(p), roots)
         _, var, _ = moments(roots)
         assert abs(mean_slope - 1.5 * var) < 1e-9
 
@@ -516,13 +557,13 @@ def test_negative_samples_rejected():
 
 
 def test_relative_rates_symmetric_quadratic():
-    p = NumPoly((1, 0, -1))
+    p = [1, 0, -1]
     total = relative_rate(p, 2, roots=[-1, 1])
     assert abs(total) < 1e-14
 
 
 def test_relative_rates_above_degree_is_exact_zero():
-    p = NumPoly((1, 0, -1))
+    p = [1, 0, -1]
     assert relative_rate(p, 5, roots=[-1, 1]) == 0j
 
 
@@ -534,8 +575,8 @@ def test_relative_rates_random():
         p = monic_from_roots(roots)
         for k in range(2, deg + 1):
             total = relative_rate(p, k, roots=roots)
-            dk = differentiate(p.coeffs, k)
-            d1 = differentiate(p.coeffs, 1)
+            dk = derivative(p, k)
+            d1 = differentiate(p)
             mag = sum(abs(horner(dk, r) / horner(d1, r)) for r in roots)
             assert abs(total) <= 1e-8 * max(mag, 1.0)
 
@@ -548,7 +589,7 @@ def test_translation_invariance_zero_shift_exact():
 
 def test_translation_invariance_quadratic_any_shift():
     # the mean slope of a quadratic equals the slope at the vertex: constant
-    p = NumPoly((1, -3, 1))
+    p = [1, -3, 1]
     rep = check_translation(p, [0.5, -2.0, 11.0])
     assert rep.passed
 
@@ -573,9 +614,9 @@ def fail_shifted_solves(monkeypatch):
     real_find_roots = numeric.find_roots
 
     def find_roots_or_fail(p, *args, **kwargs):
-        if p.coeffs[:-1] in seen:
+        if tuple(p[:-1]) in seen:
             raise RootFindingError("forced")
-        seen.add(p.coeffs[:-1])
+        seen.add(tuple(p[:-1]))
         return real_find_roots(p, *args, **kwargs)
 
     monkeypatch.setattr(numeric, "find_roots", find_roots_or_fail)
@@ -629,7 +670,7 @@ def test_cubic_inflection_point_value():
         roots = sample_roots(rng, 3)
         p = monic_from_roots(roots)
         E, _, W = moments(roots)
-        assert abs(horner(p.coeffs, E) + W) < 1e-9
+        assert abs(horner(p, E) + W) < 1e-9
 
 
 def test_sample_rng_deterministic_and_stream_separated():
@@ -662,7 +703,7 @@ def test_symbolic_numeric_agreement():
             e = elementary_symmetric(roots)
             values = {i: e[i] / math.comb(D, i) for i in range(1, D + 1)}
             constants = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2)]
-            chain = numeric._derived_chain(p.coeffs, -2, 2, constants)
+            chain = numeric._derived_chain(p, -2, 2, constants)
             for rho in range(-2, min(3, D)):
                 for delta in range(0, min(3, D)):
                     res = phi(PhiKey(D, delta, rho))
@@ -672,7 +713,7 @@ def test_symbolic_numeric_agreement():
                     if rho == 0:
                         family = roots
                     else:
-                        family = find_roots(monicized(chain[rho]))
+                        family = find_roots(chain[rho])
                     got = mean_over_family(chain[delta], family)
                     scale = max(1.0, abs(complex(want)))
                     assert abs(complex(want) - got) <= 1e-8 * scale
@@ -720,7 +761,7 @@ def test_skipped_samples_do_not_depend_on_worker_count(monkeypatch):
     real_find_roots = numeric.find_roots
 
     def find_roots_or_fail(p, *args, **kwargs):
-        if int(abs(p.coeffs[-1]) * 1e6) % 3 == 0:
+        if int(abs(p[-1]) * 1e6) % 3 == 0:
             raise RootFindingError("forced")
         return real_find_roots(p, *args, **kwargs)
 

@@ -4,7 +4,10 @@ A cheap matrix of ``rootmean`` calls, one per subcommand and mode in each
 format it offers plus config errors, runs in process under a call tracer
 (``sys.settrace``: the package starts no thread).  Each function the package
 defines must be entered by one of them or be on ``KEEP``, which says why it
-stays.  Code that only a test calls belongs in ``tests/``.
+stays.  Code that only a test calls belongs in ``tests/``.  Likewise each
+parameter with a default, outside the functions on ``KEEP``, must be passed
+some other value by one of them or be on ``DEFAULTS_KEPT``: a value that
+only tests set is a knob the package does not need.
 
 The package also has one Horner evaluator: a Horner step ``v = v * z + c``
 may appear only in the functions on ``HORNER_STEPS``.  And it has one way to
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import functools
 import io
 import os
 import sys
@@ -40,6 +44,9 @@ KEEP = {
     "exact.PartitionVector.__repr__": "Python protocol method",
     "exact.PartitionVector.as_list": "spells PartitionVector.__repr__",
 }
+
+# "function.parameter" of the defaults no CLI call overrides, each with the reason it stays
+DEFAULTS_KEPT = {}
 
 # the functions that may take a Horner step, each with the reason
 HORNER_STEPS = {
@@ -96,6 +103,12 @@ def _matrix(tmp_path):
         (["verify", "--conjecture", "dimension", "--max-degree", "4", "--threads", "2"], 0),
         # a relation over antiderivative families (negative rho)
         (["numeric-check", "--relation", "2:-2,-5:-1", "--D", "3", "--samples", "2"], 0),
+        # a tolerance other than the default, for each check family
+        (["numeric-check", "--auto", "--D", "4", "--samples", "2", "--tol", "1e-6"], 0),
+        (["numeric-check", "--conjecture", "relative-rates", "--max-degree", "3", "--samples", "2",
+          "--tol", "1e-6"], 0),
+        (["numeric-check", "--conjecture", "translation", "--max-degree", "3", "--samples", "2",
+          "--tol", "1e-6"], 0),
         (["mine", "--k-max", "2", "--d-sweep", "5", "--output", str(tmp_path / "mine.txt")], 0),
         # D=15 is the one degree below 20 that reaches the divisor-root scan
         (["mine", "--k-max", "2", "--d-sweep", "15"], 0),
@@ -126,24 +139,42 @@ def _modules():
                 yield path, filename[:-3], ast.parse(fh.read())
 
 
-def _defined_functions() -> dict:
-    """{(file, first line of the code object): dotted name} of every def in the package."""
-    out = {}
+def _definitions() -> list:
+    """(file, first line of the code object, dotted name, module, syntax node)
+    of every def in the package."""
+    out = []
 
-    def visit(node, path, prefix):
+    def visit(node, path, module, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{prefix}.{child.name}"
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                out[(path, first)] = name
-                visit(child, path, name)
+                out.append((path, first, name, module, child))
+                visit(child, path, module, name)
             elif isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}.{child.name}")
+                visit(child, path, module, f"{prefix}.{child.name}")
             else:
-                visit(child, path, prefix)
+                visit(child, path, module, prefix)
 
     for path, module, tree in _modules():
-        visit(tree, path, module)
+        visit(tree, path, module, module)
+    return out
+
+
+def _defaulted_parameters() -> dict:
+    """{(file, first line of the code object): (dotted name, [(parameter,
+    default value)])} of every def off ``KEEP`` with a defaulted parameter;
+    each default is evaluated in its module's namespace."""
+    out = {}
+    for path, first, name, module, node in _definitions():
+        args = node.args
+        positional = args.posonlyargs + args.args
+        pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        pairs += [(arg, d) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if pairs and name not in KEEP:
+            scope = vars(sys.modules[f"rootmean.{module}"])
+            out[(path, first)] = (name, [(arg.arg, eval(compile(ast.Expression(d), path, "eval"), scope))
+                                         for arg, d in pairs])
     return out
 
 
@@ -156,18 +187,11 @@ def _clear_caches():
                     value.cache_clear()
 
 
-def test_every_function_is_reached_or_kept(tmp_path, monkeypatch):
+def _trace_matrix(tmp_path, monkeypatch, tracer):
+    """Run the matrix with ``tracer`` as the global trace function, which
+    sees every call the package makes, and check each exit code."""
     # the tracer sees this process only, so numeric checks keep their samples here
     monkeypatch.setattr("rootmean.numeric.WORKERS", 1)
-    defined = _defined_functions()
-    assert set(KEEP) <= set(defined.values()), sorted(set(KEEP) - set(defined.values()))
-    entered = set()
-
-    def tracer(frame, event, arg):
-        # code objects compare by content, not file: two same-line properties
-        # with the same body in two modules would count as one
-        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
-
     _clear_caches()
     old = sys.gettrace()
     sys.settrace(tracer)
@@ -179,9 +203,43 @@ def test_every_function_is_reached_or_kept(tmp_path, monkeypatch):
     finally:
         sys.settrace(old)
     assert [c for c in codes if c[1] != c[2]] == []
+
+
+def test_every_function_is_reached_or_kept(tmp_path, monkeypatch):
+    defined = {(path, first): name for path, first, name, _, _ in _definitions()}
+    assert set(KEEP) <= set(defined.values()), sorted(set(KEEP) - set(defined.values()))
+    entered = set()
+
+    def tracer(frame, event, arg):
+        # code objects compare by content, not file: two same-line properties
+        # with the same body in two modules would count as one
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    _trace_matrix(tmp_path, monkeypatch, tracer)
     reached = {(os.path.realpath(path), line) for path, line in entered}
     unreached = sorted(name for key, name in defined.items() if key not in reached and name not in KEEP)
     assert not unreached, "no CLI call enters: " + ", ".join(unreached)
+
+
+def test_every_default_is_overridden_or_kept(tmp_path, monkeypatch):
+    defaulted = _defaulted_parameters()
+    named = {f"{name}.{param}" for name, params in defaulted.values() for param, _ in params}
+    assert set(DEFAULTS_KEPT) <= named, sorted(set(DEFAULTS_KEPT) - named)
+    realpath = functools.lru_cache(maxsize=None)(os.path.realpath)
+    overridden = set()
+
+    def tracer(frame, event, arg):
+        # a "call" event comes before the body runs: the locals are the arguments
+        code = frame.f_code
+        name, params = defaulted.get((realpath(code.co_filename), code.co_firstlineno), (None, ()))
+        for param, default in params:
+            value = frame.f_locals[param]
+            if value is not default and value != default:
+                overridden.add(f"{name}.{param}")
+
+    _trace_matrix(tmp_path, monkeypatch, tracer)
+    unchanged = sorted(named - overridden - set(DEFAULTS_KEPT))
+    assert not unchanged, "no CLI call passes another value to: " + ", ".join(unchanged)
 
 
 def _functions_where(matches) -> set:

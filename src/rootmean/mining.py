@@ -6,10 +6,13 @@ mine_Q_and_norlund:
 - ``fit_h`` interpolates h_D(n), the coefficient of the top-order parameter
   (weight D, exponent 1) in phi(D, 0, D - n), which
   ``top_parameter_coefficient`` reads by one exact evaluation.
+  ``interpolate`` runs its divided differences in integers.
 - ``extract_g`` divides h_D(n) = ((-1)^D D / D!) * (D - n) * n^chi * g_D(n),
   chi = D mod 2, checks that g_D is monic and integral of degree
   D - (2 + chi), and decides it over the integers by ``is_irreducible_int``:
-  Ben-Or's test modulo small primes, then one integer-root scan.
+  Ben-Or's test modulo small primes, on residues packed into one int each,
+  then one integer-root scan over the divisors of g_D(0), listed from its
+  factorisation.
 - ``structure_sweep`` maps every degree D = 2..d_max to its extraction.
 - ``t_series`` fits t_k(D), the coefficient of n^(D-(k+chi)) in g_D, across
   the degrees of a sweep.
@@ -22,6 +25,8 @@ mine_Q_and_norlund:
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,24 +112,37 @@ class FitError(ValueError):
 
 
 def interpolate(points) -> RationalPolynomial:
-    """Unique interpolating polynomial through exact (x, y) pairs (Newton form)."""
+    """Unique interpolating polynomial through exact (x, y) pairs (Newton form).
+
+    The nodes may be any distinct rationals (``FitError`` on a repeated one).
+    The arithmetic is in integers: the nodes and the values are scaled by the
+    lcm of their denominators, each level of divided differences holds
+    numerators over one shared denominator, and the Newton form is expanded
+    into integer monomial coefficients that are scaled back at the end.
+    """
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise FitError("repeated interpolation nodes")
-    # divided differences
-    coef = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    # Horner on the Newton form: p = c_m, then p = p * (x - x_i) + c_i
+    sx = math.lcm(*(x.denominator for x in xs))
+    sy = math.lcm(*(y.denominator for y in ys))
+    nodes = [x.numerator * (sx // x.denominator) for x in xs]
+    coef = [y.numerator * (sy // y.denominator) for y in ys]
+    # divided differences: after its level, coef[i] / dens[i] is the i-th Newton coefficient
+    dens = [1]
+    for level in range(1, len(nodes)):
+        step = math.lcm(*(nodes[i] - nodes[i - level] for i in range(level, len(nodes))))
+        for i in range(len(nodes) - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * (step // (nodes[i] - nodes[i - level]))
+        dens.append(dens[-1] * step)
+    # Horner on the Newton form over the shared denominator dens[-1]
     poly = []
-    for xi, c in zip(reversed(xs), reversed(coef)):
+    for xi, c, den in zip(reversed(nodes), reversed(coef), reversed(dens)):
         poly = [0, *poly]
         for k in range(len(poly) - 1):
             poly[k] -= xi * poly[k + 1]
-        poly[0] += c
-    return RationalPolynomial.make(poly)
+        poly[0] += c * (dens[-1] // den)
+    return RationalPolynomial.make(Fraction(c * sx**k, dens[-1] * sy) for k, c in enumerate(poly))
 
 
 def fit_polynomial(points) -> RationalPolynomial:
@@ -186,15 +204,25 @@ _DIVISOR_CAP = 10**12  # beyond this |g(0)| the integer-root scan tries only -64
 
 
 def _divisors(n: int):
-    n = abs(n)
-    out = set()
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.update((d, n // d, -d, -(n // d)))
-    return sorted(out)
+    """Every divisor of n != 0, both signs, ascending.
+
+    They are listed from n's factorisation, whose trial division stops at
+    the square root of the part of n not yet factored.
+    """
+    n, divs, d = abs(n), [1], 2
+    while d * d <= n:
+        layer = divs
+        while n % d == 0:
+            n //= d
+            layer = [x * d for x in layer]
+            divs = divs + layer
+        d += 1
+    if n > 1:
+        divs = divs + [x * n for x in divs]
+    return sorted([-x for x in divs] + divs)
 
 
-# -- polynomial arithmetic mod p (ascending int lists) ----------------------
+# -- polynomial arithmetic mod p (ascending int lists, or packed residues) ---
 
 def _ptrim(a):
     while a and a[-1] == 0:
@@ -214,26 +242,6 @@ def _pmod(a, g, p):
     return _ptrim(a)
 
 
-def _pmulmod(a, b, g, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pmod(out, g, p)
-
-
-def _ppowmod(base, exp, g, p):
-    result = [1]
-    b = list(base)
-    while exp:
-        if exp & 1:
-            result = _pmulmod(result, b, g, p)
-        b = _pmulmod(b, b, g, p)
-        exp >>= 1
-    return result
-
-
 def _pgcd(a, b, p):
     a, b = _ptrim([x % p for x in a]), _ptrim([x % p for x in b])
     while b:
@@ -243,18 +251,46 @@ def _pgcd(a, b, p):
     return a
 
 
+def _pack(slots) -> int:
+    """Coefficients below 2^64, ascending, as one int of 64-bit slots."""
+    return int.from_bytes(array("Q", slots).tobytes(), "little")
+
+
 def _irreducible_mod_p(g_int, p) -> bool:
     """Ben-Or's test: monic g irreducible over GF(p).  Exact for every degree.
 
     A reducible g of degree M has an irreducible factor of some degree
     d <= M // 2, and that factor divides x^(p^d) - x.
+
+    A residue mod g is one int that packs its M coefficients, ascending, in
+    64-bit slots.  The product of two residues is one int product, unpacked
+    to 2M slots and reduced by one sum of slot times packed x^k mod g,
+    k < 2M, after which each slot is taken mod p.  No slot carries into the
+    next: a product slot is at most M(p-1)^2, so a slot of the sum is at most
+    2M^2(p-1)^3, far below 2^64 for any degree the CLI reaches.
     """
     g = [c % p for c in g_int]
-    frob = [0, 1]
-    for _ in range((len(g) - 1) // 2):
-        frob = _ppowmod(frob, p, g, p)  # x^(p^d) mod g
-        h = frob + [0] * (2 - len(frob))
-        h[1] = (h[1] - 1) % p
+    M = len(g) - 1
+    # x^k mod g, k < 2M: x^k itself below M, and x^M = -(g_0 + g_1 x + ... + g_(M-1) x^(M-1))
+    table, power = [1 << (64 * k) for k in range(M)], [-c % p for c in g[:-1]]
+    for _ in range(M):
+        table.append(_pack(power))
+        power = [(a - power[-1] * b) % p for a, b in zip([0, *power[:-1]], g)]
+
+    def mulmod(a, b):
+        slots = array("Q", (a * b).to_bytes(16 * M, "little"))
+        reduced = sum(map(operator.mul, slots, table)).to_bytes(8 * M, "little")
+        return _pack([c % p for c in array("Q", reduced)])
+
+    frob = 1 << 64  # x
+    for _ in range(M // 2):
+        base = frob
+        for bit in bin(p)[3:]:  # frob = base^p: x^(p^d) mod g
+            frob = mulmod(frob, frob)
+            if bit == "1":
+                frob = mulmod(frob, base)
+        h = list(array("Q", frob.to_bytes(8 * M, "little")))
+        h[1] -= 1
         if len(_pgcd(h, g, p)) != 1:
             return False
     return True
@@ -281,10 +317,11 @@ def is_irreducible_int(g: RationalPolynomial) -> bool | None:
     for p in _MODP_PRIMES:
         if _irreducible_mod_p(g_int, p):
             return True
-    # g(0) = 0 is the root 0; every other integer root divides g(0)
+    if g_int[0] == 0:  # the root 0; every other integer root divides g(0)
+        return False
     candidates = range(-64, 65) if abs(g_int[0]) > _DIVISOR_CAP else _divisors(g_int[0])
     descending = g_int[::-1]
-    if g_int[0] == 0 or any(horner(descending, r) == 0 for r in candidates):
+    if any(horner(descending, r) == 0 for r in candidates):
         return False
     return None
 

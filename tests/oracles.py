@@ -16,6 +16,11 @@ way to compute what the engine computes, kept next to the tests that use it.
   elimination cannot hide in both sides of a comparison.
 * ``full_walk_verdicts``: the coefficient-sum certificate over every
   monomial, parts of 1 included, which the centred certificate must match.
+* The mining kernels on lists and Fractions: ``irreducible_mod_p`` (Ben-Or's
+  test by schoolbook products mod g), ``divisors`` by trial division to the
+  square root, ``interpolate`` by divided differences in Fractions, and
+  ``is_irreducible_int``, which decides with those three as the engine
+  decides with its own.
 """
 
 from __future__ import annotations
@@ -248,3 +253,111 @@ def full_walk_verdicts(D: int, alphas, delta: int = 0, rho_set=None) -> list:
 
     walk(0, deg_g, 0, 0, 1, [1] * len(ns), 0)
     return [not any(total[i] for total in totals.values()) for i in range(len(alphas))]
+
+
+# ---------------------------------------------------------------------------
+# mining
+
+
+def divisors(n: int) -> list:
+    """Every divisor of n, both signs, ascending, by trial division to isqrt(|n|)."""
+    n = abs(n)
+    out = set()
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            out.update((d, n // d, -d, -(n // d)))
+    return sorted(out)
+
+
+def interpolate(points) -> list:
+    """Ascending Fraction coefficients, trailing zeros stripped, of the
+    polynomial through the (x, y) pairs: divided differences in Fractions,
+    then Horner on the Newton form."""
+    xs = [Fraction(x) for x, _ in points]
+    coef = [Fraction(y) for _, y in points]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    poly = []
+    for xi, c in zip(reversed(xs), reversed(coef)):
+        poly = [Fraction(0), *poly]
+        for k in range(len(poly) - 1):
+            poly[k] -= xi * poly[k + 1]
+        poly[0] += c
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmod(a, g, p):
+    """a modulo the monic g, in place; the entries of a lie in 0..p-1."""
+    dg = len(g) - 1
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = a[i]
+        if c:
+            a[i] = 0
+            for k in range(dg):
+                a[i - dg + k] = (a[i - dg + k] - c * g[k]) % p
+    return _ptrim(a)
+
+
+def _pmulmod(a, b, g, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _pmod(out, g, p)
+
+
+def _ppowmod(base, exp, g, p):
+    result = [1]
+    b = list(base)
+    while exp:
+        if exp & 1:
+            result = _pmulmod(result, b, g, p)
+        b = _pmulmod(b, b, g, p)
+        exp >>= 1
+    return result
+
+
+def _pgcd(a, b, p):
+    a, b = _ptrim([x % p for x in a]), _ptrim([x % p for x in b])
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [(x * inv) % p for x in b]
+        a, b = b, _pmod(a, b, p)
+    return a
+
+
+def irreducible_mod_p(g_int, p) -> bool:
+    """Ben-Or's test for the monic ascending integer list g_int over GF(p)."""
+    g = [c % p for c in g_int]
+    frob = [0, 1]
+    for _ in range((len(g) - 1) // 2):
+        frob = _ppowmod(frob, p, g, p)  # x^(p^d) mod g
+        h = frob + [0] * (2 - len(frob))
+        h[1] = (h[1] - 1) % p
+        if len(_pgcd(h, g, p)) != 1:
+            return False
+    return True
+
+
+def is_irreducible_int(g_int, primes) -> bool | None:
+    """True if Ben-Or's test finds the monic g_int irreducible modulo one of
+    ``primes``, False if it has an integer root (among the divisors of g(0),
+    or in -64..64 once |g(0)| > 10^12), else None."""
+    if len(g_int) <= 2:
+        return True
+    if any(irreducible_mod_p(g_int, p) for p in primes):
+        return True
+    candidates = range(-64, 65) if abs(g_int[0]) > 10**12 else divisors(g_int[0])
+    if g_int[0] == 0 or any(sum(c * r**i for i, c in enumerate(g_int)) == 0 for r in candidates):
+        return False
+    return None

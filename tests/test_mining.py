@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootmean.exact import PartitionVector
 from rootmean.means import PhiKey, mean_values, phi
@@ -12,7 +14,9 @@ from rootmean.mining import (
     FitError,
     MinedSequence,
     RationalPolynomial,
+    _MODP_PRIMES,
     StructuralFormError,
+    _divisors,
     _irreducible_mod_p,
     compare_with_bfile,
     extract_g,
@@ -27,6 +31,8 @@ from rootmean.mining import (
     top_parameter_coefficient,
 )
 from rootmean.powersums import power_sum_mean
+
+import oracles
 
 
 def leading_coefficient(D, rho):
@@ -260,6 +266,67 @@ def test_irreducible_mod_p_counts_match_gauss(p, top):
         )
         gauss = sum(_mobius(d) * p ** (M // d) for d in range(1, M + 1) if M % d == 0) // M
         assert count == gauss, (p, M)
+
+
+def _monic(degree, coefficient):
+    return st.lists(coefficient, min_size=degree, max_size=degree).map(lambda low: [*low, 1])
+
+
+SMALL_OR_WIDE = st.one_of(st.integers(-3, 3), st.integers(-10**18, 10**18))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda m: _monic(m, SMALL_OR_WIDE)))
+def test_packed_ben_or_matches_list_arithmetic_property(g):
+    for p in _MODP_PRIMES:
+        assert _irreducible_mod_p(g, p) == oracles.irreducible_mod_p(g, p), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda m: _monic(m, SMALL_OR_WIDE)),
+       st.integers(1, 20).flatmap(lambda m: _monic(m, SMALL_OR_WIDE)))
+def test_packed_ben_or_never_passes_a_planted_product_property(a, b):
+    g = _times(a, b)
+    for p in _MODP_PRIMES:
+        assert _irreducible_mod_p(g, p) is oracles.irreducible_mod_p(g, p) is False, p
+
+
+def test_irreducibility_verdicts_match_the_oracle_to_the_degree_cap():
+    for D, gx in structure_sweep(30).items():
+        assert gx.irreducible is oracles.is_irreducible_int([int(c) for c in gx.g.coeffs], _MODP_PRIMES), D
+
+
+NODE = st.one_of(st.integers(-100, 100).map(Fraction), st.fractions(-100, 100, max_denominator=36))
+VALUE = st.one_of(st.integers(-10**20, 10**20), st.fractions(max_denominator=10**15))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NODE, unique=True, max_size=12).flatmap(
+    lambda xs: st.lists(VALUE, min_size=len(xs), max_size=len(xs)).map(lambda ys: list(zip(xs, ys)))))
+def test_integer_interpolation_matches_fraction_divided_differences_property(points):
+    assert interpolate(points).coeffs == tuple(oracles.interpolate(points))
+    if points:
+        with pytest.raises(FitError):
+            interpolate([*points, (points[0][0], points[0][1] + 1)])
+
+
+PRIMES = (2, 3, 5, 97, 65537, 999983, 1000003, 3162277, 2147483647, 999999999989, 9999999999971)
+SMOOTH = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=45).map(math.prod)
+DIVISOR_INPUTS = st.one_of(
+    st.just(1),
+    st.sampled_from(PRIMES),
+    st.sampled_from(PRIMES).map(lambda q: q * q),  # 3162277^2 is just below 10^13
+    st.integers(1, 3_162_277).map(lambda r: r * r),
+    SMOOTH,
+    st.tuples(st.sampled_from(PRIMES), st.sampled_from(PRIMES), SMOOTH).map(math.prod),
+    st.integers(1, 10**13),
+).filter(lambda n: n <= 10**13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(DIVISOR_INPUTS, st.sampled_from((1, -1)))
+def test_divisors_from_a_factorisation_match_trial_division_property(n, sign):
+    assert _divisors(sign * n) == oracles.divisors(n)
 
 
 def test_per_monomial_sequence_third_order_pair():

@@ -13,7 +13,9 @@ The package also has one Horner evaluator: a Horner step ``v = v * z + c``
 may appear only in the functions on ``HORNER_STEPS``.  And it has one way to
 run work in parallel, forked worker processes: no module imports one of
 ``PARALLEL_MODULES`` or makes a ``threading.Thread``, and ``os.fork`` is
-called only in the functions on ``FORKS``.
+called only in the functions on ``FORKS``.  Every module the package imports
+is in the standard library or is ``rootmean`` itself: it has no runtime
+dependency.
 """
 
 from __future__ import annotations
@@ -304,3 +306,13 @@ def test_forked_workers_are_the_one_parallel_mechanism():
     assert _functions_where(lambda node: _names(node, "threading", ("Thread", "Timer"))) == set()
     # an entry that matches nothing would let a fork back in unseen
     assert _functions_where(lambda node: _names(node, "os", ("fork", "forkpty"))) == set(FORKS)
+
+
+def _imports_outside_stdlib(node) -> bool:
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return False  # a relative import names the package itself
+    return any(name.split(".")[0] not in sys.stdlib_module_names | {"rootmean"} for name in _imported(node))
+
+
+def test_imports_are_stdlib_or_the_package():
+    assert _functions_where(_imports_outside_stdlib) == set()

@@ -72,8 +72,8 @@ def rho_window(D: int, text: str | None, default, extended: bool = False) -> lis
     return window
 
 
-def check_degree(D: int, args, delta: int = 0, cap: int = HARD_DEGREE_CAP) -> None:
-    """Cap D and D - delta, the degree of the averaged function (the weight of phi)."""
+def check_degree(D: int, args, delta: int = 0, cap: int = HARD_DEGREE_CAP, rho: int = 0) -> None:
+    """Cap D, D - delta (the averaged function's degree, phi's weight) and D - rho (f^(rho)'s degree)."""
     if D < 2:
         raise ConfigError("degree must be >= 2")
     if args.unsafe_degree:
@@ -83,6 +83,11 @@ def check_degree(D: int, args, delta: int = 0, cap: int = HARD_DEGREE_CAP) -> No
     if D - delta > cap:
         raise ConfigError(
             f"value order {delta} averages a function of degree {D - delta}, above the cap "
+            f"{cap}; pass --unsafe-degree to override"
+        )
+    if D - rho > cap:
+        raise ConfigError(
+            f"rho={rho} averages over the roots of f^({rho}), of degree {D - rho}, above the cap "
             f"{cap}; pass --unsafe-degree to override"
         )
 
@@ -404,6 +409,7 @@ def cmd_numeric(args) -> int:
         if args.relation:
             rels = [parse_relation_spec(args.relation)]
             rho_window(args.D, None, rels[0])
+            check_degree(args.D, args, rho=min(rels[0]))
         else:
             rels = relations.find_relations(args.D, args.delta, minimal_support=False).all_relations()
             if not rels:
@@ -450,9 +456,9 @@ def cmd_mine(args) -> int:
         "sequences": {"lcd": q_seq.to_json(), "leading": lead_seq.to_json()},
         "structure": {
             str(D): {
-                "g": [str(c) for c in gx.g.coeffs],
+                "g": [str(c) for c in gx.g],
                 "chi": gx.chi,
-                "degree": gx.M,
+                "degree": len(gx.g) - 1,
                 "irreducible": gx.irreducible,
             }
             for D, gx in extractions.items()

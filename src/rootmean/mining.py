@@ -1,7 +1,8 @@
 """Coefficient-sequence mining over the mean-value tables.
 
-The pipeline is fit_h -> extract_g -> structure_sweep -> t_series ->
-mine_Q_and_norlund:
+Polynomials are plain tuples of ascending coefficients, trailing zeros
+stripped: Fractions from the fits, ints for g_D.  The pipeline is
+fit_h -> extract_g -> structure_sweep -> t_series -> mine_Q_and_norlund:
 
 - ``fit_h`` interpolates h_D(n), the coefficient of the top-order parameter
   (weight D, exponent 1) in phi(D, 0, D - n), which
@@ -38,7 +39,7 @@ MAX_BFILE_OFFSET = 6  # largest index shift tried against a b-file
 
 
 def top_parameter_coefficient(D: int, rho: int) -> Fraction:
-    """Coefficient of the top-order parameter (weight D, exponent 1) in phi((D, 0, rho)).
+    """Coefficient of the top-order parameter (weight D, exponent 1) in phi(D, 0, rho).
 
     That is M(D, D - rho) (``mean_values``) at r_D = 1, every other parameter
     0: phi is homogeneous of weight D, so its monomials are partitions of D,
@@ -51,58 +52,6 @@ def top_parameter_coefficient(D: int, rho: int) -> Fraction:
     return mean_values(D, [n], point)[0]
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Dense univariate polynomial with exact rational coefficients, ascending powers."""
-
-    coeffs: tuple  # of Fraction, trailing zeros stripped
-
-    @classmethod
-    def make(cls, coeffs) -> "RationalPolynomial":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __call__(self, x) -> Fraction:
-        return horner(self.coeffs[::-1], x)
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def lcd(self) -> int:
-        return math.lcm(*(c.denominator for c in self.coeffs))
-
-    def divide_exact(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        """Exact quotient; raises StructuralFormError on a nonzero remainder."""
-        if not other.coeffs:
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        for i in range(len(rem) - 1, d - 1, -1):
-            f = rem[i] / lead
-            q[i - d] = f
-            for k, b in enumerate(other.coeffs):
-                rem[i - d + k] -= f * b
-        if any(rem):
-            raise StructuralFormError(f"non-exact division, remainder {rem}")
-        return RationalPolynomial.make(q)
-
-
 class StructuralFormError(ValueError):
     pass
 
@@ -111,7 +60,7 @@ class FitError(ValueError):
     pass
 
 
-def interpolate(points) -> RationalPolynomial:
+def interpolate(points) -> tuple:
     """Unique interpolating polynomial through exact (x, y) pairs (Newton form).
 
     The nodes may be any distinct rationals (``FitError`` on a repeated one).
@@ -142,10 +91,10 @@ def interpolate(points) -> RationalPolynomial:
         for k in range(len(poly) - 1):
             poly[k] -= xi * poly[k + 1]
         poly[0] += c * (dens[-1] // den)
-    return RationalPolynomial.make(Fraction(c * sx**k, dens[-1] * sy) for k, c in enumerate(poly))
+    return tuple(_ptrim([Fraction(c * sx**k, dens[-1] * sy) for k, c in enumerate(poly)]))
 
 
-def fit_polynomial(points) -> RationalPolynomial:
+def fit_polynomial(points) -> tuple:
     """Interpolate through all but the last ``HOLDOUT`` points, then verify those.
 
     Exact arithmetic means the interpolant *is* the underlying polynomial
@@ -155,12 +104,12 @@ def fit_polynomial(points) -> RationalPolynomial:
         raise FitError("not enough points to fit and hold out")
     poly = interpolate(points[:-HOLDOUT])
     for x, y in points[-HOLDOUT:]:
-        if poly(x) != Fraction(y):
-            raise FitError(f"held-out point ({x}, {y}) missed: got {poly(x)} (not polynomial at this degree)")
+        if (got := horner(poly[::-1], x)) != Fraction(y):
+            raise FitError(f"held-out point ({x}, {y}) missed: got {got} (not polynomial at this degree)")
     return poly
 
 
-def fit_h(D: int) -> RationalPolynomial:
+def fit_h(D: int) -> tuple:
     """The coefficient-in-n polynomial h_D through (n, top_parameter_coefficient(D, D-n)).
 
     It interpolates n = 1..D+1 and must reproduce the ``HOLDOUT`` points
@@ -172,32 +121,38 @@ def fit_h(D: int) -> RationalPolynomial:
 
 @dataclass(frozen=True)
 class GExtraction:
-    g: RationalPolynomial
+    g: tuple  # of int, ascending; its degree is len(g) - 1
     chi: int
-    M: int
     irreducible: bool | None  # None = undecided by is_irreducible_int
 
 
-def extract_g(D: int, h: RationalPolynomial) -> GExtraction:
-    """Divide out ((-1)^D D / D!) * (D - n) * n^chi and validate the quotient.
+def extract_g(D: int, h) -> GExtraction:
+    """Divide h by ((-1)^D D / D!) * (D - n) * n^chi and validate the quotient.
 
-    The quotient must be an exact polynomial, monic with integer coefficients,
-    of degree M = D - (2 + chi).  Irreducibility over the integers is decided
-    by ``is_irreducible_int``, which leaves it None when none of its tests
-    settles it.
+    The division must be exact, and the quotient monic with integer
+    coefficients, of degree M = D - (2 + chi).  Irreducibility over the
+    integers is decided by ``is_irreducible_int``, which leaves it None when
+    none of its tests settles it.
     """
     chi = D % 2
     const = Fraction((-1) ** D * D, math.factorial(D))
-    prefactor = RationalPolynomial.make([0] * chi + [const * D, -const])  # const * (D - n) * n^chi
-    g = h.divide_exact(prefactor)
+    divisor = [0] * chi + [const * D, -const]  # const * (D - n) * n^chi
+    rem, g = list(h), [0] * max(len(h) - chi - 1, 0)
+    for j in range(len(g) - 1, -1, -1):
+        g[j] = rem[j + chi + 1] / -const
+        for k, b in enumerate(divisor):
+            rem[j + k] -= g[j] * b
+    if any(rem):
+        raise StructuralFormError(f"non-exact division, remainder {rem}")
     M = D - (2 + chi)
-    if g.degree != M:
-        raise StructuralFormError(f"quotient degree {g.degree} != D-(2+chi) = {M}")
-    if not g.is_monic():
+    if len(g) - 1 != M:
+        raise StructuralFormError(f"quotient degree {len(g) - 1} != D-(2+chi) = {M}")
+    if g[-1] != 1:
         raise StructuralFormError("quotient is not monic")
-    if not g.is_integer():
+    if any(c.denominator != 1 for c in g):
         raise StructuralFormError("quotient has non-integer coefficients")
-    return GExtraction(g, chi, M, is_irreducible_int(g))
+    g = tuple(map(int, g))
+    return GExtraction(g, chi, is_irreducible_int(g))
 
 
 _DIVISOR_CAP = 10**12  # beyond this |g(0)| the integer-root scan tries only -64..64
@@ -299,8 +254,8 @@ def _irreducible_mod_p(g_int, p) -> bool:
 _MODP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 
-def is_irreducible_int(g: RationalPolynomial) -> bool | None:
-    """Irreducibility of a monic integer polynomial over the integers.
+def is_irreducible_int(g_int) -> bool | None:
+    """Irreducibility over the integers of monic ``g_int``, ascending integer coefficients.
 
     Degree M <= 1 is irreducible.  Otherwise Ben-Or's test finding g
     irreducible modulo one of the 17 ``_MODP_PRIMES`` means irreducible, and
@@ -311,9 +266,8 @@ def is_irreducible_int(g: RationalPolynomial) -> bool | None:
     reducible modulo every prime, so Ben-Or's test never answers for it, and
     the scan after it finds it.
     """
-    if g.degree <= 1:
+    if len(g_int) <= 2:
         return True
-    g_int = [int(c) for c in g.coeffs]
     for p in _MODP_PRIMES:
         if _irreducible_mod_p(g_int, p):
             return True
@@ -331,7 +285,7 @@ def structure_sweep(d_max: int) -> dict:
     return {D: extract_g(D, fit_h(D)) for D in range(2, d_max + 1)}
 
 
-def t_series(k: int, extractions: dict) -> RationalPolynomial:
+def t_series(k: int, extractions: dict) -> tuple:
     """Interpolated coefficient polynomial t_k(D) with held-out verification.
 
     t_k(D) is the coefficient of n^(D-(k+chi)) in g_D, read for every degree
@@ -339,7 +293,7 @@ def t_series(k: int, extractions: dict) -> RationalPolynomial:
     the point D = k has exponent -1, so its value 0 is a fit point like any
     other, not a check.
     """
-    return fit_polynomial([(Fraction(D), gx.g.coefficient(D - k - gx.chi))
+    return fit_polynomial([(Fraction(D), gx.g[e] if (e := D - k - gx.chi) >= 0 else 0)
                            for D, gx in sorted(extractions.items()) if D >= k])
 
 
@@ -369,9 +323,9 @@ def mine_Q_and_norlund(k_max: int, extractions: dict):
     qs, leads = [], []
     for k in range(2, k_max + 1):
         tk = t_series(k, extractions)
-        q = tk.lcd()
+        q = math.lcm(*(c.denominator for c in tk))
         qs.append(q)
-        leads.append(int(q * tk.coeffs[-1]))
+        leads.append(int(q * tk[-1]))
     prov = {"d_sweep": max(extractions), "k_max": k_max}
     return (
         MinedSequence("lcd-of-t_k", 2, tuple(qs), prov),

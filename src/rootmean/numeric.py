@@ -34,6 +34,7 @@ include theirs.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import math
 import os
@@ -149,8 +150,9 @@ def find_roots(coeffs, start=None) -> tuple:
     from ``start`` (approximations of p's roots, such as the roots of a
     nearby polynomial) when one is given, no zero was stripped and it has
     one point per root; when there is no such start, or the kernel rejects
-    its roots, it starts from the circle of ``_initial_guesses``.  Only a
-    solve from the circle that the kernel rejects raises RootFindingError.
+    its roots, it starts from the circle of ``_initial_guesses``.  A solve
+    from the circle that the kernel rejects raises RootFindingError, and so
+    does any solve in which a modulus overflows the doubles.
     A multiple root comes back as that many separate approximations, and
     close distinct roots stay apart.
     """
@@ -169,12 +171,13 @@ def find_roots(coeffs, start=None) -> tuple:
         z = [-coeffs[1]]
     else:
         ok = False
-        if start is not None and not zeros and len(start) == deg:
-            z, _, ok = _kernel.aberth_refine(coeffs, start)
-        if not ok:
-            z, _, ok = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs))
+        with contextlib.suppress(OverflowError):  # a modulus past the largest double rejects the solve
+            if start is not None and not zeros and len(start) == deg:
+                z, _, ok = _kernel.aberth_refine(coeffs, start)
             if not ok:
-                raise RootFindingError(f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}")
+                z, _, ok = _kernel.aberth_refine(coeffs, _initial_guesses(coeffs))
+        if not ok:
+            raise RootFindingError(f"root refinement did not reach residual tolerance {ROOT_RESIDUAL_TOL}")
     return tuple(z) + (0j,) * zeros
 
 
@@ -405,8 +408,9 @@ def check_relations_batch(
     and each relation's residuals do not depend on which others share the
     batch.  Families are solved in ascending rho, and f^(rho), rho >= 1,
     starts from the roots of f^(rho-1) when those are at hand (the sampled
-    roots for rho = 1).  A sample whose root finding fails is skipped for
-    every relation.
+    roots for rho = 1).  A sample whose root finding fails, or whose f^(rho)
+    has a leading coefficient that underflows to 0, is skipped for every
+    relation.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -428,6 +432,8 @@ def check_relations_batch(
             for rho in support_union:
                 if rho == 0:
                     fams[0] = roots
+                elif not chain[rho][0]:  # D! / (D - rho)! underflowed to 0
+                    raise RootFindingError(f"the leading coefficient of f^({rho}) does not fit in doubles")
                 else:
                     parent = roots if rho == 1 else fams.get(rho - 1)
                     fams[rho] = find_roots(chain[rho], _derivative_start(chain[rho], parent))

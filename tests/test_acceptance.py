@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from rootmean import cli, golden, mining, numeric, relations
+from rootmean._aberth_py import horner
 from rootmean.powersums import power_sum_mean
 
 from oracles import evaluate, mean_parameters, power_sums, rank
@@ -169,17 +170,19 @@ def test_criterion_10_sequence_mining():
     ok = True
     for D, gx in extractions.items():
         const = Fraction((-1) ** D * D, math.factorial(D))
-        ok = ok and gx.g.is_monic() and gx.g.is_integer()
-        ok = ok and gx.M == D - (2 + gx.chi)
+        ok = ok and gx.g[-1] == 1 and all(type(c) is int for c in gx.g)
+        ok = ok and len(gx.g) - 1 == D - (2 + gx.chi)
         for n in range(1, D + 4):
-            ok = ok and mining.top_parameter_coefficient(D, D - n) == const * (D - n) * n**gx.chi * gx.g(n)
+            g_n = horner(gx.g[::-1], n)
+            ok = ok and mining.top_parameter_coefficient(D, D - n) == const * (D - n) * n**gx.chi * g_n
     # round-trip: the fitted coefficient polynomials reproduce every g_D
     # coefficient across the structural window
     t_polys = {k: mining.t_series(k, extractions) for k in range(2, 9)}
     for D in range(2, 17):
         gx = extractions[D]
         for k in range(2, min(8, D) + 1):
-            ok = ok and t_polys[k](D) == gx.g.coefficient(D - k - gx.chi)
+            e = D - k - gx.chi
+            ok = ok and horner(t_polys[k][::-1], D) == (gx.g[e] if e >= 0 else 0)
     q24, lead24 = mining.mine_Q_and_norlund(8, extractions)
     q22, lead22 = mining.mine_Q_and_norlund(8, mining.structure_sweep(22))
     ok = ok and q24.values == q22.values and lead24.values == lead22.values

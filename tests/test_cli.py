@@ -300,6 +300,8 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
         # f^(delta) = 0 past D: every mean is 0 and the check would pass on nothing
         ("numeric-check", "--relation", "1:1,-1:2", "--D", "3", "--delta", "9"),
         ("numeric-check", "--auto", "--D", "5", "--delta", "7"),
+        # the deepest family solves f^(-28), of degree 3 + 28, past the cap
+        ("numeric-check", "--relation", "1:-28,-1:1", "--D", "3"),
     ],
     ids=[
         "relation-spec", "rho-window", "negative-samples", "zero-samples", "k-max-below-2",
@@ -308,7 +310,7 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
         "all-zero-relation", "output-path-missing", "bfile-missing", "sweep-too-short-to-fit",
         "bfile-for-without-bfile", "auto-no-relation", "tol-inf", "tol-nan", "tol-negative", "repeated-rho",
         "zero-samples-nothing-requested", "three-modes", "auto-and-relation", "rho-and-extended",
-        "relation-delta-above-degree", "auto-delta-above-degree",
+        "relation-delta-above-degree", "auto-delta-above-degree", "relation-family-above-cap",
     ],
 )
 def test_bad_input_is_a_config_error(capsys, argv):
@@ -454,6 +456,18 @@ def test_value_order_degree_cap(capsys, argv):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "55" in err and "cap" in err
     assert out == ""
+
+
+def test_deep_antiderivative_window(capsys):
+    # D - min(rho) = 30 is at the cap and runs
+    code, _, err = run(capsys, "numeric-check", "--relation", "1:-27,-1:1", "--D", "3", "--samples", "2")
+    assert code in (EXIT_OK, EXIT_VERIFY_FAIL) and err == ""
+    # past the cap, a sample whose chain leaves the doubles is skipped, not a traceback
+    for rho in (-146, -170, -200):
+        code, blob, err = run_json(capsys, "numeric-check", "--relation", f"1:{rho},-1:1", "--D", "3",
+                                   "--samples", "2", "--unsafe-degree")
+        assert code == EXIT_VERIFY_FAIL and err == "", rho
+        assert blob["reports"][0]["skipped"] == 2, rho
 
 
 def test_value_order_cap_boundary_and_override():
@@ -668,12 +682,13 @@ SYMBOLIC_CALLS = [
     *[call for suite in sorted(cli.VERIFIERS)
       for call in with_formats(("verify", "--conjecture", suite, "--max-degree", "9"), ("pretty", "json"))],
     *with_formats(("mine", "--k-max", "7", "--d-sweep", "19")),
+    *with_formats(("mine", "--k-max", "10", "--d-sweep", "30")),
 ]
 
 
 def test_symbolic_outputs_are_pinned(capsys):
     # sha256 of (argv, exit code, stdout) for each call, in order
     record = [[list(argv), *run(capsys, *argv)[:2]] for argv in SYMBOLIC_CALLS]
-    assert len(record) == 66
+    assert len(record) == 69
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
-    assert digest == "cdae98262fb1739376058f54ff15bedeeac1f1dbaf22711688d0c68ed9fd758d"
+    assert digest == "1f8457b4ed6181c720caf6bf1da62a2512ce80547abfc9b504c5dd71320731fe"

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootmean._aberth_py import horner
 from rootmean.exact import PartitionVector
 from rootmean.means import PhiKey, mean_values, phi
 from rootmean.mining import (
     BfileComparison,
     FitError,
     MinedSequence,
-    RationalPolynomial,
     _MODP_PRIMES,
     StructuralFormError,
     _divisors,
@@ -33,6 +33,11 @@ from rootmean.mining import (
 from rootmean.powersums import power_sum_mean
 
 import oracles
+
+
+def value(poly, x):
+    """An ascending coefficient tuple evaluated at x."""
+    return horner(poly[::-1], x)
 
 
 def leading_coefficient(D, rho):
@@ -80,23 +85,10 @@ def test_top_parameter_examples():
     assert top_parameter_coefficient(5, -1) == 4
 
 
-def test_rational_polynomial_basics():
-    p = RationalPolynomial.make([3, -2, 1])  # x^2 - 2x + 3
-    assert p.degree == 2 and p.is_monic() and p.is_integer()
-    assert p(2) == 3
-    # out of range reads zero: t_series leans on it below D = k
-    assert p.coefficient(-1) == 0 and p.coefficient(p.degree + 1) == 0
-    q = RationalPolynomial.make([0, 3, -2, 1])  # x * p
-    assert q.coeffs == (Fraction(0), Fraction(3), Fraction(-2), Fraction(1))
-    assert q.divide_exact(RationalPolynomial.make([0, 1])) == p
-    with pytest.raises(StructuralFormError):
-        p.divide_exact(RationalPolynomial.make([1, 1]))
-
-
 def test_interpolation_and_holdout():
     pts = [(Fraction(x), Fraction(x**3 - x + 2)) for x in range(8)]
     poly = fit_polynomial(pts)
-    assert poly.coeffs == (Fraction(2), Fraction(-1), Fraction(0), Fraction(1))
+    assert poly == (Fraction(2), Fraction(-1), Fraction(0), Fraction(1))
     bad = pts[:-1] + [(Fraction(7), Fraction(999))]
     with pytest.raises(FitError):
         fit_polynomial(bad)
@@ -113,29 +105,45 @@ def _leading_h(D):
 
 def test_fit_h_leading_extractor_reproduces_printed_values():
     h = _leading_h(4)
-    assert [h(n) for n in range(1, 7)] == [-3, -8, -9, 0, 25, 72]
-    assert h(7) == 147  # held-out row
+    assert [value(h, n) for n in range(1, 7)] == [-3, -8, -9, 0, 25, 72]
+    assert value(h, 7) == 147  # held-out row
 
 
 def test_fit_h_leading_extractor_degree2():
     h = _leading_h(2)
-    assert h(2) == 0  # vanishes where the family is the function's own roots
-    assert h(1) == -1
+    assert value(h, 2) == 0  # vanishes where the family is the function's own roots
+    assert value(h, 1) == -1
 
 
 def test_extract_g_quartic():
     h = fit_h(4)
     gx = extract_g(4, h)
-    assert gx.chi == 0 and gx.M == 2
-    assert gx.g.is_monic() and gx.g.is_integer()
+    assert gx.chi == 0 and gx.g == (3, -2, 1)  # n^2 - 2n + 3
+    assert all(type(c) is int for c in gx.g)
     assert gx.irreducible is True
+
+
+def test_extract_g_rejects_wrong_forms():
+    # h = (1/6) * (4 - n) * g at D = 4 (chi = 0), with a g of each wrong form planted
+    prefactor = [Fraction(4, 6), Fraction(-1, 6)]
+    h = fit_h(4)
+    assert tuple(_times(prefactor, [3, -2, 1])) == h
+    planted = {
+        "non-exact division": (h[0] + 1, *h[1:]),
+        "quotient degree 3": tuple(_times(prefactor, [3, -2, 0, 1])),
+        "not monic": tuple(_times(prefactor, [3, -2, 2])),
+        "non-integer": tuple(_times(prefactor, [Fraction(1, 2), -2, 1])),
+    }
+    for reason, bad in planted.items():
+        with pytest.raises(StructuralFormError, match=reason):
+            extract_g(4, bad)
 
 
 def test_chi_parity_and_degrees():
     g5 = extract_g(5, fit_h(5))
     g6 = extract_g(6, fit_h(6))
     assert g5.chi == 1 and g6.chi == 0
-    assert g5.M == 2 and g6.M == 4
+    assert len(g5.g) - 1 == 2 and len(g6.g) - 1 == 4
 
 
 def test_structure_sweep_roundtrip():
@@ -144,17 +152,17 @@ def test_structure_sweep_roundtrip():
         const = Fraction((-1) ** D * D, math.factorial(D))
         for n in range(1, D + 4):
             rho = Fraction(D - n)
-            assert top_parameter_coefficient(D, D - n) == const * rho * n ** gx.chi * gx.g(n)
-        assert gx.g.coefficient(D - 2 - gx.chi) == 1  # monic: t_2(D) = 1
+            assert top_parameter_coefficient(D, D - n) == const * rho * n ** gx.chi * value(gx.g, n)
+        assert gx.g[D - 2 - gx.chi] == 1  # monic: t_2(D) = 1
 
 
 def test_t_series_values():
     extractions = structure_sweep(16)
     t2 = t_series(2, extractions)
-    assert t2.coeffs == (Fraction(1),)
+    assert t2 == (Fraction(1),)
     t3 = t_series(3, extractions)
-    assert t3(3) == 0  # odd-k vanishing at D = k
-    assert [t3(D) for D in (4, 5, 6)] == [-2, -5, -9]
+    assert value(t3, 3) == 0  # odd-k vanishing at D = k
+    assert [value(t3, D) for D in (4, 5, 6)] == [-2, -5, -9]
 
 
 def test_t_series_reproduces_g_coefficients():
@@ -162,7 +170,7 @@ def test_t_series_reproduces_g_coefficients():
     t4 = t_series(4, structure_sweep(14))
     for D in range(4, 15):
         gx = extract_g(D, fit_h(D))
-        assert t4(D) == gx.g.coefficient(D - 4 - gx.chi)
+        assert value(t4, D) == gx.g[D - 4 - gx.chi]
 
 
 def test_mine_sequences_integrality_and_stability():
@@ -191,21 +199,21 @@ def test_lcd_is_the_least_clearing_denominator():
     extractions = structure_sweep(24)
     for k in range(2, 9):
         tk = t_series(k, extractions)
-        q = tk.lcd()
-        assert all((q * c).denominator == 1 for c in tk.coeffs), k
+        q = math.lcm(*(c.denominator for c in tk))
+        assert all((q * c).denominator == 1 for c in tk), k
         for p in _primes_dividing(q):
-            assert any((q // p * c).denominator != 1 for c in tk.coeffs), (k, p)
+            assert any((q // p * c).denominator != 1 for c in tk), (k, p)
 
 
 def test_irreducibility_checks():
-    assert is_irreducible_int(RationalPolynomial.make([1, 0, 1])) is True  # x^2 + 1
-    assert is_irreducible_int(RationalPolynomial.make([-1, 0, 1])) is False  # (x-1)(x+1)
+    assert is_irreducible_int([1, 0, 1]) is True  # x^2 + 1
+    assert is_irreducible_int([-1, 0, 1]) is False  # (x-1)(x+1)
     # product of two irreducible quadratics without an integer root: undecided
-    prod = RationalPolynomial.make([2, 2, 3, 1, 1])  # (x^2 + x + 1)(x^2 + 2)
+    prod = [2, 2, 3, 1, 1]  # (x^2 + x + 1)(x^2 + 2)
     assert is_irreducible_int(prod) is None
-    assert is_irreducible_int(RationalPolynomial.make([7, 1])) is True  # linear
+    assert is_irreducible_int([7, 1]) is True  # linear
     # (x - 7)(x^2 + 10^13): only the small-root scan settles it, g(0) is past the divisor cap
-    big = RationalPolynomial.make([-7 * 10**13, 10**13, -7, 1])
+    big = [-7 * 10**13, 10**13, -7, 1]
     assert is_irreducible_int(big) is False
 
 
@@ -234,11 +242,11 @@ def test_irreducibility_is_never_claimed_for_a_product():
         _times([-100, 1], [10**13, 0, 1]),  # (x - 100)(x^2 + 10^13)
     ]
     for coeffs in planted:
-        assert is_irreducible_int(RationalPolynomial.make(coeffs)) is not True, coeffs
+        assert is_irreducible_int(coeffs) is not True, coeffs
     rng = random.Random(0)
     for _ in range(400):
         a, b = ([*(rng.randint(-6, 6) for _ in range(rng.randint(1, 4))), 1] for _ in range(2))
-        verdict = is_irreducible_int(RationalPolynomial.make(_times(a, b)))
+        verdict = is_irreducible_int(_times(a, b))
         assert verdict is not True, (a, b)
         if len(a) == 2 or len(b) == 2:  # a monic linear factor is a small integer root
             assert verdict is False, (a, b)
@@ -293,7 +301,7 @@ def test_packed_ben_or_never_passes_a_planted_product_property(a, b):
 
 def test_irreducibility_verdicts_match_the_oracle_to_the_degree_cap():
     for D, gx in structure_sweep(30).items():
-        assert gx.irreducible is oracles.is_irreducible_int([int(c) for c in gx.g.coeffs], _MODP_PRIMES), D
+        assert gx.irreducible is oracles.is_irreducible_int(list(gx.g), _MODP_PRIMES), D
 
 
 NODE = st.one_of(st.integers(-100, 100).map(Fraction), st.fractions(-100, 100, max_denominator=36))
@@ -304,7 +312,7 @@ VALUE = st.one_of(st.integers(-10**20, 10**20), st.fractions(max_denominator=10*
 @given(st.lists(NODE, unique=True, max_size=12).flatmap(
     lambda xs: st.lists(VALUE, min_size=len(xs), max_size=len(xs)).map(lambda ys: list(zip(xs, ys)))))
 def test_integer_interpolation_matches_fraction_divided_differences_property(points):
-    assert interpolate(points).coeffs == tuple(oracles.interpolate(points))
+    assert interpolate(points) == tuple(oracles.interpolate(points))
     if points:
         with pytest.raises(FitError):
             interpolate([*points, (points[0][0], points[0][1] + 1)])

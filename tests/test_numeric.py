@@ -393,6 +393,12 @@ def test_find_roots_error_carries_residual(monkeypatch):
         find_roots([1] + [0] * 7 + [-1])
 
 
+def test_find_roots_rejects_a_polynomial_past_the_doubles():
+    # |1e308 + 1e308j| overflows: the solve is rejected, it does not raise OverflowError
+    with pytest.raises(RootFindingError):
+        find_roots([1, complex(1e308, 1e308), 1])
+
+
 def test_derivative_and_integral_coefficients():
     p = (1, -2, 3, -4)
     assert differentiate(p) == [3, -4, 3]

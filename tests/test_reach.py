@@ -105,6 +105,8 @@ def _matrix(tmp_path):
         (["verify", "--conjecture", "dimension", "--max-degree", "4", "--threads", "2"], 0),
         # a relation over antiderivative families (negative rho)
         (["numeric-check", "--relation", "2:-2,-5:-1", "--D", "3", "--samples", "2"], 0),
+        # a window whose antiderivative leaves the doubles: every sample is skipped
+        (["numeric-check", "--relation", "1:-200,-1:1", "--D", "3", "--samples", "2", "--unsafe-degree"], 1),
         # a tolerance other than the default, for each check family
         (["numeric-check", "--auto", "--D", "4", "--samples", "2", "--tol", "1e-6"], 0),
         (["numeric-check", "--conjecture", "relative-rates", "--max-degree", "3", "--samples", "2",
@@ -123,6 +125,7 @@ def _matrix(tmp_path):
         (["verify", "--conjecture", "prop5", "--max-degree", "2"], 2),
         (["verify", "--conjecture", "odd-binomial", "--max-degree", "2"], 2),
         (["numeric-check", "--relation", "1:1,1", "--D", "3"], 2),
+        (["numeric-check", "--relation", "1:-28,-1:1", "--D", "3"], 2),
         (["numeric-check", "--samples", "0", "--auto", "--D", "3"], 2),
         (["numeric-check"], 2),
         (["mine", "--k-max", "1"], 2),

@@ -8,7 +8,7 @@ exact nullspace computation, and cross-validates everything against an
 independent floating-point oracle.
 """
 
-from .exact import PartitionVector, partitions
+from .exact import partitions
 from .means import PhiKey, PhiResult, phi
 from .powersums import gw_coefficient, power_sum_mean
 from .relations import RelationVector, find_relations, nullspace, relation_space_dim
@@ -17,7 +17,6 @@ from .sympoly import SymPoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "PartitionVector",
     "PhiKey",
     "PhiResult",
     "RelationVector",

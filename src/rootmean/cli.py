@@ -65,11 +65,12 @@ def rho_window(D: int, text: str | None, default, extended: bool = False) -> lis
     no root to average over."""
     if text and extended:
         raise ConfigError("--rho and --extended both choose the window; pass one of them")
-    window = list(parse_rho_window(text) if text else default)
-    empty = [r for r in window if r >= D]
+    window = parse_rho_window(text) if text else default
+    # a --rho window is a range, checked by its ends before it is listed
+    empty = range(max(window[0], D), window[-1] + 1) if text else sorted(r for r in window if r >= D)
     if empty:
-        raise ConfigError(f"rho={min(empty)} leaves an empty root family at D={D}")
-    return window
+        raise ConfigError(f"rho={empty[0]} leaves an empty root family at D={D}")
+    return list(window)
 
 
 def check_degree(D: int, args, delta: int = 0, cap: int = HARD_DEGREE_CAP, rho: int = 0) -> None:
@@ -408,6 +409,11 @@ def cmd_numeric(args) -> int:
             raise ConfigError(f"--delta {args.delta} above --D {args.D} averages f^(delta) = 0: nothing to check")
         if args.relation:
             rels = [parse_relation_spec(args.relation)]
+            # the check weighs the sampled means in doubles
+            try:
+                list(map(float, rels[0].values()))
+            except OverflowError:
+                raise ConfigError("a --relation coefficient is too large for a double") from None
             rho_window(args.D, None, rels[0])
             check_degree(args.D, args, rho=min(rels[0]))
         else:

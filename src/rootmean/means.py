@@ -12,9 +12,10 @@ averaging family, and use the fact that a derived function's parameters are
 the parameters of the original, truncated for a derivative and extended by
 integration constants for an antiderivative, so everything lands in one
 exact polynomial over the original parameters.  The family holds one
-parameter per weight, so a monomial is a partition whose part p is the
-weight-p parameter (``sympoly.part_name`` names it r_p or c_(p-D)), and the
-parameters of every derived function are the parts up to its degree.
+parameter per weight, so a monomial is a partition, a tuple of (part,
+exponent) pairs whose part p is the weight-p parameter (``sympoly.part_name``
+names it r_p or c_(p-D)), and the parameters of every derived function are
+the parts up to its degree.
 ``mean_values`` evaluates the same mean values exactly at a point without
 expanding phi, by Newton's identities.
 """

@@ -9,9 +9,10 @@ expansion used throughout this package:
                 times the product of order-i parameters raised to kappa's
                 multiplicities.
 
-Parts larger than n carry C(n,i) = 0 and are pruned.  The partition kappa
-is also the monomial's key in the resulting ``SymPoly``: part i stands for the
-order-i parameter.
+Parts larger than n carry C(n,i) = 0 and are pruned.  A partition kappa is
+a tuple of (part, multiplicity) pairs, parts strictly decreasing, as
+``exact.partitions`` returns it, and is also the monomial's key in the
+resulting ``SymPoly``: part i stands for the order-i parameter.
 """
 
 from __future__ import annotations
@@ -20,24 +21,24 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import PartitionVector, partitions
+from .exact import partitions
 from .sympoly import SymPoly
 
 
-def gw_factor(kappa: PartitionVector) -> Fraction:
+def gw_factor(kappa: tuple) -> Fraction:
     """The family-size-free factor (j(-1)^j) ((-1)^|kappa| / |kappa|) multinomial(|kappa|; kappa).
 
     ``gw_coefficient(kappa, n)`` is this times prod_i C(n,i)^(k_i) / n, with
     j = ||kappa||; kappa must be nonempty.  Always an integer.
     """
-    j = kappa.j
-    card = kappa.card
+    j = sum(part * mult for part, mult in kappa)
+    card = sum(mult for _, mult in kappa)
     sign = 1 if (j + card) % 2 == 0 else -1
-    multinomial = math.factorial(card) // math.prod(math.factorial(k) for _, k in kappa.items)
+    multinomial = math.factorial(card) // math.prod(math.factorial(k) for _, k in kappa)
     return Fraction(sign * j * multinomial, card)
 
 
-def gw_coefficient(kappa: PartitionVector, n: int) -> Fraction:
+def gw_coefficient(kappa: tuple, n: int) -> Fraction:
     """Normalized Girard-Waring coefficient of the partition kappa for an n-family.
 
     Equals gw_factor(kappa) * prod_i C(n,i)^(k_i) / n.  Zero exactly when
@@ -45,9 +46,9 @@ def gw_coefficient(kappa: PartitionVector, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("family size must be >= 1")
-    if not kappa.items:
+    if not kappa:
         raise ValueError("gw_coefficient needs a nonempty partition")
-    prod = math.prod(math.comb(n, part) ** mult for part, mult in kappa.items)
+    prod = math.prod(math.comb(n, part) ** mult for part, mult in kappa)
     return gw_factor(kappa) * Fraction(prod, n)
 
 
@@ -57,7 +58,7 @@ def _expansion(j: int, n: int) -> tuple:
 
     A coefficient is zero exactly when some part exceeds n.
     """
-    return tuple((kappa, gw_coefficient(kappa, n)) for kappa in partitions(j) if kappa.max_part <= n)
+    return tuple((kappa, gw_coefficient(kappa, n)) for kappa in partitions(j) if kappa[0][0] <= n)
 
 
 def materialize(j: int, n: int, coeff=1, times: int = 0) -> SymPoly:
@@ -73,9 +74,9 @@ def materialize(j: int, n: int, coeff=1, times: int = 0) -> SymPoly:
     acc = {}
     for kappa, c in _expansion(j, n):
         if times:
-            parts = dict(kappa.items)
+            parts = dict(kappa)
             parts[times] = parts.get(times, 0) + 1
-            kappa = PartitionVector.from_parts(parts)
+            kappa = tuple(sorted(parts.items(), reverse=True))
         acc[kappa] = coeff * c
     return SymPoly(acc)
 

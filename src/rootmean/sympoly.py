@@ -8,7 +8,8 @@ family with exactly one parameter per weight: weight p is the root
 parameter r_p for p <= D and the integration constant c_(p-D) above D
 (a derivative truncates the family, an antiderivative extends it).  So a
 monomial of weight w is a partition of w, and a polynomial keys its terms by
-``exact.PartitionVector``, the type the Girard-Waring expansion and single
+the partition's (part, exponent) pairs, parts strictly decreasing: the tuples
+``exact.partitions`` returns, which the Girard-Waring expansion and single
 coefficient queries use as well.  ``part_name`` names a part; it needs D
 only to tell the constants apart.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import ZERO, PartitionVector
+from .exact import ZERO
 
 
 def part_name(p: int, D: int | None = None) -> str:
@@ -27,14 +28,14 @@ def part_name(p: int, D: int | None = None) -> str:
     return f"r{p}" if D is None or p <= D else f"c{p - D}"
 
 
-def _sort_key(m: PartitionVector):
+def _sort_key(m: tuple):
     # graded, then lexicographic over ascending parts with larger exponents
     # first: within one weight this is the table order r1^D, r1^(D-2) r2, ...
-    return (m.j, tuple((p, -k) for p, k in reversed(m.items)))
+    return (sum(p * k for p, k in m), tuple((p, -k) for p, k in reversed(m)))
 
 
 class SymPoly:
-    """Immutable sparse polynomial: PartitionVector -> nonzero Fraction."""
+    """Immutable sparse polynomial: ((part, exponent), ...) -> nonzero Fraction."""
 
     __slots__ = ("_terms",)
 
@@ -53,7 +54,8 @@ class SymPoly:
     def term(cls, coeff, parts) -> "SymPoly":
         """coeff times the monomial {part: exponent} (a dict or its pairs)."""
         coeff = Fraction(coeff)
-        return cls._raw({PartitionVector.from_parts(dict(parts)): coeff} if coeff else {})
+        key = tuple(sorted(((p, k) for p, k in dict(parts).items() if k), reverse=True))
+        return cls._raw({key: coeff} if coeff else {})
 
     # ---- inspection ----------------------------------------------------
     def __bool__(self):
@@ -66,7 +68,7 @@ class SymPoly:
         """Terms in canonical order (graded, then lexicographic)."""
         return sorted(self._terms.items(), key=lambda t: _sort_key(t[0]))
 
-    def coefficient(self, monomial: PartitionVector) -> Fraction:
+    def coefficient(self, monomial: tuple) -> Fraction:
         return self._terms.get(monomial, ZERO)
 
     def monomials(self):
@@ -75,7 +77,7 @@ class SymPoly:
 
     def symbols(self) -> set:
         """The parts (parameter weights) that occur."""
-        return {p for m in self._terms for p, _ in m.items}
+        return {p for m in self._terms for p, _ in m}
 
     def sum_positive(self) -> Fraction:
         return sum((c for c in self._terms.values() if c > 0), ZERO)
@@ -99,7 +101,7 @@ class SymPoly:
         """
         terms = []
         for m, c in self.terms():
-            expt = {part_name(p, D): e for p, e in reversed(m.items)}
+            expt = {part_name(p, D): e for p, e in reversed(m)}
             coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
             terms.append({"expt": expt, "coeff": coeff})
         return {"terms": terms}
@@ -111,9 +113,9 @@ class SymPoly:
         bits = []
         for m, c in self.terms():
             lead = f"+ {c}" if c > 0 else f"- {-c}"
-            if m.items:
+            if m:
                 lead += " " + " ".join(
-                    name(p) if e == 1 else f"{name(p)}^{e}" for p, e in reversed(m.items)
+                    name(p) if e == 1 else f"{name(p)}^{e}" for p, e in reversed(m)
                 )
             bits.append(lead)
         out = " ".join(bits)

@@ -7,7 +7,9 @@ way to compute what the engine computes, kept next to the tests that use it.
   ``power_sums``, ``newton_residual`` and ``mean_parameters``.
 * ``SymPoly`` algebra over ``terms()``, ``SymPoly.term`` and ``poly_sum``:
   ``add``, ``sub``, ``mul`` and ``symbol`` (the ring product phi is
-  checked against), ``weights``, ``evaluate`` and ``from_json``.
+  checked against), ``weights``, ``evaluate`` and ``from_json``.  They read
+  each monomial key as the plain tuple of (part, exponent) pairs it is,
+  parts strictly decreasing.
 * ``rank`` of a relation report, from the dense relation vectors.
 * ``rational_nullspace``: the reduced echelon nullspace basis by back-
   substitution in Fractions, which ``relations.nullspace`` must equal up to
@@ -97,15 +99,15 @@ def mul(a: SymPoly, b: SymPoly) -> SymPoly:
     out = []
     for ma, ca in a.terms():
         for mb, cb in b.terms():
-            parts = dict(ma.items)
-            for p, k in mb.items:
+            parts = dict(ma)
+            for p, k in mb:
                 parts[p] = parts.get(p, 0) + k
             out.append(SymPoly.term(ca * cb, parts))
     return poly_sum(out)
 
 
 def weights(a: SymPoly) -> set:
-    return {m.j for m, _ in a.terms()}
+    return {sum(p * k for p, k in m) for m, _ in a.terms()}
 
 
 class UnboundSymbolError(KeyError):
@@ -121,7 +123,7 @@ def evaluate(a: SymPoly, values: dict):
     total = ZERO
     for m, c in a.terms():
         piece = c
-        for p, e in reversed(m.items):  # ascending parts, as the terms print
+        for p, e in reversed(m):  # ascending parts, as the terms print
             if p not in values:
                 raise UnboundSymbolError(p)
             piece = piece * values[p] ** e

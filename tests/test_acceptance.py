@@ -80,7 +80,7 @@ def test_criterion_02_gw_table_reproduction():
             t_prev, t_cur = t_cur, nxt
         dense = [Fraction(0)] * (j + 1)
         for m, c in power_sum_mean(j, 2).terms():
-            dense[dict(m.items).get(1, 0)] += c
+            dense[dict(m).get(1, 0)] += c
         ok = ok and dense == t_cur
     report("2 (power-sum tables n=2..6 + Chebyshev)", ok, t0, 5)
 

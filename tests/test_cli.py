@@ -302,6 +302,11 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
         ("numeric-check", "--auto", "--D", "5", "--delta", "7"),
         # the deepest family solves f^(-28), of degree 3 + 28, past the cap
         ("numeric-check", "--relation", "1:-28,-1:1", "--D", "3"),
+        # the check weighs means in doubles, and 10**400 is past the largest
+        ("numeric-check", "--relation", f"{10**400}:1,-1:2", "--D", "3", "--samples", "2"),
+        # the window's top is checked before the window is listed
+        ("phi", "--D", "3", "--rho", f"1..{10**400}"),
+        ("relations", "--D", "3", "--rho", f"1..{10**400}"),
     ],
     ids=[
         "relation-spec", "rho-window", "negative-samples", "zero-samples", "k-max-below-2",
@@ -311,6 +316,7 @@ def test_numeric_check_still_fails_false_relations(capsys, argv):
         "bfile-for-without-bfile", "auto-no-relation", "tol-inf", "tol-nan", "tol-negative", "repeated-rho",
         "zero-samples-nothing-requested", "three-modes", "auto-and-relation", "rho-and-extended",
         "relation-delta-above-degree", "auto-delta-above-degree", "relation-family-above-cap",
+        "relation-coefficient-past-double", "phi-rho-window-past-int", "relations-rho-window-past-int",
     ],
 )
 def test_bad_input_is_a_config_error(capsys, argv):
@@ -683,12 +689,17 @@ SYMBOLIC_CALLS = [
       for call in with_formats(("verify", "--conjecture", suite, "--max-degree", "9"), ("pretty", "json"))],
     *with_formats(("mine", "--k-max", "7", "--d-sweep", "19")),
     *with_formats(("mine", "--k-max", "10", "--d-sweep", "30")),
+    *with_formats(("phi", "--D", "16")),
+    *with_formats(("phi", "--D", "12", "--delta", "3", "--rho=-4..11")),
+    *with_formats(("gw", "--n", "16", "--max-deg", "16")),
+    *with_formats(("verify", "--conjecture", "prop4", "--max-degree", "12"), ("pretty", "json")),
+    *with_formats(("verify", "--conjecture", "prop5", "--max-degree", "14"), ("pretty", "json")),
 ]
 
 
 def test_symbolic_outputs_are_pinned(capsys):
     # sha256 of (argv, exit code, stdout) for each call, in order
     record = [[list(argv), *run(capsys, *argv)[:2]] for argv in SYMBOLIC_CALLS]
-    assert len(record) == 69
+    assert len(record) == 82
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
-    assert digest == "1f8457b4ed6181c720caf6bf1da62a2512ce80547abfc9b504c5dd71320731fe"
+    assert digest == "5ce87d318d3441b1d8a675ee7c804569f0f1a969e6299993ec953b848704ac1c"

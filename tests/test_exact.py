@@ -1,11 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
-import pytest
-
-from rootmean.exact import PartitionVector, partitions
+from rootmean.exact import partitions
 from rootmean.means import _term_weight
 from rootmean.powersums import gw_factor
+from rootmean.sympoly import SymPoly
+
+
+def as_list(kappa):
+    return [p for p, k in kappa for _ in range(k)]
 
 
 def test_binomial_against_pascal_recurrence():
@@ -21,17 +25,18 @@ def test_binomial_against_pascal_recurrence():
 def test_multinomial():
     # gw_factor is (-1)^(j+|kappa|) j multinomial(|kappa|; k) / |kappa|,
     # with the multinomial taken over the multiplicities k
-    for parts, multinomial in (([2, 1], 2), ([1, 1, 1], 1), ([3, 3, 2, 1], 12), ([2, 1, 1], 3)):
-        kappa = PartitionVector.from_list(parts)
-        j, card = kappa.j, kappa.card
+    for kappa, multinomial in (
+        (((2, 1), (1, 1)), 2), (((1, 3),), 1), (((3, 2), (2, 1), (1, 1)), 12), (((2, 1), (1, 2)), 3),
+    ):
+        j, card = sum(p * k for p, k in kappa), sum(k for _, k in kappa)
         assert gw_factor(kappa) == Fraction((-1) ** (j + card) * j * multinomial, card)
 
 
 def test_partitions_small():
-    assert [p.as_list() for p in partitions(4)] == [
+    assert [as_list(p) for p in partitions(4)] == [
         [4], [3, 1], [2, 2], [2, 1, 1], [1, 1, 1, 1],
     ]
-    assert partitions(0) == (PartitionVector(()),)
+    assert partitions(0) == ((),)
     assert len(partitions(0)) == 1
 
 
@@ -46,24 +51,20 @@ def test_partitions_unique_and_consistent():
         ps = partitions(j)
         assert len(set(ps)) == len(ps)
         for p in ps:
-            assert p.j == j
-            assert p.card == len(p.as_list())
-            assert all(m >= 1 for _, m in p.items)
+            assert sum(part * m for part, m in p) == j
+            assert sum(m for _, m in p) == len(as_list(p))
+            assert all(m >= 1 for _, m in p)
 
 
 def test_partition_vector_roundtrip():
-    p = PartitionVector.from_parts({1: 3, 4: 1})
-    assert p.j == 7
-    assert p.card == 4
-    assert p.max_part == 4
-    assert PartitionVector.from_list(p.as_list()) == p
-
-
-def test_partition_vector_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        PartitionVector.from_parts({0: 1})
-    with pytest.raises(ValueError):
-        PartitionVector.from_parts({2: -1})
+    # SymPoly.term keys a {part: exponent} mapping by the partition tuple
+    p = next(iter(SymPoly.term(1, {1: 3, 4: 1, 2: 0}).monomials()))
+    assert p == ((4, 1), (1, 3))
+    assert sum(part * m for part, m in p) == 7
+    assert sum(m for _, m in p) == 4
+    assert p[0][0] == 4
+    assert p in partitions(7)
+    assert next(iter(SymPoly.term(1, Counter(as_list(p))).monomials())) == p
 
 
 def test_rational_field_laws_randomized():

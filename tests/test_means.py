@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from rootmean.exact import PartitionVector
 from rootmean.means import (
     FLAG_CONSTANT,
     FLAG_ZERO,
@@ -83,7 +82,7 @@ def test_mean_slope_ignores_constant_term():
     for D in range(2, 10):
         poly = phi(PhiKey(D, 1, 0)).poly
         top = D
-        assert all(top not in dict(m.items) for m, _ in poly.terms())
+        assert all(top not in dict(m) for m, _ in poly.terms())
 
 
 def test_phi_table_sums():
@@ -196,7 +195,7 @@ def test_parameter_chain_is_prefix():
 
 def test_monomial_coefficient_sanity():
     poly = phi(PhiKey(5, 0, -1)).poly
-    assert poly.coefficient(PartitionVector.from_parts({1: 5})) == 216
+    assert poly.coefficient(((1, 5),)) == 216
 
 
 def phi_by_ring(key):
@@ -236,14 +235,34 @@ def test_mean_values_match_expansion():
     assert count == 688
 
 
+def test_monomial_keys_are_partition_tuples():
+    # every key is ((part, multiplicity), ...), parts strictly decreasing,
+    # and its weight is the polynomial's
+    def check(poly, weight):
+        for m in poly.monomials():
+            assert type(m) is tuple and all(type(pair) is tuple and len(pair) == 2 for pair in m), m
+            assert all(type(p) is int and type(k) is int and p >= 1 and k >= 1 for p, k in m), m
+            parts = [p for p, _ in m]
+            assert parts == sorted(set(parts), reverse=True), m
+            assert sum(p * k for p, k in m) == weight, m
+
+    for D in range(2, 11):
+        for delta in range(-2, D + 1):
+            for rho in range(-3, D):
+                check(phi(PhiKey(D, delta, rho)).poly, D - delta)
+    for j in range(1, 13):
+        for n in range(1, 13):
+            check(power_sum_mean(j, n), j)
+
+
 def test_phi_zero_where_it_lacks_the_monomial():
     def lacking(key, parts):
-        assert phi(key).poly.coefficient(PartitionVector.from_parts(parts)) == 0
+        assert phi(key).poly.coefficient(parts) == 0
 
-    lacking(PhiKey(5, 0, 1), {5: 1, 1: 1})  # weight 6, phi is homogeneous of weight 5
-    lacking(PhiKey(5, 0, 1), {})
-    lacking(PhiKey(6, 0, 4), {3: 2})  # both parts exceed the 2-family
-    lacking(PhiKey(4, 5, 1), {1: 1})  # delta > D: phi vanishes
-    lacking(PhiKey(4, 5, 1), {})
-    lacking(PhiKey(4, 4, 1), {2: 2})  # delta = D: only the constant survives
-    assert phi(PhiKey(4, 4, 1)).poly.coefficient(PartitionVector.from_parts({})) == 24
+    lacking(PhiKey(5, 0, 1), ((5, 1), (1, 1)))  # weight 6, phi is homogeneous of weight 5
+    lacking(PhiKey(5, 0, 1), ())
+    lacking(PhiKey(6, 0, 4), ((3, 2),))  # both parts exceed the 2-family
+    lacking(PhiKey(4, 5, 1), ((1, 1),))  # delta > D: phi vanishes
+    lacking(PhiKey(4, 5, 1), ())
+    lacking(PhiKey(4, 4, 1), ((2, 2),))  # delta = D: only the constant survives
+    assert phi(PhiKey(4, 4, 1)).poly.coefficient(()) == 24

@@ -43,8 +43,6 @@ KEEP = {
     "sympoly.SymPoly.__bool__": "Python protocol method",
     "sympoly.SymPoly.__str__": "Python protocol method",
     "sympoly.SymPoly.__repr__": "Python protocol method",
-    "exact.PartitionVector.__repr__": "Python protocol method",
-    "exact.PartitionVector.as_list": "spells PartitionVector.__repr__",
 }
 
 # "function.parameter" of the defaults no CLI call overrides, each with the reason it stays
@@ -126,6 +124,9 @@ def _matrix(tmp_path):
         (["verify", "--conjecture", "odd-binomial", "--max-degree", "2"], 2),
         (["numeric-check", "--relation", "1:1,1", "--D", "3"], 2),
         (["numeric-check", "--relation", "1:-28,-1:1", "--D", "3"], 2),
+        (["numeric-check", "--relation", f"{10**400}:1,-1:2", "--D", "3", "--samples", "2"], 2),
+        (["phi", "--D", "3", "--rho", f"1..{10**400}"], 2),
+        (["relations", "--D", "3", "--rho", f"1..{10**400}"], 2),
         (["numeric-check", "--samples", "0", "--auto", "--D", "3"], 2),
         (["numeric-check"], 2),
         (["mine", "--k-max", "1"], 2),
